@@ -16,21 +16,15 @@
 //! which measures the lower-run trie of [`ccal_core::prefix`] in
 //! atom-steps and wall-clock.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use ccal_core::calculus::{check_fun, pcomp, CheckOptions, Obligation};
-use ccal_core::conc::ThreadScript;
+use ccal_core::calculus::{check_fun, pcomp, CheckOptions};
 use ccal_core::contexts::ContextGen;
-use ccal_core::id::{Loc, Pid, PidSet};
+use ccal_core::id::{Loc, Pid};
 use ccal_core::sim::SimRelation;
 use ccal_objects::ticket::{
-    l0_interface, l2_interface, lock_interface, lock_low_interface, m1_module, r1_relation,
-    r2_relation, FooEnvPlayer, TicketEnvPlayer, M2_SOURCE,
-};
-use ccal_verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, lock_history_validator, ticket_bound, OpScript,
+    l0_interface, l2_interface, lock_interface, lock_low_interface, m1_module, r2_relation,
+    FooEnvPlayer, TicketEnvPlayer, M2_SOURCE,
 };
 use std::sync::Arc;
 
@@ -553,8 +547,7 @@ impl PrefixRow {
 /// The counters are process-global, so callers that want meaningful step
 /// counts must not run other checks concurrently (the bench binary and
 /// the serial rows here are fine; unit tests assert only
-/// monotone/structural facts). Convergence dedup is pinned off so the
-/// step counters isolate the sharing axis (B7 measures convergence).
+/// monotone/structural facts).
 fn certify_prefix(
     schedule_len: usize,
     workers: usize,
@@ -576,8 +569,7 @@ fn certify_prefix(
         .with_workload("foo", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(workers)
         .with_prefix_share(share)
-        .with_deep_share(deep)
-        .with_state_dedup(false);
+        .with_deep_share(deep);
     let layer = check_fun(
         &lock_interface(),
         &m2,
@@ -755,8 +747,6 @@ impl DeepRow {
 /// `rel` workloads, ticket contender + scratch thread over a 3-pid
 /// domain) with the sharing tiers set explicitly, returning discharged
 /// cases, the process-global step/reuse counters, and wall time.
-/// Convergence dedup is pinned off so the step counters isolate the
-/// prefix/deep-sharing axis (B7 measures the convergence axis).
 fn certify_ticket_prefix(
     schedule_len: usize,
     share: bool,
@@ -778,8 +768,7 @@ fn certify_ticket_prefix(
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(1)
         .with_prefix_share(share)
-        .with_deep_share(deep)
-        .with_state_dedup(false);
+        .with_deep_share(deep);
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -919,13 +908,11 @@ impl BytecodeRow {
 
 /// One serial ticket certification with the ClightX tier set explicitly
 /// (sharing off, so the primitive-step counters reflect pure execution
-/// work; convergence dedup pinned off too — its fingerprint exists only
-/// on the VM tier, so leaving it on would break the tier-atom-equality
-/// invariant B6 gates on), returning discharged cases, primitive steps,
-/// atom-steps and wall time. The context family is the *contended*
-/// regime — two ticket contenders, `acq` workload — because B6 measures
-/// the hot path: the spin loop, where the compiled tier's two retired
-/// instructions per poll replace the interpreter's four work-item pops.
+/// work), returning discharged cases, primitive steps, atom-steps and
+/// wall time. The context family is the *contended* regime — two ticket
+/// contenders, `acq` workload — because B6 measures the hot path: the
+/// spin loop, where the compiled tier's two retired instructions per
+/// poll replace the interpreter's four work-item pops.
 fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64, Duration) {
     let b = Loc(0);
     let m1 = m1_module().expect("M1 parses");
@@ -941,8 +928,7 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(1)
-        .with_bytecode(bytecode)
-        .with_state_dedup(false);
+        .with_bytecode(bytecode);
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -1022,401 +1008,13 @@ pub fn render_bytecode_rows(rows: &[BytecodeRow]) -> String {
     out
 }
 
-/// One row of the convergence-dedup study (experiment B7): the same
-/// contended ticket certification as B6 (two ticket contenders, 3-pid
-/// domain, `acq` + `rel` workloads, serial engine, bytecode tier) with
-/// the convergence cache on vs. off. The metric is machine-level
-/// atom-steps: a convergence hit answers a whole suffix from a
-/// fingerprint-identical prior state without retiring a single further
-/// atom step, so the dedup/baseline ratio measures how much of the
-/// diamond-shaped schedule mass the canonical state fingerprint
-/// collapses.
-#[derive(Debug, Clone)]
-pub struct ConvergenceRow {
-    /// Schedule prefix length.
-    pub schedule_len: usize,
-    /// Contexts in the (3-pid) grid.
-    pub grid: usize,
-    /// Checking cases discharged (identical across cache settings — the
-    /// cache is observationally inert).
-    pub cases: usize,
-    /// Atom-steps with the convergence cache forced off (baseline).
-    pub atom_steps_base: u64,
-    /// Atom-steps with the convergence cache on.
-    pub atom_steps_dedup: u64,
-    /// Suffixes answered from the cache on the dedup run.
-    pub conv_hits: u64,
-    /// Convergence-cache evictions on the dedup run (capacity pressure;
-    /// 0 means every reusable suffix stayed resident).
-    pub conv_evictions: u64,
-    /// Serial wall time, cache off.
-    pub serial_base: Duration,
-    /// Serial wall time, cache on.
-    pub serial_dedup: Duration,
-}
-
-impl ConvergenceRow {
-    /// The B7 acceptance metric: dedup atom-steps over baseline
-    /// atom-steps (lower is better; the gate in the `convergence` bench
-    /// binary requires ≤ 0.6 at `L = 5`).
-    pub fn atom_step_ratio(&self) -> f64 {
-        self.atom_steps_dedup as f64 / self.atom_steps_base.max(1) as f64
-    }
-}
-
-/// Runs `f` serially with the convergence cache forced to `state_dedup`
-/// and the ClightX tier forced to `bytecode` — both tiers expose an
-/// in-flight state fingerprint (`CRun::state_fp` on the interpreter,
-/// the VM's slot image on the bytecode tier), so the cache is live
-/// either way and the tier is a measurement axis. Returns
-/// `(f(), atom_steps, conv_hits, conv_evictions)`. Evictions are
-/// accumulated on kernel drop, which happens inside the checker call, so
-/// reading the counter after `f` returns captures them.
-fn conv_bracket<T>(bytecode: bool, state_dedup: bool, f: &dyn Fn() -> T) -> (T, u64, u64, u64) {
-    use ccal_core::prefix::{self, BytecodeOverride, StateDedupOverride};
-    let _tier = BytecodeOverride::force(bytecode);
-    let _sd = StateDedupOverride::force(state_dedup);
-    prefix::steps_reset();
-    let out = f();
-    (
-        out,
-        prefix::steps_total(),
-        prefix::converged_total(),
-        prefix::conv_evictions_total(),
-    )
-}
-
-/// One serial contended-ticket certification (B6's context family — the
-/// regime where overtaking schedules reconverge on identical lock
-/// states) on the given ClightX tier, returning the discharged cases.
-/// Counter bracketing is the caller's job via [`conv_bracket`]; the
-/// workload must request the tier itself because
-/// `check_prim_refinement` re-forces the tier its options name.
-fn certify_ticket_contended(schedule_len: usize, bytecode: bool) -> usize {
-    let b = Loc(0);
-    let m1 = m1_module().expect("M1 parses");
-    let contexts = ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
-        .with_player(Pid(1), Arc::new(TicketEnvPlayer::new(Pid(1), b, 1)))
-        .with_player(Pid(2), Arc::new(TicketEnvPlayer::new(Pid(2), b, 1)))
-        .with_schedule_len(schedule_len)
-        .with_max_contexts(3_usize.pow(schedule_len as u32))
-        .contexts();
-    let opts = CheckOptions::new(contexts)
-        .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(1)
-        .with_bytecode(bytecode);
-    let layer = check_fun(
-        &l0_interface(),
-        &m1,
-        &lock_low_interface(),
-        &SimRelation::identity(),
-        Pid(0),
-        &opts,
-    )
-    .expect("B7 certification succeeds");
-    layer.certificate.total_cases()
-}
-
-/// Runs the B7 comparison at one schedule length (serial engine — the
-/// step counters are the metric and they are only deterministic there).
-///
-/// # Panics
-///
-/// Panics if certification fails, the cache changes the discharged
-/// cases, or the forced-off baseline records a hit.
-pub fn convergence_row(schedule_len: usize) -> ConvergenceRow {
-    let grid = 3_usize.pow(schedule_len as u32);
-    let run = || {
-        let start = Instant::now();
-        let cases = certify_ticket_contended(schedule_len, true);
-        (cases, start.elapsed())
-    };
-    // The forced-off baseline records no hits of its own, but the hit
-    // counter is process-global, so `base_hits == 0` is only asserted in
-    // the bench binary (via the per-checker stats), which owns its
-    // process; in-crate tests share theirs with the rest of the suite.
-    let ((cases_base, serial_base), atom_steps_base, _base_hits, _) =
-        conv_bracket(true, false, &run);
-    let ((cases, serial_dedup), atom_steps_dedup, conv_hits, conv_evictions) =
-        conv_bracket(true, true, &run);
-    assert_eq!(
-        cases, cases_base,
-        "convergence dedup changed the discharged cases"
-    );
-    ConvergenceRow {
-        schedule_len,
-        grid,
-        cases,
-        atom_steps_base,
-        atom_steps_dedup,
-        conv_hits,
-        conv_evictions,
-        serial_base,
-        serial_dedup,
-    }
-}
-
-/// Renders already-computed B7 rows.
-pub fn render_convergence_rows(rows: &[ConvergenceRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "B7 — convergence dedup on the contended ticket stack (two ticket \
-         contenders, 3-pid domain, serial engine, bytecode tier; \
-         ratio = dedup/baseline atom-steps)"
-    );
-    let _ = writeln!(
-        out,
-        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>6} {:>8} {:>7} {:>12} {:>12}",
-        "len", "grid", "cases", "steps/base", "steps/dedup", "ratio", "hits", "evict", "ser/base",
-        "ser/dedup"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>6} {:>7} {:>12} {:>12} {:>5.2} {:>8} {:>7} {:>12?} {:>12?}",
-            row.schedule_len,
-            row.grid,
-            row.cases,
-            row.atom_steps_base,
-            row.atom_steps_dedup,
-            row.atom_step_ratio(),
-            row.conv_hits,
-            row.conv_evictions,
-            row.serial_base,
-            row.serial_dedup,
-        );
-    }
-    push_caveat(&mut out);
-    out
-}
-
-/// Per-checker convergence accounting for the B7 record: one serial
-/// passing workload per checker with the cache on vs. off.
-#[derive(Debug, Clone)]
-pub struct ConvCheckerStat {
-    /// Checker name (`sim`, `interp`, `live`, `race`, `linz`, `seqref`);
-    /// `interp` is the `sim` workload on the interpreter tier, every
-    /// other row runs on the bytecode tier.
-    pub checker: &'static str,
-    /// Cases discharged (identical across cache settings).
-    pub cases: usize,
-    /// Atom-steps with the cache forced off.
-    pub atom_steps_base: u64,
-    /// Atom-steps with the cache on.
-    pub atom_steps_dedup: u64,
-    /// Suffixes answered from the cache.
-    pub conv_hits: u64,
-    /// Cache evictions on the dedup run.
-    pub conv_evictions: u64,
-}
-
-/// Runs each of the five checkers once per cache setting on a ticket
-/// workload (serial; bytecode tier, plus an `interp` row re-running the
-/// refinement workload on the interpreter tier now that `CRun` exposes a
-/// convergence fingerprint) and reports the per-checker hit and
-/// eviction counters. Verdicts, counts and rendered outcomes are
-/// asserted byte-identical across settings — a dedup-differential in
-/// miniature, run inside the bench so the emitted counters are
-/// guaranteed to describe observationally-inert reuse.
-///
-/// # Panics
-///
-/// Panics if any checker's outcome differs between cache settings.
-pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
-    let b = Loc(0);
-    let iface = m1_module()
-        .expect("M1 parses")
-        .install(&l0_interface())
-        .expect("M1 installs over L0");
-    let player_contexts = || {
-        ContextGen::new(vec![Pid(0), Pid(1)])
-            .with_player(Pid(1), Arc::new(TicketEnvPlayer::new(Pid(1), b, 2)))
-            .with_schedule_len(4)
-            .with_max_contexts(16)
-            .contexts()
-    };
-    let open_contexts = || {
-        ContextGen::new(vec![Pid(0), Pid(1)])
-            .with_schedule_len(4)
-            .with_max_contexts(16)
-            .contexts()
-    };
-    let focused = PidSet::from_pids([Pid(0), Pid(1)]);
-    let mut programs: BTreeMap<Pid, ThreadScript> = BTreeMap::new();
-    for pid in [Pid(0), Pid(1)] {
-        programs.insert(
-            pid,
-            vec![
-                ("acq".to_owned(), vec![ccal_core::val::Val::Loc(b)]),
-                ("rel".to_owned(), vec![ccal_core::val::Val::Loc(b)]),
-            ],
-        );
-    }
-    let validator = lock_history_validator();
-    let scripts: Vec<OpScript> = vec![vec![
-        ("acq".to_owned(), vec![ccal_core::val::Val::Loc(b)]),
-        ("rel".to_owned(), vec![ccal_core::val::Val::Loc(b)]),
-    ]];
-    let canon = |res: Result<Obligation, ccal_core::calculus::LayerError>| match res {
-        Ok(ob) => (ob.cases_checked, format!("{ob:?}")),
-        Err(e) => (0, format!("err:{e}")),
-    };
-    let checkers: Vec<(&'static str, bool, Box<dyn Fn() -> (usize, String) + '_>)> = vec![
-        (
-            "sim",
-            true,
-            Box::new(|| {
-                let cases = certify_ticket_contended(4, true);
-                (cases, format!("certified:{cases}"))
-            }),
-        ),
-        (
-            "interp",
-            false,
-            Box::new(|| {
-                let cases = certify_ticket_contended(4, false);
-                (cases, format!("certified:{cases}"))
-            }),
-        ),
-        (
-            "live",
-            true,
-            Box::new(|| {
-                canon(check_liveness_tuned(
-                    &iface,
-                    "acq",
-                    &[ccal_core::val::Val::Loc(b)],
-                    Pid(0),
-                    &player_contexts(),
-                    ticket_bound(4, 8, 2),
-                    200_000,
-                    1,
-                    false,
-                    false,
-                    false,
-                ))
-            }),
-        ),
-        (
-            "race",
-            true,
-            Box::new(|| {
-                canon(check_race_freedom_tuned(
-                    &iface,
-                    &focused,
-                    &programs,
-                    &open_contexts(),
-                    200_000,
-                    1,
-                    false,
-                    false,
-                    false,
-                ))
-            }),
-        ),
-        (
-            "linz",
-            true,
-            Box::new(|| {
-                canon(check_linearizability_tuned(
-                    &iface,
-                    &focused,
-                    &programs,
-                    &r1_relation(),
-                    &validator,
-                    &open_contexts(),
-                    200_000,
-                    1,
-                    false,
-                    false,
-                    false,
-                ))
-            }),
-        ),
-        (
-            "seqref",
-            true,
-            Box::new(|| {
-                canon(check_sequence_refinement_tuned(
-                    &iface,
-                    &lock_interface(),
-                    &r1_relation(),
-                    Pid(0),
-                    &player_contexts(),
-                    &scripts,
-                    200_000,
-                    1,
-                    false,
-                    false,
-                    false,
-                ))
-            }),
-        ),
-    ];
-    let mut stats = Vec::new();
-    for (checker, bytecode, run) in &checkers {
-        let ((cases_base, out_base), atom_steps_base, base_hits, _) =
-            conv_bracket(*bytecode, false, run.as_ref());
-        let ((cases, out), atom_steps_dedup, conv_hits, conv_evictions) =
-            conv_bracket(*bytecode, true, run.as_ref());
-        assert_eq!(
-            (cases, &out),
-            (cases_base, &out_base),
-            "{checker}: convergence dedup perturbed the outcome"
-        );
-        assert_eq!(base_hits, 0, "{checker}: forced-off cache recorded a hit");
-        stats.push(ConvCheckerStat {
-            checker,
-            cases,
-            atom_steps_base,
-            atom_steps_dedup,
-            conv_hits,
-            conv_evictions,
-        });
-    }
-    stats
-}
-
-/// Renders the per-checker convergence accounting.
-pub fn render_checker_stats(stats: &[ConvCheckerStat]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "B7 — per-checker convergence counters (serial, ticket workloads; \
-         bytecode tier except the `interp` row, which re-runs the `sim` \
-         workload on the interpreter tier)"
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>7} {:>12} {:>12} {:>6} {:>8} {:>7}",
-        "checker", "cases", "steps/base", "steps/dedup", "ratio", "hits", "evict"
-    );
-    for s in stats {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>7} {:>12} {:>12} {:>5.2} {:>8} {:>7}",
-            s.checker,
-            s.cases,
-            s.atom_steps_base,
-            s.atom_steps_dedup,
-            s.atom_steps_dedup as f64 / s.atom_steps_base.max(1) as f64,
-            s.conv_hits,
-            s.conv_evictions,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn por_shrinks_the_kernel_stack_grid_at_least_twofold() {
+        let _counters = crate::counter_lock();
         let row = por_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(row.reduced > 0, "independent players must license pruning");
@@ -1429,6 +1027,7 @@ mod tests {
 
     #[test]
     fn declared_prim_footprints_widen_the_client_layer_reduction() {
+        let _counters = crate::counter_lock();
         let row = por_widened_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(
@@ -1445,11 +1044,12 @@ mod tests {
 
     #[test]
     fn prefix_sharing_reuses_lower_runs_and_preserves_evidence() {
-        // Case counts are asserted inside `prefix_row_tuned`; here only
-        // monotone facts are checked, because the step counters are
-        // process-global and other tests in this binary may be running
-        // concurrently. The hard ≤50 % step-ratio acceptance lives in the
-        // `prefix_sharing` bench binary, which owns its process.
+        let _counters = crate::counter_lock();
+        // Case counts and the zero-hit sharing-off baseline are asserted
+        // inside `prefix_row_tuned`; the step counters are process-global,
+        // so every checker-running test in this crate holds
+        // `counter_lock`. The hard ≤50 % step-ratio acceptance lives in
+        // the `prefix_sharing` bench binary, which owns its process.
         let row = prefix_row_tuned(4, 2);
         assert_eq!(row.grid, 81);
         assert!(row.cases > 0);
@@ -1461,6 +1061,7 @@ mod tests {
 
     #[test]
     fn query_point_snapshots_cut_into_the_ticket_spin() {
+        let _counters = crate::counter_lock();
         // As above: only structural facts here (the step counters are
         // process-global); the hard ≤0.7 deep/share gate lives in the
         // `prefix_sharing` bench binary.
@@ -1475,6 +1076,7 @@ mod tests {
 
     #[test]
     fn the_bytecode_tier_retires_fewer_primitive_steps() {
+        let _counters = crate::counter_lock();
         // As with the sharing rows: only monotone/structural facts here
         // (the step counters are process-global); the hard ≤0.6 prim-step
         // gate lives in the `bytecode_vm` bench binary.
@@ -1491,28 +1093,8 @@ mod tests {
     }
 
     #[test]
-    fn convergence_dedup_collapses_the_contended_ticket_grid() {
-        // As with the sharing rows: only monotone/structural facts here
-        // (the step counters are process-global); the hard ≤0.6
-        // atom-step gate and the per-checker zero-hit baseline live in
-        // the `convergence` bench binary.
-        let row = convergence_row(3);
-        assert_eq!(row.grid, 27);
-        assert!(row.cases > 0);
-        assert!(
-            row.conv_hits > 0,
-            "overtaking ticket schedules must reconverge on the 3^3 grid"
-        );
-        assert!(
-            row.atom_steps_dedup < row.atom_steps_base,
-            "convergence hits must save atom-steps (base {} vs dedup {})",
-            row.atom_steps_base,
-            row.atom_steps_dedup
-        );
-    }
-
-    #[test]
     fn compositional_space_is_exponentially_smaller() {
+        let _counters = crate::counter_lock();
         let row = compositional_row(3);
         assert_eq!(row.monolithic_contexts, 64);
         assert_eq!(row.compositional_contexts, 16, "2 × 2^3");

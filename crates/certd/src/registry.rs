@@ -289,8 +289,7 @@ fn sim_options(
         .with_por(params.por)
         .with_prefix_share(params.prefix_share)
         .with_deep_share(params.deep_share)
-        .with_bytecode(params.bytecode)
-        .with_state_dedup(params.state_dedup);
+        .with_bytecode(params.bytecode);
     sim.setup = unit.setup.clone();
     if let Some((lo, hi)) = window {
         sim = sim.with_window(lo, hi);
@@ -345,7 +344,6 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.bool("opt.prefix_share", sim.prefix_share);
     h.bool("opt.deep_share", sim.deep_share);
     h.bool("opt.bytecode", sim.bytecode);
-    h.bool("opt.state_dedup", sim.state_dedup);
     h.usize("opt.snapshot_cap", sim.snapshot_cap);
     h.usize("opt.upper_cache_cap", sim.upper_cache_cap);
     h.finish()
@@ -411,7 +409,6 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
     h.bool("prefix_share", params.prefix_share);
     h.bool("deep_share", params.deep_share);
     h.bool("bytecode", params.bytecode);
-    h.bool("state_dedup", params.state_dedup);
     h.finish()
 }
 
@@ -583,8 +580,17 @@ pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
 mod tests {
     use super::*;
 
+    /// Serializes the tests whose results depend on the process-global
+    /// semantic-sharing mode (a unit's `share` string follows it), so a
+    /// test forcing the mode cannot flip it under another.
+    fn share_mode_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn stacks_resolve_with_distinct_stable_fingerprints() {
+        let _mode = share_mode_lock();
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("ticket resolves");
         let names: Vec<&str> = ticket.iter().map(|u| u.name.as_str()).collect();
@@ -628,15 +634,6 @@ mod tests {
             assert_ne!(x.fingerprint, y.fingerprint, "{}", x.name);
         }
 
-        // Convergence dedup extends the trust base, so it is part of
-        // the certificate identity too.
-        let mut no_conv = base.clone();
-        no_conv.state_dedup = false;
-        let c = stack_units("qlock", &no_conv).expect("resolves");
-        for (x, y) in a.iter().zip(&c) {
-            assert_ne!(x.fingerprint, y.fingerprint, "{}: state_dedup", x.name);
-        }
-        assert_ne!(manifest_key("qlock", &base), manifest_key("qlock", &no_conv));
         assert_ne!(manifest_key("qlock", &base), manifest_key("qlock", &longer));
         assert_ne!(manifest_key("qlock", &base), manifest_key("ticket", &base));
         assert_eq!(manifest_key("qlock", &base), manifest_key("qlock", &base));
@@ -646,6 +643,7 @@ mod tests {
     fn semantic_share_keys_group_units_into_families() {
         // Pin the mode: the suite also runs under CCAL_SHARE_SEMANTIC=0,
         // where shares legitimately degenerate to fingerprints.
+        let _mode = share_mode_lock();
         let _on = prefix::ShareSemanticOverride::force(true);
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("resolves");
@@ -685,6 +683,7 @@ mod tests {
 
     #[test]
     fn disabling_semantic_sharing_restores_per_unit_keys() {
+        let _mode = share_mode_lock();
         let _off = prefix::ShareSemanticOverride::force(false);
         let params = CertParams::default();
         for u in stack_units("ticket", &params).expect("resolves") {

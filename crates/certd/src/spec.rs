@@ -25,11 +25,6 @@ pub struct CertParams {
     pub deep_share: bool,
     /// ClightX bytecode VM for module bodies.
     pub bytecode: bool,
-    /// Convergence dedup (canonical state fingerprints collapsing
-    /// diamond schedules). Part of the certificate identity: it extends
-    /// the trust base by `replay_commutes`, so certificates produced
-    /// with and without it must not alias.
-    pub state_dedup: bool,
 }
 
 impl Default for CertParams {
@@ -43,7 +38,6 @@ impl Default for CertParams {
             prefix_share: true,
             deep_share: true,
             bytecode: true,
-            state_dedup: true,
         }
     }
 }
@@ -218,11 +212,12 @@ impl CertParams {
             ("prefix_share", Json::Bool(self.prefix_share)),
             ("deep_share", Json::Bool(self.deep_share)),
             ("bytecode", Json::Bool(self.bytecode)),
-            ("state_dedup", Json::Bool(self.state_dedup)),
         ])
     }
 
-    /// Decodes from [`CertParams::to_json`]'s encoding.
+    /// Decodes from [`CertParams::to_json`]'s encoding. Unknown keys are
+    /// ignored, so requests from older clients that still send a retired
+    /// option decode to the same parameters as requests without it.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(CertParams {
             schedule_len: get_usize(j, "schedule_len")?,
@@ -233,9 +228,6 @@ impl CertParams {
             prefix_share: get_bool(j, "prefix_share")?,
             deep_share: get_bool(j, "deep_share")?,
             bytecode: get_bool(j, "bytecode")?,
-            // Tolerant: requests encoded before the flag existed default
-            // to on, matching `CertParams::default()`.
-            state_dedup: j.get("state_dedup").and_then(Json::as_bool).unwrap_or(true),
         })
     }
 }
@@ -376,7 +368,7 @@ mod tests {
         let mut req = CertRequest::new("ticket");
         req.params.workers = 4;
         req.params.por = false;
-        req.params.state_dedup = false;
+        req.params.bytecode = false;
         req.use_cache = false;
         req.chunk_cases = 7;
         let back = CertRequest::from_json(&req.to_json()).expect("decodes");
@@ -384,14 +376,31 @@ mod tests {
     }
 
     #[test]
-    fn params_without_state_dedup_decode_to_the_default() {
-        let mut j = CertParams::default().to_json();
-        let Json::Obj(fields) = &mut j else {
+    fn requests_carrying_the_retired_state_dedup_key_decode_unchanged() {
+        // Clients built while convergence dedup existed still send
+        // `"state_dedup": false` inside `params`; the key is ignored, so
+        // such a request names the same parameters and the same stack
+        // manifest as one without it.
+        let req = CertRequest::new("qlock");
+        let plain = req.to_json();
+        let mut legacy = plain.clone();
+        let Json::Obj(fields) = &mut legacy else {
+            panic!("requests encode as an object");
+        };
+        let Some(Json::Obj(params)) = fields.get_mut("params") else {
             panic!("params encode as an object");
         };
-        fields.remove("state_dedup");
-        let back = CertParams::from_json(&j).expect("tolerant decode");
-        assert!(back.state_dedup, "missing flag defaults on, like Default");
+        params.insert("state_dedup".into(), Json::Bool(false));
+        let text = legacy.to_string();
+        assert!(text.contains("\"state_dedup\": false"), "{text}");
+        let legacy = ccal_forensics::json::parse(&text).expect("parses");
+        let legacy = CertRequest::from_json(&legacy).expect("decodes");
+        let plain = CertRequest::from_json(&plain).expect("decodes");
+        assert_eq!(legacy, plain);
+        assert_eq!(
+            crate::registry::manifest_key(&legacy.stack, &legacy.params),
+            crate::registry::manifest_key(&plain.stack, &plain.params),
+        );
     }
 
     #[test]

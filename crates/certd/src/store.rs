@@ -224,18 +224,28 @@ impl CertStore {
         self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(&fp).cloned()
     }
 
-    /// Records a verdict (in memory, and on disk when persistent). Disk
-    /// writes go through a temp file + rename so a concurrent reader
-    /// never sees a torn record.
-    pub fn put(&self, fp: ContentHash, unit: StoredUnit) {
-        if let Some(dir) = &self.dir {
-            let body = unit.to_json(fp).pretty();
-            let tmp = dir.join(format!(".{fp}.tmp"));
-            let final_path = dir.join(format!("{fp}.json"));
-            if fs::write(&tmp, body).is_ok() {
-                let _ = fs::rename(&tmp, &final_path);
-            }
+    /// Mirrors one record to `<dir>/<name>.json` when the store is
+    /// persistent. The body goes through a temp file + rename so a
+    /// concurrent reader never sees a torn record. A failed write or
+    /// rename removes the temp file and is reported on stderr; the caller
+    /// still keeps the record in memory, so the only cost is a re-check
+    /// after a restart.
+    fn write_record(&self, name: &str, body: impl FnOnce() -> String) {
+        let Some(dir) = &self.dir else { return };
+        let tmp = dir.join(format!(".{name}.tmp"));
+        let path = dir.join(format!("{name}.json"));
+        if let Err(e) = fs::write(&tmp, body()).and_then(|()| fs::rename(&tmp, &path)) {
+            // The temp file may not exist (the write itself failed).
+            let _ = fs::remove_file(&tmp);
+            eprintln!("ccal-certd: store write of {} failed: {e}", path.display());
         }
+    }
+
+    /// Records a verdict (in memory, and on disk when persistent). The
+    /// disk copy goes through a temp file + rename; a failed write is
+    /// reported on stderr and the verdict is still served from memory.
+    pub fn put(&self, fp: ContentHash, unit: StoredUnit) {
+        self.write_record(&fp.to_string(), || unit.to_json(fp).pretty());
         self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -256,16 +266,9 @@ impl CertStore {
     }
 
     /// Records a stack manifest (in memory, and on disk when
-    /// persistent), same torn-write discipline as [`CertStore::put`].
+    /// persistent), same write discipline as [`CertStore::put`].
     pub fn put_manifest(&self, fp: ContentHash, manifest: StoredManifest) {
-        if let Some(dir) = &self.dir {
-            let body = manifest.to_json(fp).pretty();
-            let tmp = dir.join(format!(".manifest-{fp}.tmp"));
-            let final_path = dir.join(format!("manifest-{fp}.json"));
-            if fs::write(&tmp, body).is_ok() {
-                let _ = fs::rename(&tmp, &final_path);
-            }
-        }
+        self.write_record(&format!("manifest-{fp}"), || manifest.to_json(fp).pretty());
         self.manifests
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -340,6 +343,28 @@ mod tests {
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.get(fp(7)), Some(sample("funlift/acq")));
         assert_eq!(reopened.get(fp(8)).expect("present").failure, None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_disk_write_keeps_the_record_and_leaves_no_temp_file() {
+        let _env = env_guard();
+        let dir = std::env::temp_dir().join(format!("ccal-certd-fstore-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CertStore::at_dir(dir.clone()).expect("creates");
+        // The record's final path is already a non-empty directory, so the
+        // rename onto it fails.
+        let blocker = dir.join(format!("{}.json", fp(21)));
+        fs::create_dir_all(&blocker).expect("creates blocker");
+        fs::write(blocker.join("occupant"), "x").expect("fills blocker");
+        store.put(fp(21), sample("op"));
+        assert_eq!(store.get(fp(21)), Some(sample("op")), "served from memory");
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .expect("lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -451,12 +451,12 @@ fn clean_recertify_skips_registry_decomposition() {
     // every unit fingerprint.
     let mut dirty = CertRequest::new("qlock");
     dirty.params = p.clone();
-    dirty.params.state_dedup = false;
+    dirty.params.bytecode = false;
     let third = ccal_certd::certify(&addr, &dirty).expect("daemon answers");
     assert!(!third.manifest_hit, "changed params miss the manifest");
     assert_eq!(third.cache_hits, 0, "changed params miss the unit store too");
     assert!(third.total_steps > 0, "the grid was re-explored");
-    assert!(third.certified, "qlock certifies with convergence dedup off");
+    assert!(third.certified, "qlock certifies on the interpreter tier");
 }
 
 /// The `CCAL_CERTD_CACHE=0` hatch disables store hits (the daemon

@@ -389,66 +389,6 @@ impl PrimRun for CRun {
             result: self.result.clone(),
         }))
     }
-
-    fn state_fp(&self, h: &mut ccal_core::fingerprint::ContentHasher) -> bool {
-        h.section("run.c");
-        h.usize("c.nframes", self.frames.len());
-        for fr in &self.frames {
-            h.str("frame.func", &fr.func.name);
-            h.usize("frame.nlocals", fr.locals.len());
-            // `BTreeMap` iterates in sorted ident order, so two frames
-            // with equal bindings hash equal regardless of insertion
-            // history.
-            for (x, v) in &fr.locals {
-                h.str("frame.local", &x.to_string());
-                h.val("frame.local.val", v);
-            }
-            // The continuation: remaining work items, outermost last. A
-            // statement hashes by its canonical structural rendering (the
-            // `Arc`s are sharing, not identity); a loop marker hashes its
-            // re-armed body the same way.
-            h.usize("frame.nwork", fr.work.len());
-            for item in &fr.work {
-                match item {
-                    WItem::Stmt(s) => h.str("work.stmt", &format!("{s:?}")),
-                    WItem::Loop(body) => {
-                        h.usize("work.loop", body.len());
-                        for s in body.iter() {
-                            h.str("loop.stmt", &format!("{s:?}"));
-                        }
-                    }
-                }
-            }
-            match &fr.ret_dst {
-                Some(d) => h.str("frame.ret_dst", &d.to_string()),
-                None => h.bool("frame.ret_dst", false),
-            }
-        }
-        match &self.pending {
-            Some((sub, dst)) => {
-                match dst {
-                    Some(d) => h.str("pending.dst", &d.to_string()),
-                    None => h.bool("pending.dst", false),
-                }
-                if !sub.state_fp(h) {
-                    return false;
-                }
-            }
-            None => h.bool("pending", false),
-        }
-        h.u64("c.budget", self.budget);
-        // `reported` is pure step-accounting bookkeeping: it never changes
-        // how the run resumes, so it stays out of the fingerprint.
-        match &self.init_error {
-            Some(e) => h.str("c.init_error", &format!("{e:?}")),
-            None => h.bool("c.init_error", false),
-        }
-        match &self.result {
-            Some(v) => h.val("c.result", v),
-            None => h.bool("c.result", false),
-        }
-        true
-    }
 }
 
 impl std::fmt::Debug for CRun {

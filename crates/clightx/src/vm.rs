@@ -280,47 +280,6 @@ impl PrimRun for VmRun {
             result: self.result.clone(),
         }))
     }
-
-    fn state_fp(&self, h: &mut ccal_core::fingerprint::ContentHasher) -> bool {
-        h.section("run.vm");
-        h.usize("vm.nframes", self.frames.len());
-        for fr in &self.frames {
-            h.str("frame.func", &fr.func.name);
-            h.u64("frame.pc", u64::from(fr.pc));
-            h.usize("frame.nregs", fr.regs.len());
-            for (i, r) in fr.regs.iter().enumerate() {
-                h.val(&format!("frame.reg[{i}]"), r);
-            }
-            match fr.ret_dst {
-                Some(d) => h.u64("frame.ret_dst", u64::from(d)),
-                None => h.bool("frame.ret_dst", false),
-            }
-        }
-        match &self.pending {
-            Some((sub, dst)) => {
-                match dst {
-                    Some(d) => h.u64("pending.dst", u64::from(*d)),
-                    None => h.bool("pending.dst", false),
-                }
-                if !sub.state_fp(h) {
-                    return false;
-                }
-            }
-            None => h.bool("pending", false),
-        }
-        h.u64("vm.budget", self.budget);
-        // `reported` is pure step-accounting bookkeeping: it never changes
-        // how the run resumes, so it stays out of the fingerprint.
-        match &self.init_error {
-            Some(e) => h.str("vm.init_error", &format!("{e:?}")),
-            None => h.bool("vm.init_error", false),
-        }
-        match &self.result {
-            Some(v) => h.val("vm.result", v),
-            None => h.bool("vm.result", false),
-        }
-        true
-    }
 }
 
 impl std::fmt::Debug for VmRun {

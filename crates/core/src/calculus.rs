@@ -395,15 +395,6 @@ impl CheckOptions {
         self
     }
 
-    /// Enables or disables convergence dedup (state-fingerprint suffix
-    /// caching at query-point cuts; see [`crate::explore`]); bit-identical
-    /// verdicts and evidence either way.
-    #[must_use]
-    pub fn with_state_dedup(mut self, state_dedup: bool) -> Self {
-        self.sim.state_dedup = state_dedup;
-        self
-    }
-
     /// Bounds the query-point snapshot trie (clamped to at least 1; the
     /// trie is cleared wholesale when full).
     #[must_use]

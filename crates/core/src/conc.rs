@@ -139,64 +139,6 @@ impl GameState {
             turns: self.turns,
         }
     }
-
-    /// Consumes the state, keeping only its log — what the convergence
-    /// cache grafts a cached suffix onto after aborting a run at a cut.
-    pub fn into_log(self) -> Log {
-        self.log
-    }
-
-    /// A canonical [`crate::fingerprint::ContentHash`] of everything that
-    /// determines this game's remaining execution given its machine
-    /// (interface, fuel) and remaining schedule: every player's script,
-    /// position, returns, completion flag and in-flight run state, the
-    /// abstract state, the log's convergence digest
-    /// ([`Log::conv_hash`]), and the turn/stall accounting. `None` when
-    /// any in-flight run does not support
-    /// [`crate::layer::PrimRun::state_fp`] — the convergence cache then
-    /// skips this cut, which is always sound.
-    pub fn conv_fingerprint(&self) -> Option<crate::fingerprint::ContentHash> {
-        let mut h = crate::fingerprint::ContentHasher::new();
-        h.section("ccal.conv.game.v1");
-        h.u64("game.turns", self.turns);
-        h.u64("game.stalled_for", self.stalled_for);
-        h.usize("game.progress.events", self.last_progress.0);
-        h.usize("game.progress.rets", self.last_progress.1);
-        h.usize("game.progress.done", self.last_progress.2);
-        h.section("game.abs");
-        h.usize("abs.len", self.abs.len());
-        for (name, v) in self.abs.iter() {
-            h.str("abs.field", name);
-            h.val("abs.val", v);
-        }
-        self.log.conv_hash(&mut h);
-        h.usize("game.nplayers", self.players.len());
-        for (pid, p) in &self.players {
-            h.u64("player.pid", u64::from(pid.0));
-            h.usize("player.next_call", p.next_call);
-            h.bool("player.done", p.done);
-            h.usize("player.script_len", p.script.len());
-            for (name, args) in p.script.iter() {
-                h.str("player.call", name);
-                for (i, a) in args.iter().enumerate() {
-                    h.val(&format!("player.arg[{i}]"), a);
-                }
-            }
-            h.usize("player.nrets", p.rets.len());
-            for (i, r) in p.rets.iter().enumerate() {
-                h.val(&format!("player.ret[{i}]"), r);
-            }
-            match &p.run {
-                Some(run) => {
-                    if !run.state_fp(&mut h) {
-                        return None;
-                    }
-                }
-                None => h.bool("player.run", false),
-            }
-        }
-        Some(h.finish())
-    }
 }
 
 impl fmt::Debug for GameState {
@@ -302,40 +244,17 @@ impl ConcurrentMachine {
     /// the snapshot's on the schedule prefix already consumed.
     pub fn run_traced_from(
         &self,
-        st: GameState,
+        mut st: GameState,
         hook: &mut dyn FnMut(&GameState),
     ) -> (Result<ConcurrentOutcome, MachineError>, Log) {
-        match self.run_traced_from_ctl(st, &mut |s| {
-            hook(s);
-            false
-        }) {
-            Ok(r) => r,
-            Err(_) => unreachable!("a never-aborting hook cannot abort the game"),
-        }
-    }
-
-    /// Abort-capable [`ConcurrentMachine::run_traced_from`]: the hook runs
-    /// just before every scheduler decision and may return `true` to stop
-    /// the game at that cut point, in which case the state — left exactly
-    /// at the cut — comes back as `Err`. This is how the convergence cache
-    /// completes a game whose remaining suffix it has already explored
-    /// from a fingerprint-identical state: abort at the cut, then graft
-    /// the cached suffix onto the aborted state's log.
-    pub fn run_traced_from_ctl(
-        &self,
-        mut st: GameState,
-        hook: &mut dyn FnMut(&GameState) -> bool,
-    ) -> Result<(Result<ConcurrentOutcome, MachineError>, Log), GameState> {
         while !st.all_done() {
-            if hook(&st) {
-                return Err(st);
-            }
+            hook(&st);
             if let Err(e) = self.step_turn(&mut st) {
-                return Ok((Err(e), st.log));
+                return (Err(e), st.log);
             }
         }
         let log = st.log.clone();
-        Ok((Ok(st.into_outcome()), log))
+        (Ok(st.into_outcome()), log)
     }
 
     /// Initializes the game state for a program assignment.

@@ -1,8 +1,9 @@
 //! Shared `CCAL_*` environment-flag parsing.
 //!
 //! Every process-wide tunable in the toolkit — `CCAL_POR`,
-//! `CCAL_PREFIX_SHARE`, `CCAL_PREFIX_DEEP`, `CCAL_BYTECODE`, and the
-//! numeric `CCAL_WORKERS` — accepts the same value grammar:
+//! `CCAL_PREFIX_SHARE`, `CCAL_PREFIX_DEEP`, `CCAL_BYTECODE`,
+//! `CCAL_SHARE_SEMANTIC`, and the numeric `CCAL_WORKERS` — accepts the
+//! same value grammar:
 //!
 //! * unset — the flag's default applies;
 //! * `0` — the flag is off (the differential-debugging escape hatch);

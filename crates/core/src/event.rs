@@ -302,40 +302,6 @@ pub fn independent(a: &Event, b: &Event) -> bool {
     a.pid != b.pid && EventKind::independent_kinds(&a.kind, &b.kind)
 }
 
-/// Replay-commutation: a *superset* of [`independent`] used only by the
-/// convergence fingerprint's Foata normalization ([`crate::log::Log::conv_hash`]),
-/// never by POR itself. Two events replay-commute when swapping them in a
-/// log changes no replayed shared state, no per-author projection, and no
-/// count any shipped strategy or invariant reads. Beyond footprint
-/// disjointness this admits pairs acting on *disjoint fields of one
-/// object* — the ticket lock's `FAI_t` (next-ticket field) against
-/// `get_n`/`inc_n`/`hold` (now-serving field), and cross-author `get_n`
-/// reads against each other — which POR's location-level footprints must
-/// conservatively order. Like footprint declarations, each listed pair is
-/// a soundness claim about the replay functions and strategies consuming
-/// the events; the `CCAL_STATE_DEDUP=0` hatch turns the consumer off.
-pub fn replay_commutes(a: &Event, b: &Event) -> bool {
-    if a.pid == b.pid {
-        return false;
-    }
-    if EventKind::independent_kinds(&a.kind, &b.kind) {
-        return true;
-    }
-    use EventKind::*;
-    match (&a.kind, &b.kind) {
-        // Next-ticket field vs now-serving field of the same ticket lock:
-        // every replay function counts them separately, and the shipped
-        // strategies read "my ticket" (FAI_t order, preserved) and
-        // "now serving" (inc_n count, preserved) but never the relative
-        // order of the two counters.
-        (FaiT(x), GetN(y) | IncN(y) | Hold(y)) | (GetN(x) | IncN(x) | Hold(x), FaiT(y)) => x == y,
-        // Two pure reads of the now-serving field: no replay effect, and
-        // each author's own read sequence is untouched.
-        (GetN(x), GetN(y)) => x == y,
-        _ => false,
-    }
-}
-
 /// An observable event: an [`EventKind`] tagged with the participant that
 /// generated it — the paper writes `i.FAI_t`, `c.pull(b)`, etc.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

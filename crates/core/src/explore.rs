@@ -36,17 +36,12 @@
 //! [`Case`]. New engines (weak-memory exploration, new certified objects,
 //! service-mode re-certification) get sharing, pruning, parallelism and
 //! capture for free.
-//!
-//! The `CCAL_KERNEL=0` escape hatch kept the pre-kernel per-checker paths
-//! alive while the port was validated differentially
-//! (`tests/kernel_differential.rs`); those paths were deleted once the
-//! differential passed — see [`kernel_enabled`].
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::conc::{ConcurrentMachine, ConcurrentOutcome, GameState, ThreadScript};
 use crate::env::EnvContext;
@@ -55,28 +50,6 @@ use crate::layer::{LayerInterface, PrimRun};
 use crate::log::Log;
 use crate::machine::{LayerMachine, MachineError};
 use crate::prefix::{ForkSnapshot, PrefixMemo, ScheduleKey, SnapshotTrie};
-
-/// Whether the unified exploration kernel is in use — always `true`.
-///
-/// `CCAL_KERNEL=0` was the escape hatch that kept the pre-kernel checker
-/// paths alive while the port was validated by
-/// `tests/kernel_differential.rs`; those paths were deleted once the
-/// differential passed, so the flag no longer selects anything. Setting it
-/// to `0` warns once (so stale CI configurations fail loudly instead of
-/// silently diverging) and is otherwise ignored.
-pub fn kernel_enabled() -> bool {
-    if !crate::envflag::bool_flag("CCAL_KERNEL", true) {
-        static WARNED: OnceLock<()> = OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "ccal: CCAL_KERNEL=0 is obsolete — the pre-kernel checker paths \
-                 were removed once the kernel differential passed; the unified \
-                 exploration kernel is always used"
-            );
-        });
-    }
-    true
-}
 
 /// The exploration knobs every checker shares. Mirrors the sharing-related
 /// subset of [`crate::sim::SimOptions`]; the verifier checkers build it
@@ -107,13 +80,6 @@ pub struct ExploreOptions {
     /// whole-grid exploration — this is what lets the certification
     /// service lease grid chunks to shard processes.
     pub window: Option<(usize, usize)>,
-    /// Convergence deduplication: cache suffix outcomes keyed by a
-    /// canonical state fingerprint plus the remaining schedule suffix, so
-    /// a context converging to an already-explored state completes
-    /// without executing another atom step ([`Kernel::converged`]).
-    /// Independent of `prefix_share` — it collapses *diamonds* (different
-    /// prefixes, same state), not shared prefixes.
-    pub state_dedup: bool,
 }
 
 impl Default for ExploreOptions {
@@ -125,15 +91,13 @@ impl Default for ExploreOptions {
             deep_share: crate::prefix::prefix_deep_enabled(),
             snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
             window: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
         }
     }
 }
 
 impl ExploreOptions {
     /// The options the verifier checkers' `_tuned` variants expose:
-    /// explicit workers/POR/sharing, default snapshot cap, whole grid,
-    /// convergence dedup from the effective process-wide flag.
+    /// explicit workers/POR/sharing, default snapshot cap, whole grid.
     pub fn tuned(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> Self {
         Self {
             workers,
@@ -142,7 +106,6 @@ impl ExploreOptions {
             deep_share,
             snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
             window: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
         }
     }
 }
@@ -220,30 +183,7 @@ pub struct Kernel<S, T> {
     share: bool,
     deep: bool,
     window: Option<(usize, usize)>,
-    /// The convergence cache: canonical state fingerprint + remaining
-    /// schedule suffix → the suffix's outcome. Per-kernel by default;
-    /// caller-owned (warm across invocations) via
-    /// [`Kernel::with_state_conv`], sound because the key carries the
-    /// schedule family and the content-derived inner index — equal keys
-    /// imply the same computation. The value carries `(outcome, donor log
-    /// length at the cut, donor total consumed)` so a hit can graft the
-    /// donor's suffix log onto the borrower's prefix and memoize at the
-    /// donor's full consumed depth.
-    conv: Option<std::sync::Arc<BoundedCache<ConvKey, (T, usize, usize)>>>,
-    /// Hit/eviction counts of the (possibly shared) convergence cache at
-    /// kernel construction, so per-invocation accounting stays exact when
-    /// the cache outlives the kernel.
-    conv_hits_base: u64,
-    conv_evictions_base: u64,
 }
-
-/// Convergence-cache key: `(state fingerprint, schedule family, inner
-/// index, remaining schedule suffix)`. Equal keys mean: identical
-/// machine/game state (up to replay-commuting log reorderings), same
-/// computation, same sub-case, and the exact same schedule still to be
-/// delivered — under which execution is deterministic, so the suffix
-/// outcome is forced.
-pub type ConvKey = (u128, u64, usize, Vec<crate::id::Pid>);
 
 impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     /// Creates a kernel for one checker invocation, with fresh (cold)
@@ -270,26 +210,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         memo: std::sync::Arc<PrefixMemo<T>>,
         snapshots: std::sync::Arc<SnapshotTrie<S>>,
     ) -> Self {
-        let conv = opts
-            .state_dedup
-            .then(|| std::sync::Arc::new(BoundedCache::new(opts.snapshot_cap.max(1))));
-        Self::with_state_conv(opts, memo, snapshots, conv)
-    }
-
-    /// [`Kernel::with_state`] with a *caller-owned* convergence cache as
-    /// well (ignored when `state_dedup` is off), so a warm store can serve
-    /// convergence hits across invocations. The caller must key sharing by
-    /// a semantic family (equal families ⇒ equal computations), exactly as
-    /// for the memo and the snapshot trie.
-    pub fn with_state_conv(
-        opts: &ExploreOptions,
-        memo: std::sync::Arc<PrefixMemo<T>>,
-        snapshots: std::sync::Arc<SnapshotTrie<S>>,
-        conv: Option<std::sync::Arc<BoundedCache<ConvKey, (T, usize, usize)>>>,
-    ) -> Self {
-        let _ = kernel_enabled();
         let share = opts.prefix_share;
-        let conv = opts.state_dedup.then(|| conv).flatten();
         Self {
             memo,
             snapshots,
@@ -298,9 +219,6 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             share,
             deep: share && opts.deep_share,
             window: opts.window,
-            conv_hits_base: conv.as_ref().map_or(0, |c| c.hits()),
-            conv_evictions_base: conv.as_ref().map_or(0, |c| c.evictions()),
-            conv,
         }
     }
 
@@ -397,75 +315,6 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         make: impl FnOnce() -> Option<S>,
     ) {
         self.snapshots.insert_with(key, inner, consumed, make);
-    }
-
-    /// The context's schedule key, gated on convergence dedup: `None` when
-    /// dedup is off or the context is hand-built (keyless). Deliberately
-    /// *not* gated on `prefix_share` — convergence dedup collapses
-    /// diamonds, which exist whether or not prefixes are shared.
-    pub fn conv_key<'e>(&self, env: &'e EnvContext) -> Option<&'e ScheduleKey> {
-        if self.conv.is_some() {
-            env.schedule_key()
-        } else {
-            None
-        }
-    }
-
-    /// Probes the convergence cache at a cut point: `fp` is the canonical
-    /// fingerprint of the execution state after consuming `consumed`
-    /// schedule slots of `key`'s script. On a hit, returns the cached
-    /// `(outcome, donor log length at this cut, donor total consumed)` and
-    /// records a converged run; on a miss (or when the cut lies past the
-    /// scripted part of the schedule — round-robin tails are keyless
-    /// suffixes), returns `None`.
-    pub fn converged(
-        &self,
-        key: &ScheduleKey,
-        inner: usize,
-        consumed: usize,
-        fp: crate::fingerprint::ContentHash,
-    ) -> Option<(T, usize, usize)> {
-        let conv = self.conv.as_ref()?;
-        let suffix = key.script().get(consumed..)?;
-        let hit = conv.get(&(fp.0, key.family(), inner, suffix.to_vec()))?;
-        crate::prefix::record_converged();
-        Some(hit)
-    }
-
-    /// Records a completed run's outcome for a cut it passed through:
-    /// `consumed`/`cut_log_len` locate the cut (where `fp` was computed),
-    /// `total_consumed` is the run's final consumed schedule depth. The
-    /// entry's eviction depth is the cut's consumed depth, so deepest-first
-    /// eviction drops near-complete suffixes (cheap to re-run) before the
-    /// widely-reusable shallow ones.
-    pub fn converge_record(
-        &self,
-        key: &ScheduleKey,
-        inner: usize,
-        consumed: usize,
-        fp: crate::fingerprint::ContentHash,
-        cut_log_len: usize,
-        total_consumed: usize,
-        outcome: T,
-    ) {
-        if let Some(conv) = &self.conv {
-            if let Some(suffix) = key.script().get(consumed..) {
-                conv.insert(
-                    (fp.0, key.family(), inner, suffix.to_vec()),
-                    consumed,
-                    (outcome, cut_log_len, total_consumed),
-                );
-            }
-        }
-    }
-
-    /// Lookups answered by this kernel's convergence cache *during this
-    /// invocation* (0 when dedup is off) — a warm cache's prior hits are
-    /// excluded via the construction-time baseline.
-    pub fn conv_hits(&self) -> u64 {
-        self.conv
-            .as_ref()
-            .map_or(0, |c| c.hits() - self.conv_hits_base)
     }
 
     /// The exploration loop: dispatches the `(context × sub-case)` grid
@@ -565,21 +414,6 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     }
 }
 
-impl<S, T> Drop for Kernel<S, T> {
-    fn drop(&mut self) {
-        // Surface the per-invocation convergence-cache evictions into the
-        // process-wide counter the benches and differential tests read —
-        // deltas against the construction-time baseline, so a warm cache
-        // shared across invocations is never double-counted.
-        if let Some(conv) = &self.conv {
-            let n = conv.evictions() - self.conv_evictions_base;
-            if n > 0 {
-                crate::prefix::record_conv_evictions(n);
-            }
-        }
-    }
-}
-
 /// The memoized outcome of a traced concurrent (game) run — what the
 /// linearizability and race-freedom checkers fold over.
 pub type GameRun = (Result<ConcurrentOutcome, MachineError>, Log);
@@ -600,87 +434,36 @@ impl Kernel<GameState, GameRun> {
     ) -> GameRun {
         self.run_shared(env, 0, || {
             let key = self.deep_key(env);
-            let conv_key = self.conv_key(env);
             let machine = ConcurrentMachine::new(iface.clone(), focused.clone(), env.clone())
                 .with_fuel(fuel);
-            if key.is_none() && conv_key.is_none() {
-                let (res, log) = machine.run_traced(programs);
-                crate::prefix::record_steps(log.len() as u64);
-                let consumed = log.iter().filter(|e| e.is_sched()).count();
-                return ((res, log), consumed);
-            }
-            // Fork the deepest snapshotted ancestor when deep sharing has
-            // one, and replay (counting) only the remaining turns.
-            let (start, pre) = match key.and_then(|k| self.resume_deepest(k, 0)) {
-                Some((_, st)) => {
-                    let pre = st.log_len() as u64;
-                    (st, pre)
+            let (res, log, pre) = match key {
+                Some(k) => {
+                    let mut hook = |st: &GameState| {
+                        self.snapshot(k, 0, st.sched_consumed(), || st.fork());
+                    };
+                    match self.resume_deepest(k, 0) {
+                        Some((_, st)) => {
+                            // Fork the deepest snapshotted ancestor and
+                            // replay only the remaining turns, counting
+                            // only them.
+                            let pre = st.log_len() as u64;
+                            let (res, log) = machine.run_traced_from(st, &mut hook);
+                            (res, log, pre)
+                        }
+                        None => {
+                            let (res, log) = machine.run_traced_with_snapshots(programs, &mut hook);
+                            (res, log, 0)
+                        }
+                    }
                 }
-                None => (machine.init_state(programs), 0),
+                None => {
+                    let (res, log) = machine.run_traced(programs);
+                    (res, log, 0)
+                }
             };
-            // Each cut point stores a snapshot (deep sharing), then probes
-            // the convergence cache; a hit stashes the donor entry and
-            // aborts the game at the cut.
-            let mut conv_hit: Option<(GameRun, usize, usize)> = None;
-            let mut probes: Vec<(crate::fingerprint::ContentHash, usize, usize)> = Vec::new();
-            let ctl = machine.run_traced_from_ctl(start, &mut |st| {
-                if let Some(k) = key {
-                    self.snapshot(k, 0, st.sched_consumed(), || st.fork());
-                }
-                if let Some(k) = conv_key {
-                    let consumed = st.sched_consumed();
-                    if let Some(fp) = st.conv_fingerprint() {
-                        if let Some(hit) = self.converged(k, 0, consumed, fp) {
-                            conv_hit = Some(hit);
-                            return true;
-                        }
-                        probes.push((fp, consumed, st.log_len()));
-                    }
-                }
-                false
-            });
-            match ctl {
-                Ok((res, log)) => {
-                    crate::prefix::record_steps(log.len() as u64 - pre);
-                    let consumed = log.iter().filter(|e| e.is_sched()).count();
-                    let outcome = (res, log);
-                    // Seed the convergence cache at every cut this run
-                    // passed through without a hit.
-                    if let Some(k) = conv_key {
-                        for (fp, cut_consumed, cut_len) in probes {
-                            self.converge_record(
-                                k,
-                                0,
-                                cut_consumed,
-                                fp,
-                                cut_len,
-                                consumed,
-                                outcome.clone(),
-                            );
-                        }
-                    }
-                    (outcome, consumed)
-                }
-                Err(st) => {
-                    // Converged: re-graft the donor's suffix log onto this
-                    // context's prefix so the evidence is byte-identical to
-                    // an executed run, reuse the donor's verdict, and count
-                    // only the prefix actually executed here.
-                    let ((donor_res, donor_log), donor_cut, donor_consumed) =
-                        conv_hit.expect("an aborted game run implies a convergence hit");
-                    let cut_len = st.log_len() as u64;
-                    let mut log = st.into_log();
-                    log.append_all(donor_log.suffix_from(donor_cut).cloned());
-                    crate::prefix::record_steps(cut_len - pre);
-                    let res = donor_res.map(|out| ConcurrentOutcome {
-                        log: log.clone(),
-                        abs: out.abs,
-                        rets: out.rets,
-                        turns: out.turns,
-                    });
-                    ((res, log), donor_consumed)
-                }
-            }
+            crate::prefix::record_steps(log.len() as u64 - pre);
+            let consumed = log.iter().filter(|e| e.is_sched()).count();
+            ((res, log), consumed)
         })
     }
 }
@@ -813,9 +596,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         self.len() == 0
     }
 
-}
-
-impl<K, V> BoundedCache<K, V> {
     /// Lookups answered from the cache since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -843,11 +623,6 @@ mod tests {
     use super::*;
     use crate::contexts::ContextGen;
     use crate::id::Pid;
-
-    #[test]
-    fn kernel_is_always_enabled_and_the_hatch_is_recognized() {
-        assert!(kernel_enabled());
-    }
 
     #[test]
     fn bounded_cache_hits_and_caps() {
@@ -893,8 +668,8 @@ mod tests {
         // 8 threads × 64 ops against an uncapped table: every distinct key
         // lands exactly once (first insert wins), re-inserts are no-ops,
         // and the hit counter equals the number of successful lookups —
-        // the counters the convergence benches report must stay exact
-        // under contention, not merely monotone.
+        // the counters must stay exact under contention, not merely
+        // monotone.
         let cache: std::sync::Arc<BoundedCache<(usize, usize), usize>> =
             std::sync::Arc::new(BoundedCache::new(10_000));
         let nthreads = 8;
@@ -958,9 +733,10 @@ mod tests {
         // their entries in one cache, keyed apart only by the family (and
         // inner) components of the key. A lookup keyed to one family must
         // never be answered by the other's entry, even when every other
-        // key component — state fingerprint, inner index, schedule
-        // suffix — collides exactly.
-        let cache: BoundedCache<ConvKey, &'static str> = BoundedCache::new(64);
+        // key component — digest, inner index, schedule suffix — collides
+        // exactly.
+        let cache: BoundedCache<(u128, u64, usize, Vec<Pid>), &'static str> =
+            BoundedCache::new(64);
         let fam_a = 11_u64;
         let fam_b = 22_u64;
         let suffix = vec![crate::id::Pid(0), crate::id::Pid(1)];

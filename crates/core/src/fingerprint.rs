@@ -159,13 +159,6 @@ impl ContentHasher {
         }
     }
 
-    /// A tagged observable event. Hashed through its canonical `Debug`
-    /// rendering, which spells out the author, the kind, and every
-    /// argument — two events hash equal exactly when they are equal.
-    pub fn event(&mut self, tag: &str, e: &crate::event::Event) {
-        self.str(tag, &format!("{e:?}"));
-    }
-
     /// A layer interface: its name, its primitive names in canonical
     /// (sorted) order, and each primitive's *declared footprint
     /// derivation* from the process-global registry — the POR input that
@@ -211,9 +204,9 @@ impl ContentHasher {
 /// exploration *family*. Two checks with equal `ShareKey`s explore the
 /// same lower machine (same sources, interfaces and footprints) for the
 /// same participant over the same context-grid structure under the same
-/// exploration-relevant options — so their `PrefixMemo` / `SnapshotTrie` /
-/// convergence-cache entries describe the same deterministic computations
-/// and may safely live in one warm store, keyed apart only by the
+/// exploration-relevant options — so their `PrefixMemo` / `SnapshotTrie`
+/// entries describe the same deterministic computations and may safely
+/// live in one warm store, keyed apart only by the
 /// per-computation inner index (setup history + called primitive +
 /// arguments, see `crate::sim`).
 ///
@@ -275,7 +268,6 @@ pub fn share_key(
     h.bool("prefix_share", opts.prefix_share);
     h.bool("deep_share", opts.deep_share);
     h.bool("bytecode", opts.bytecode);
-    h.bool("state_dedup", opts.state_dedup);
     h.usize("snapshot_cap", opts.snapshot_cap);
     h.usize("upper_cache_cap", opts.upper_cache_cap);
     ShareKey(h.finish())

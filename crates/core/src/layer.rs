@@ -130,17 +130,6 @@ pub trait PrimRun: Send {
     fn fork_run(&self) -> Option<Box<dyn PrimRun>> {
         None
     }
-
-    /// Feeds a canonical digest of the run's *private resumption state*
-    /// (program counter, registers, pending sub-call, ...) into `h` for
-    /// the convergence fingerprint, returning `true` on success. The
-    /// default returns `false` — "not fingerprintable" — and the
-    /// convergence cache then simply skips the cut point, which is always
-    /// sound. Two runs that digest equal must resume identically given
-    /// identical machine state and environment events.
-    fn state_fp(&self, _h: &mut crate::fingerprint::ContentHasher) -> bool {
-        false
-    }
 }
 
 /// A [`PrimRun`] that is already finished: resuming returns the stored
@@ -156,12 +145,6 @@ impl PrimRun for CompletedRun {
 
     fn fork_run(&self) -> Option<Box<dyn PrimRun>> {
         Some(Box::new(CompletedRun(self.0.clone())))
-    }
-
-    fn state_fp(&self, h: &mut crate::fingerprint::ContentHasher) -> bool {
-        h.section("run.completed");
-        h.val("run.value", &self.0);
-        true
     }
 }
 
@@ -229,24 +212,6 @@ impl SubCall {
             done: None,
         })
     }
-
-    /// Feeds the sub-call's state into a convergence fingerprint
-    /// ([`PrimRun::state_fp`]): the finished value for a completed call,
-    /// the inner run's digest for an in-flight one.
-    pub fn state_fp(&self, h: &mut crate::fingerprint::ContentHasher) -> bool {
-        h.section("subcall");
-        match &self.done {
-            Some(v) => {
-                h.bool("subcall.done", true);
-                h.val("subcall.value", v);
-                true
-            }
-            None => {
-                h.bool("subcall.done", false);
-                self.run.state_fp(h)
-            }
-        }
-    }
 }
 
 impl fmt::Debug for SubCall {
@@ -288,22 +253,6 @@ impl PrimRun for AtomicRun {
 
     fn fork_run(&self) -> Option<Box<dyn PrimRun>> {
         Some(Box::new(self.clone()))
-    }
-
-    fn state_fp(&self, h: &mut crate::fingerprint::ContentHasher) -> bool {
-        h.section("run.atomic");
-        h.bool("run.queried", self.queried);
-        h.bool("run.needs_query", self.needs_query);
-        h.usize("run.nargs", self.args.len());
-        for (i, a) in self.args.iter().enumerate() {
-            h.val(&format!("run.arg[{i}]"), a);
-        }
-        // The body is identified by the Arc allocation it was installed
-        // under: within one checker invocation the interface (and thus
-        // every body Arc) stays alive, so distinct live bodies never share
-        // an address and the same primitive always reports the same one.
-        h.usize("run.body", Arc::as_ptr(&self.body).cast::<()>() as usize);
-        true
     }
 }
 

@@ -177,59 +177,6 @@ impl Log {
         self.len() >= prefix.len() && self.iter().zip(prefix.iter()).all(|(a, b)| a == b)
     }
 
-    /// Feeds a *canonical* digest of this log into `h` for the convergence
-    /// fingerprint ([`crate::explore`]): two logs hash equal exactly when
-    /// they agree on (a) the scheduling history as *counts* — total slots
-    /// consumed plus per-target tallies, never the slot order, since the
-    /// script scheduler indexes by count and every strategy ignores
-    /// scheduling events — and (b) the Foata normal form of the non-sched
-    /// events under [`crate::event::replay_commutes`]: each event's level
-    /// is one past the deepest earlier event it does *not* commute with,
-    /// and events are emitted level-major in their derived order, so any
-    /// sequence of commuting-adjacent swaps lands on the same digest.
-    /// Per-author subsequences and all replayed shared state are invariants
-    /// of this normal form, which is what makes fingerprint-equal states
-    /// safe to resume from interchangeably.
-    pub fn conv_hash(&self, h: &mut crate::fingerprint::ContentHasher) {
-        h.section("log.conv");
-        let mut sched_total = 0usize;
-        let mut sched_by: std::collections::BTreeMap<Pid, u64> = std::collections::BTreeMap::new();
-        let mut events: Vec<&Event> = Vec::new();
-        for e in self.iter() {
-            if let EventKind::HwSched(target) = &e.kind {
-                sched_total += 1;
-                *sched_by.entry(*target).or_insert(0) += 1;
-            } else {
-                events.push(e);
-            }
-        }
-        h.usize("sched.total", sched_total);
-        for (pid, n) in &sched_by {
-            h.u64("sched.target", u64::from(pid.0));
-            h.u64("sched.count", *n);
-        }
-        // Foata levels: O(n²) over the non-sched events, acceptable because
-        // fingerprints are taken at query-point cuts of bounded-schedule
-        // runs (logs of at most a few hundred events).
-        let mut level = vec![0usize; events.len()];
-        for i in 0..events.len() {
-            let mut lvl = 0;
-            for j in 0..i {
-                if !crate::event::replay_commutes(events[j], events[i]) {
-                    lvl = lvl.max(level[j] + 1);
-                }
-            }
-            level[i] = lvl;
-        }
-        let mut order: Vec<usize> = (0..events.len()).collect();
-        order.sort_by(|&a, &b| level[a].cmp(&level[b]).then_with(|| events[a].cmp(events[b])));
-        h.usize("events.len", events.len());
-        for i in order {
-            h.usize("ev.level", level[i]);
-            h.event("ev", events[i]);
-        }
-    }
-
     /// Mazurkiewicz trace equivalence: whether `other` can be obtained from
     /// this log by swapping adjacent [`crate::event::independent`] events
     /// (ignoring scheduling events, which carry no shared state).

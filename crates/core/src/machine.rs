@@ -361,29 +361,6 @@ impl LayerMachine {
         self.drive_with_snapshots(run, hook)
     }
 
-    /// [`LayerMachine::call_prim_with_snapshots`] with an *abort-capable*
-    /// hook: returning `true` from the hook stops the drive at that cut
-    /// point, yielding `Ok(None)` with the machine left exactly at the
-    /// cut (log, abstract state, and fuel as of the hook call). This is
-    /// how the convergence cache ([`crate::explore::Kernel`]) completes a
-    /// run whose remaining suffix it has already explored: probe at each
-    /// cut, abort on a hit, graft the cached suffix onto the machine's
-    /// log. A hook that never returns `true` makes this behave exactly
-    /// like [`LayerMachine::call_prim_with_snapshots`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LayerMachine::call_prim`].
-    pub fn call_prim_ctl(
-        &mut self,
-        name: &str,
-        args: &[Val],
-        hook: &mut dyn FnMut(&Self, &dyn PrimRun) -> bool,
-    ) -> Result<Option<Val>, MachineError> {
-        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec());
-        self.drive_ctl(run, hook)
-    }
-
     /// [`LayerMachine::drive`] with a snapshot hook at non-critical query
     /// points and after each delivered environment turn (critical-state
     /// queries skip environment delivery entirely, so no snapshot is lost
@@ -394,29 +371,9 @@ impl LayerMachine {
     /// As [`LayerMachine::drive`].
     pub fn drive_with_snapshots(
         &mut self,
-        run: Box<dyn PrimRun>,
+        mut run: Box<dyn PrimRun>,
         hook: &mut dyn FnMut(&Self, &dyn PrimRun),
     ) -> Result<Val, MachineError> {
-        match self.drive_ctl(run, &mut |m, r| {
-            hook(m, r);
-            false
-        })? {
-            Some(v) => Ok(v),
-            None => unreachable!("a never-aborting hook cannot abort the drive"),
-        }
-    }
-
-    /// The abort-capable core of [`LayerMachine::drive_with_snapshots`];
-    /// see [`LayerMachine::call_prim_ctl`] for the abort contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`LayerMachine::drive`].
-    pub fn drive_ctl(
-        &mut self,
-        mut run: Box<dyn PrimRun>,
-        hook: &mut dyn FnMut(&Self, &dyn PrimRun) -> bool,
-    ) -> Result<Option<Val>, MachineError> {
         loop {
             self.consume_fuel()?;
             let step = {
@@ -434,15 +391,11 @@ impl LayerMachine {
                     if self.in_critical() {
                         self.deliver_env()?;
                     } else {
-                        if hook(self, run.as_ref()) {
-                            return Ok(None);
-                        }
-                        if !self.deliver_env_ctl(run.as_ref(), hook)? {
-                            return Ok(None);
-                        }
+                        hook(self, run.as_ref());
+                        self.deliver_env_with_snapshots(run.as_ref(), hook)?;
                     }
                 }
-                PrimStep::Done(v) => return Ok(Some(v)),
+                PrimStep::Done(v) => return Ok(v),
             }
         }
     }
@@ -467,12 +420,12 @@ impl LayerMachine {
     /// # Errors
     ///
     /// As [`LayerMachine::deliver_env`].
-    fn deliver_env_ctl(
+    fn deliver_env_with_snapshots(
         &mut self,
         run: &dyn PrimRun,
-        hook: &mut dyn FnMut(&Self, &dyn PrimRun) -> bool,
-    ) -> Result<bool, MachineError> {
-        self.deliver_env_each_turn_ctl(&mut |m| hook(m, run))
+        hook: &mut dyn FnMut(&Self, &dyn PrimRun),
+    ) -> Result<(), MachineError> {
+        self.deliver_env_each_turn(&mut |m| hook(m, run))
     }
 
     /// The run-free core of [`LayerMachine::deliver_env_with_snapshots`]:
@@ -489,28 +442,8 @@ impl LayerMachine {
         &mut self,
         hook: &mut dyn FnMut(&Self),
     ) -> Result<(), MachineError> {
-        let completed = self.deliver_env_each_turn_ctl(&mut |m| {
-            hook(m);
-            false
-        })?;
-        debug_assert!(completed, "a never-aborting hook cannot abort delivery");
-        Ok(())
-    }
-
-    /// The abort-capable core of [`LayerMachine::deliver_env_each_turn`]:
-    /// a hook returning `true` stops delivery at that per-turn cut point
-    /// and yields `Ok(false)`, with the machine left at the cut; `Ok(true)`
-    /// means delivery completed normally.
-    ///
-    /// # Errors
-    ///
-    /// As [`LayerMachine::deliver_env`].
-    pub fn deliver_env_each_turn_ctl(
-        &mut self,
-        hook: &mut dyn FnMut(&Self) -> bool,
-    ) -> Result<bool, MachineError> {
         if self.in_critical() {
-            return Ok(true);
+            return Ok(());
         }
         let mut returned = false;
         for _ in 0..self.env.fuel() {
@@ -518,9 +451,7 @@ impl LayerMachine {
                 returned = true;
                 break;
             }
-            if hook(self) {
-                return Ok(false);
-            }
+            hook(self);
         }
         if !returned {
             return Err(MachineError::Env(EnvError::Unfair {
@@ -538,7 +469,7 @@ impl LayerMachine {
                 pid: self.pid,
             });
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Continues a run captured at a query point by the
@@ -555,57 +486,8 @@ impl LayerMachine {
         run: Box<dyn PrimRun>,
         hook: &mut dyn FnMut(&Self, &dyn PrimRun),
     ) -> Result<Val, MachineError> {
-        match self.resume_query_ctl(run, &mut |m, r| {
-            hook(m, r);
-            false
-        })? {
-            Some(v) => Ok(v),
-            None => unreachable!("a never-aborting hook cannot abort the resume"),
-        }
-    }
-
-    /// Abort-capable [`LayerMachine::resume_query`]; see
-    /// [`LayerMachine::call_prim_ctl`] for the abort contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`LayerMachine::drive`].
-    pub fn resume_query_ctl(
-        &mut self,
-        run: Box<dyn PrimRun>,
-        hook: &mut dyn FnMut(&Self, &dyn PrimRun) -> bool,
-    ) -> Result<Option<Val>, MachineError> {
-        if !self.deliver_env_ctl(run.as_ref(), hook)? {
-            return Ok(None);
-        }
-        self.drive_ctl(run, hook)
-    }
-
-    /// A canonical [`ContentHash`] of everything that determines this
-    /// machine's remaining execution at a query-point cut, given its
-    /// environment context and remaining schedule: focused pid, fuel
-    /// spent and budget, the abstract state, the log's convergence digest
-    /// ([`Log::conv_hash`]), and the in-flight run's private state. `None`
-    /// when the run does not support fingerprinting
-    /// ([`crate::layer::PrimRun::state_fp`]) — the convergence cache then
-    /// skips this cut, which is always sound. The environment context is
-    /// deliberately excluded: the cache key pairs this fingerprint with
-    /// the schedule family and remaining suffix, which determine the
-    /// environment completely.
-    pub fn conv_fingerprint(&self, run: &dyn PrimRun) -> Option<crate::fingerprint::ContentHash> {
-        let mut h = crate::fingerprint::ContentHasher::new();
-        h.section("ccal.conv.machine.v1");
-        h.u64("machine.pid", u64::from(self.pid.0));
-        h.u64("machine.steps", self.steps_taken());
-        h.u64("machine.budget", self.budget);
-        h.section("machine.abs");
-        h.usize("abs.len", self.abs.len());
-        for (name, v) in self.abs.iter() {
-            h.str("abs.field", name);
-            h.val("abs.val", v);
-        }
-        self.log.conv_hash(&mut h);
-        run.state_fp(&mut h).then(|| h.finish())
+        self.deliver_env_with_snapshots(run.as_ref(), hook)?;
+        self.drive_with_snapshots(run, hook)
     }
 
     /// Checks the guarantee condition on the current log.

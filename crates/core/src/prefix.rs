@@ -137,71 +137,16 @@ impl Drop for BytecodeOverride {
     }
 }
 
-/// Whether convergence deduplication — the canonical-state-fingerprint
-/// suffix cache in [`crate::explore::Kernel`] — is enabled by this
-/// process's environment. Same grammar and caching as
-/// [`prefix_share_enabled`], read from `CCAL_STATE_DEDUP`: unset or any
-/// non-zero integer — dedup on (the default); `0` — every context executes
-/// its full suffix (the differential-debugging escape hatch). Consumers
-/// should consult [`state_dedup_effective`], which also honors scoped
-/// [`StateDedupOverride`] guards.
-pub fn state_dedup_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_STATE_DEDUP", true)
-}
-
-/// Scoped override of convergence dedup: -1 = no override (fall back to
-/// [`state_dedup_enabled`]), 0 = force off, 1 = force on. The forensics
-/// replay engine forces dedup off so replays re-execute every recorded
-/// step, and the B7 benchmark forces each side of its ratio.
-fn state_dedup_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The convergence-dedup choice in effect right now: the innermost
-/// [`StateDedupOverride`] if one is live, else the `CCAL_STATE_DEDUP`
-/// environment default.
-pub fn state_dedup_effective() -> bool {
-    match state_dedup_override().load(Ordering::Relaxed) {
-        -1 => state_dedup_enabled(),
-        0 => false,
-        _ => true,
-    }
-}
-
-/// RAII guard forcing convergence dedup on or off process-wide until
-/// dropped, with the same (non-)nesting discipline as
-/// [`BytecodeOverride`]: the guard restores the value it displaced, and
-/// concurrent runs wanting different choices would race.
-pub struct StateDedupOverride {
-    prev: i8,
-}
-
-impl StateDedupOverride {
-    /// Forces convergence dedup to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        let prev = state_dedup_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
-    }
-}
-
-impl Drop for StateDedupOverride {
-    fn drop(&mut self) {
-        state_dedup_override().store(self.prev, Ordering::Relaxed);
-    }
-}
-
 /// Whether **semantic sharing keys** are enabled by this process's
 /// environment: warm exploration state keyed by the content identity of
 /// the lower-machine family ([`crate::fingerprint::ShareKey`]) instead of
 /// being pinned to each certification unit's whole-input fingerprint, so
 /// units of one stack and successive requests over the same underlay
-/// share one `PrefixMemo`/`SnapshotTrie`/convergence store. Same grammar
-/// and caching as [`prefix_share_enabled`], read from
-/// `CCAL_SHARE_SEMANTIC`: unset or any non-zero integer — semantic keys on
-/// (the default); `0` — per-unit pinned families (the
-/// differential-debugging escape hatch), warned once so stale CI configs
-/// fail loudly. Consumers should consult [`share_semantic_effective`],
+/// share one `PrefixMemo`/`SnapshotTrie` store. Same grammar and caching
+/// as [`prefix_share_enabled`], read from `CCAL_SHARE_SEMANTIC`: unset
+/// or any non-zero integer — semantic keys on (the default); `0` —
+/// per-unit pinned families (the differential-debugging escape hatch),
+/// warned once so stale CI configs fail loudly. Consumers should consult [`share_semantic_effective`],
 /// which also honors scoped [`ShareSemanticOverride`] guards.
 pub fn share_semantic_enabled() -> bool {
     let on = crate::envflag::bool_flag("CCAL_SHARE_SEMANTIC", true);
@@ -598,16 +543,6 @@ fn prim_steps_counter() -> &'static AtomicU64 {
     &PRIM
 }
 
-fn converged_counter() -> &'static AtomicU64 {
-    static CONV: AtomicU64 = AtomicU64::new(0);
-    &CONV
-}
-
-fn conv_evictions_counter() -> &'static AtomicU64 {
-    static EVICT: AtomicU64 = AtomicU64::new(0);
-    &EVICT
-}
-
 /// Resets the process-wide lower-run work accounting (all counters).
 /// Benchmarks bracket a checker run with [`steps_reset`] / [`steps_total`]
 /// to measure executed atom-steps; the counters are only meaningful when
@@ -617,8 +552,6 @@ pub fn steps_reset() {
     shared_counter().store(0, Ordering::Relaxed);
     deep_counter().store(0, Ordering::Relaxed);
     prim_steps_counter().store(0, Ordering::Relaxed);
-    converged_counter().store(0, Ordering::Relaxed);
-    conv_evictions_counter().store(0, Ordering::Relaxed);
 }
 
 /// Total lower-machine atom-steps executed since the last [`steps_reset`].
@@ -672,28 +605,18 @@ pub fn prim_steps_total() -> u64 {
     prim_steps_counter().load(Ordering::Relaxed)
 }
 
-/// Records one suffix answered by the convergence cache instead of
-/// executed — the context completed from a fingerprint-identical state
-/// without running a single further atom step.
-pub fn record_converged() {
-    converged_counter().fetch_add(1, Ordering::Relaxed);
-}
-
-/// Number of convergence-cache suffix hits since the last [`steps_reset`].
+/// Always 0. The convergence-dedup cache that counted suffix hits here
+/// was removed; the function stays only because the end-to-end benchmark
+/// (`e2ebench/`) still reads it.
 pub fn converged_total() -> u64 {
-    converged_counter().load(Ordering::Relaxed)
+    0
 }
 
-/// Records `n` convergence-cache evictions. The kernel accumulates its
-/// per-run [`crate::explore::BoundedCache`] eviction count here on drop,
-/// so benches can report pressure across whole checker invocations.
-pub fn record_conv_evictions(n: u64) {
-    conv_evictions_counter().fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total convergence-cache evictions since the last [`steps_reset`].
+/// Always 0. The convergence-dedup cache that counted evictions here was
+/// removed; the function stays only because the end-to-end benchmark
+/// (`e2ebench/`) still reads it.
 pub fn conv_evictions_total() -> u64 {
-    conv_evictions_counter().load(Ordering::Relaxed)
+    0
 }
 
 /// A queue-order permutation for [`crate::par::run_cases_ordered`] that

@@ -416,17 +416,6 @@ pub struct SimOptions {
     /// the same schedule-key family; the certification service keys warm
     /// handles (and families) by the unit's content fingerprint.
     pub warm: Option<SimWarm>,
-    /// Convergence deduplication ([`crate::explore::Kernel::converged`]):
-    /// fingerprint the lower machine canonically at every query-point cut
-    /// and complete any context whose remaining schedule suffix was
-    /// already explored from a fingerprint-identical state, re-grafting
-    /// the cached suffix log onto the current prefix so evidence stays
-    /// byte-identical. Collapses *diamonds* (schedules that interleave
-    /// replay-commuting events differently but converge to one state),
-    /// which prefix sharing by construction cannot. Defaults to
-    /// [`crate::prefix::state_dedup_effective`] (on unless
-    /// `CCAL_STATE_DEDUP=0`).
-    pub state_dedup: bool,
 }
 
 impl SimOptions {
@@ -450,7 +439,6 @@ impl Default for SimOptions {
             upper_cache_cap: Self::DEFAULT_UPPER_CACHE_CAP,
             window: None,
             warm: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
         }
     }
 }
@@ -524,13 +512,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_warm(mut self, warm: SimWarm) -> Self {
         self.warm = Some(warm);
-        self
-    }
-
-    /// Enables or disables convergence deduplication of lower runs.
-    #[must_use]
-    pub fn with_state_dedup(mut self, state_dedup: bool) -> Self {
-        self.state_dedup = state_dedup;
         self
     }
 }
@@ -650,11 +631,6 @@ pub struct SimWarm {
     memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
     snaps: Arc<std::sync::OnceLock<Arc<crate::prefix::SnapshotTrie<SimSnap>>>>,
     upper: Arc<std::sync::OnceLock<Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>>>>,
-    conv: Arc<
-        std::sync::OnceLock<
-            Arc<crate::explore::BoundedCache<crate::explore::ConvKey, (LowerRun, usize, usize)>>,
-        >,
-    >,
 }
 
 /// Point-in-time accounting for a [`SimWarm`] handle, surfaced
@@ -695,16 +671,6 @@ impl SimWarm {
     /// The upper-run cache, created at `cap` on first use.
     fn upper(&self, cap: usize) -> Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>> {
         self.upper
-            .get_or_init(|| Arc::new(crate::explore::BoundedCache::new(cap)))
-            .clone()
-    }
-
-    /// The convergence cache, created at `cap` on first use.
-    fn conv(
-        &self,
-        cap: usize,
-    ) -> Arc<crate::explore::BoundedCache<crate::explore::ConvKey, (LowerRun, usize, usize)>> {
-        self.conv
             .get_or_init(|| Arc::new(crate::explore::BoundedCache::new(cap)))
             .clone()
     }
@@ -856,23 +822,19 @@ pub fn check_prim_refinement(
         deep_share: opts.deep_share,
         snapshot_cap: opts.snapshot_cap,
         window: opts.window,
-        state_dedup: opts.state_dedup,
     };
     let kernel: crate::explore::Kernel<SimSnap, LowerRun> = match &opts.warm {
-        Some(w) => crate::explore::Kernel::with_state_conv(
+        Some(w) => crate::explore::Kernel::with_state(
             &explore_opts,
             w.memo.clone(),
             w.snaps(opts.snapshot_cap),
-            explore_opts
-                .state_dedup
-                .then(|| w.conv(opts.snapshot_cap.max(1))),
         ),
         None => crate::explore::Kernel::new(&explore_opts),
     };
     let deep = kernel.deep();
     let sched_consumed =
         |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
-    // Content-derived inner indices. A memo/trie/convergence entry's inner
+    // Content-derived inner indices. A memo/trie entry's inner
     // identifies the *computation* it belongs to — the completed call
     // history plus (for call-scoped states) the call in flight and its
     // arguments — hashed down to a `usize`. Within one check this
@@ -908,10 +870,10 @@ pub fn check_prim_refinement(
         .map(|k| inner_of("sim.inner.done", k, &opts.setup[k].0, &opts.setup[k].1))
         .collect();
     let phase_inner = inner_of("sim.inner.setup-phase", opts.setup.len(), "", &[]);
-    // Checked call, per argument vector: the memo/convergence case inner,
-    // the mid-call inner, the pre-flush return inner (phase-
-    // interchangeable with a setup call), and the post-flush inner
-    // (checked phase only — see [`SimSnap`]).
+    // Checked call, per argument vector: the memo case inner, the mid-call
+    // inner, the pre-flush return inner (phase-interchangeable with a setup
+    // call), and the post-flush inner (checked phase only — see
+    // [`SimSnap`]).
     let nsetup = opts.setup.len();
     let case_inner: Vec<usize> = arg_vectors
         .iter()
@@ -1092,109 +1054,6 @@ pub fn check_prim_refinement(
             },
         }
     };
-    // Grafts a convergence donor's suffix log onto the borrower's executed
-    // prefix (`m` is parked exactly at the cut), so the evidence a hit
-    // returns is byte-identical to the run the borrower would have
-    // executed. `donor_cut` is the donor's log length at the same cut.
-    let graft_lower = |m: &LayerMachine, donor: LowerRun, donor_cut: usize| -> LowerRun {
-        let graft = |donor_log: Log| {
-            let mut log = m.log.clone();
-            log.append_all(donor_log.suffix_from(donor_cut).cloned());
-            log
-        };
-        match donor {
-            LowerRun::Skipped => LowerRun::Skipped,
-            LowerRun::Failed { lower_log, reason } => LowerRun::Failed {
-                lower_log: graft(lower_log),
-                reason,
-            },
-            LowerRun::Done {
-                lower_log,
-                lower_ret,
-            } => LowerRun::Done {
-                lower_log: graft(lower_log),
-                lower_ret,
-            },
-        }
-    };
-    // Drives the checked call for sub-case `ai`: `start` launches (or
-    // resumes) the call under an abort-capable query-point hook that
-    // captures `Call` snapshots (when `snap`) and probes the convergence
-    // cache. A convergence hit aborts at the cut and grafts the donor's
-    // suffix; a completed run seeds the cache at every cut it passed
-    // through. Returns the outcome plus the consumed schedule depth —
-    // the *donor's* total depth on a hit, so memoization happens at the
-    // depth the full run actually reads.
-    let drive_checked = |lower: &mut LayerMachine,
-                         env: &EnvContext,
-                         ai: usize,
-                         snap: bool,
-                         start: &mut dyn FnMut(
-        &mut LayerMachine,
-        &mut dyn FnMut(&LayerMachine, &dyn PrimRun) -> bool,
-    )
-        -> Result<Option<Val>, crate::machine::MachineError>|
-     -> (LowerRun, usize) {
-        let key = kernel.share_key(env);
-        let conv_key = kernel.conv_key(env);
-        // Work executed before this point was already counted (at setup
-        // time for a fresh run, by the snapshot's producer for a fork).
-        let pre = lower.steps_taken() + lower.log.len() as u64;
-        let mut hit: Option<(LowerRun, usize, usize)> = None;
-        let mut probes: Vec<(crate::fingerprint::ContentHash, usize, usize)> = Vec::new();
-        let res = {
-            let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| -> bool {
-                if snap {
-                    if let Some(k) = key {
-                        snap_call_point(k, ai, mach, run);
-                    }
-                }
-                if let Some(k) = conv_key {
-                    let consumed = sched_consumed(mach);
-                    if let Some(fp) = mach.conv_fingerprint(run) {
-                        if let Some(h) = kernel.converged(k, case_inner[ai], consumed, fp) {
-                            hit = Some(h);
-                            return true;
-                        }
-                        probes.push((fp, consumed, mach.log.len()));
-                    }
-                }
-                false
-            };
-            start(lower, &mut hook)
-        };
-        let (outcome, consumed) = match res {
-            Ok(None) => {
-                // Converged: the machine is parked at the cut; reuse the
-                // donor's verdict with the donor's suffix re-grafted onto
-                // this run's prefix, at the donor's consumed depth.
-                let (donor, donor_cut, donor_consumed) =
-                    hit.expect("an aborted lower call implies a convergence hit");
-                (graft_lower(lower, donor, donor_cut), donor_consumed)
-            }
-            res => {
-                let res = res.map(|v| v.expect("non-aborted call returns a value"));
-                let outcome = finish_call(lower, res, key, ai);
-                let consumed = sched_consumed(lower);
-                if let Some(k) = conv_key {
-                    for (fp, cut_consumed, cut_len) in probes {
-                        kernel.converge_record(
-                            k,
-                            case_inner[ai],
-                            cut_consumed,
-                            fp,
-                            cut_len,
-                            consumed,
-                            outcome.clone(),
-                        );
-                    }
-                }
-                (outcome, consumed)
-            }
-        };
-        crate::prefix::record_steps(lower.steps_taken() + lower.log.len() as u64 - pre);
-        (outcome, consumed)
-    };
     // Executes the lower half of a case, resuming the setup phase from the
     // deepest stored snapshot. Returns the outcome plus the total consumed
     // schedule prefix length.
@@ -1278,13 +1137,21 @@ pub fn check_prim_refinement(
                 }
             }
         };
-        drive_checked(
-            &mut lower,
-            env,
-            ai,
-            deep,
-            &mut |m, hook| m.call_prim_ctl(lower_prim, args, hook),
-        )
+        // Work executed before this point was already counted (at setup
+        // time for a fresh run, by the snapshot's producer for a fork).
+        let pre = lower.steps_taken() + lower.log.len() as u64;
+        let res = match key.filter(|_| deep) {
+            Some(k) => {
+                let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| {
+                    snap_call_point(k, ai, mach, run);
+                };
+                lower.call_prim_with_snapshots(lower_prim, args, &mut hook)
+            }
+            None => lower.call_prim(lower_prim, args),
+        };
+        let outcome = finish_call(&mut lower, res, key, ai);
+        crate::prefix::record_steps(lower.steps_taken() + lower.log.len() as u64 - pre);
+        (outcome, sched_consumed(&lower))
     };
     // 1. Run the lower machine — once per distinct consumed schedule
     // prefix and argument vector when sharing is on; every context whose
@@ -1341,19 +1208,16 @@ pub fn check_prim_refinement(
             {
                 crate::prefix::record_deep();
                 let mut lower = machine.fork_with_env(env.clone());
-                let mut inflight = Some(run);
-                break 'hit Some(drive_checked(
-                    &mut lower,
-                    env,
-                    ai,
-                    true,
-                    &mut |m, hook| {
-                        m.resume_query_ctl(
-                            inflight.take().expect("the call resumes exactly once"),
-                            hook,
-                        )
-                    },
-                ));
+                let pre = lower.steps_taken() + lower.log.len() as u64;
+                let res = {
+                    let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| {
+                        snap_call_point(k, ai, mach, run);
+                    };
+                    lower.resume_query(run, &mut hook)
+                };
+                let outcome = finish_call(&mut lower, res, Some(k), ai);
+                crate::prefix::record_steps(lower.steps_taken() + lower.log.len() as u64 - pre);
+                break 'hit Some((outcome, sched_consumed(&lower)));
             }
             None
         };

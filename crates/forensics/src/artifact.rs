@@ -57,10 +57,6 @@ pub struct ReplayOptions {
     /// replay validates on either — and decoded tolerantly (artifacts
     /// written before the compile tier existed read as `false`).
     pub bytecode: bool,
-    /// Convergence dedup of execution states (always off for replay — a
-    /// replay must *execute* the witness, never answer it from a cache;
-    /// decoded tolerantly like `prefix_share`).
-    pub state_dedup: bool,
     /// Semantic sharing keys at capture time: `true` if warm-state
     /// families were keyed by content (`ShareKey`), `false` under the
     /// `CCAL_SHARE_SEMANTIC=0` pin. Informational — replay runs
@@ -106,7 +102,6 @@ impl TraceArtifact {
                     ("prefix_share", Json::Bool(self.options.prefix_share)),
                     ("deep_share", Json::Bool(self.options.deep_share)),
                     ("bytecode", Json::Bool(self.options.bytecode)),
-                    ("state_dedup", Json::Bool(self.options.state_dedup)),
                     ("share_semantic", Json::Bool(self.options.share_semantic)),
                 ]),
             ),
@@ -191,12 +186,6 @@ impl TraceArtifact {
             // Tolerant like `prefix_share`: predates nothing an old
             // artifact depends on — both tiers validate identically.
             bytecode: oj.get("bytecode").and_then(Json::as_bool).unwrap_or(false),
-            // Tolerant: replay forces convergence dedup off structurally,
-            // so artifacts written before the flag existed read as `false`.
-            state_dedup: oj
-                .get("state_dedup")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
             // Tolerant: informational provenance only — replay runs
             // memo-free, on either key space.
             share_semantic: oj
@@ -314,7 +303,6 @@ mod tests {
                 prefix_share: false,
                 deep_share: false,
                 bytecode: false,
-                state_dedup: false,
                 share_semantic: false,
             },
             context: ScriptedContext {
@@ -343,6 +331,24 @@ mod tests {
     fn encode_decode_round_trips() {
         let a = sample();
         let text = a.encode().pretty();
+        let back = TraceArtifact::decode(&crate::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    fn artifacts_carrying_retired_options_still_load() {
+        // Artifacts written while convergence dedup existed record
+        // `"state_dedup": false` among their options; unknown option keys
+        // are ignored, so they decode to the same artifact.
+        let a = sample();
+        let mut j = a.encode();
+        if let Json::Obj(m) = &mut j {
+            if let Some(Json::Obj(opts)) = m.get_mut("options") {
+                opts.insert("state_dedup".into(), Json::Bool(false));
+            }
+        }
+        let text = j.pretty();
+        assert!(text.contains("\"state_dedup\": false"), "{text}");
         let back = TraceArtifact::decode(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, a);
     }

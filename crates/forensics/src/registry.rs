@@ -45,16 +45,11 @@ pub struct RunConfig {
     /// [`ccal_core::prefix::SnapshotTrie`]). Effective only when
     /// `prefix_share` is on.
     pub deep_share: bool,
-    /// Convergence dedup of execution states (see
-    /// [`ccal_core::explore::Kernel::converged`]). Forced off on replay —
-    /// a replay must *execute* the witness, never answer it from a cache.
-    pub state_dedup: bool,
 }
 
 impl RunConfig {
     /// The replay configuration: serial, no dedup, no POR, no prefix
-    /// sharing, no convergence dedup — every source of exploration-order
-    /// variance off.
+    /// sharing — every source of exploration-order variance off.
     #[must_use]
     pub fn replay() -> Self {
         Self {
@@ -63,18 +58,8 @@ impl RunConfig {
             por: false,
             prefix_share: false,
             deep_share: false,
-            state_dedup: false,
         }
     }
-}
-
-/// Installs a scoped process-wide convergence-dedup override matching
-/// `cfg` for the checkers whose `_tuned` signatures don't expose the knob
-/// (the flag is read at `ExploreOptions` construction time inside them).
-/// No-op when the environment default already agrees.
-fn state_dedup_guard(cfg: &RunConfig) -> Option<ccal_core::prefix::StateDedupOverride> {
-    (cfg.state_dedup != ccal_core::prefix::state_dedup_enabled())
-        .then(|| ccal_core::prefix::StateDedupOverride::force(cfg.state_dedup))
 }
 
 /// One failing case as captured from a checker run.
@@ -125,15 +110,13 @@ fn run_sim(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
             .with_dedup(cfg.dedup)
             .with_por(cfg.por)
             .with_prefix_share(cfg.prefix_share)
-            .with_deep_share(cfg.deep_share)
-            .with_state_dedup(cfg.state_dedup),
+            .with_deep_share(cfg.deep_share),
     )
     .map(|_| ())
     .map_err(|f| f.reason)
 }
 
 fn run_live(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
     check_liveness_tuned(
         &buggy::impatient_waiter_iface(),
         "wait",
@@ -152,7 +135,6 @@ fn run_live(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
 }
 
 fn run_race(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
     check_race_freedom_tuned(
         &ccal_machine::mx86::mx86_hw_interface(),
         &PidSet::from_pids([Pid(0), Pid(1)]),
@@ -169,7 +151,6 @@ fn run_race(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
 }
 
 fn run_linz(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
     check_linearizability_tuned(
         &buggy::lifo_queue_iface(),
         &PidSet::from_pids([Pid(0), Pid(1)]),
@@ -188,7 +169,6 @@ fn run_linz(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
 }
 
 fn run_seqref(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
     check_sequence_refinement_tuned(
         &buggy::env_leaky_counter_impl(),
         &buggy::env_leaky_counter_spec(),
@@ -350,7 +330,6 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             // Record the tier the investigation actually ran under, so
             // the artifact is self-describing about its provenance.
             bytecode: ccal_core::prefix::bytecode_effective(),
-            state_dedup: false,
             share_semantic: ccal_core::prefix::share_semantic_effective(),
         },
         context: outcome.context,

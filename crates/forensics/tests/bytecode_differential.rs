@@ -43,7 +43,6 @@ fn config_grid() -> Vec<RunConfig> {
             por: false,
             prefix_share: false,
             deep_share: false,
-            state_dedup: false,
         },
         RunConfig {
             workers: 2,
@@ -51,7 +50,6 @@ fn config_grid() -> Vec<RunConfig> {
             por: true,
             prefix_share: true,
             deep_share: false,
-            state_dedup: false,
         },
         RunConfig {
             workers: 2,
@@ -59,7 +57,6 @@ fn config_grid() -> Vec<RunConfig> {
             por: true,
             prefix_share: true,
             deep_share: true,
-            state_dedup: true,
         },
     ]
 }

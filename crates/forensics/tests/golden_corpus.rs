@@ -68,11 +68,6 @@ fn golden_artifacts_record_the_replay_fingerprint() {
             "{}: options fingerprint does not record the execution tier",
             f.display()
         );
-        assert!(
-            on_disk.contains("\"state_dedup\""),
-            "{}: options fingerprint does not record convergence dedup",
-            f.display()
-        );
         let a = TraceArtifact::load(&f).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(a.options.workers, 1, "{}: replay must be serial", f.display());
         assert!(!a.options.dedup, "{}: replay must not dedup", f.display());
@@ -80,11 +75,6 @@ fn golden_artifacts_record_the_replay_fingerprint() {
         assert!(
             !a.options.prefix_share,
             "{}: replay must not prefix-share",
-            f.display()
-        );
-        assert!(
-            !a.options.state_dedup,
-            "{}: replay must not converge-dedup",
             f.display()
         );
     }

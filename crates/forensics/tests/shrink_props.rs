@@ -127,9 +127,6 @@ fn investigation_is_identical_across_workers_and_por() {
                             por,
                             prefix_share,
                             deep_share,
-                            // Convergence dedup rides the deep axis so the
-                            // grid covers it on and off without doubling.
-                            state_dedup: deep_share,
                         };
                         let got = investigate(&fx, &cfg)
                             .unwrap_or_else(|e| panic!("investigate failed under {cfg:?}: {e}"));

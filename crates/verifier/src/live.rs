@@ -137,95 +137,37 @@ pub fn check_liveness_tuned(
             })
         });
     };
-    // Drives the call under an abort-capable query-point hook: `Call`
-    // snapshots when deep sharing is on, convergence probing when dedup is
-    // on. A convergence hit aborts at the cut, re-grafts the donor's
-    // suffix log onto this run's prefix and reuses the donor's verdict at
-    // the donor's consumed depth; a completed run seeds the cache at every
-    // cut it passed through.
-    let drive = |machine: &mut LayerMachine,
-                 env: &EnvContext,
-                 start: &mut dyn FnMut(
-        &mut LayerMachine,
-        &mut dyn FnMut(&LayerMachine, &dyn ccal_core::layer::PrimRun) -> bool,
-    ) -> Result<
-        Option<Val>,
-        ccal_core::machine::MachineError,
-    >|
-     -> (LowerRun, usize) {
-        let key = kernel.deep_key(env);
-        let conv_key = kernel.conv_key(env);
-        let pre = machine.steps_taken() + machine.log.len() as u64;
-        let mut hit: Option<(LowerRun, usize, usize)> = None;
-        let mut probes: Vec<(ccal_core::fingerprint::ContentHash, usize, usize)> = Vec::new();
-        let res = {
-            let mut hook = |mach: &LayerMachine, run: &dyn ccal_core::layer::PrimRun| -> bool {
-                if let Some(k) = key {
-                    snap_point(k, mach, run);
-                }
-                if let Some(k) = conv_key {
-                    let consumed = sched_consumed(mach);
-                    if let Some(fp) = mach.conv_fingerprint(run) {
-                        if let Some(h) = kernel.converged(k, 0, consumed, fp) {
-                            hit = Some(h);
-                            return true;
-                        }
-                        probes.push((fp, consumed, mach.log.len()));
-                    }
-                }
-                false
-            };
-            start(machine, &mut hook)
-        };
-        ccal_core::prefix::record_steps(machine.steps_taken() + machine.log.len() as u64 - pre);
-        match res {
-            Ok(None) => {
-                let ((donor_res, donor_log), donor_cut, donor_consumed) =
-                    hit.expect("an aborted run implies a convergence hit");
-                let mut log = machine.log.clone();
-                log.append_all(donor_log.suffix_from(donor_cut).cloned());
-                ((donor_res, log), donor_consumed)
-            }
-            res => {
-                let res = res.map(|_| ());
-                let consumed = sched_consumed(machine);
-                let outcome = (res, machine.log.clone());
-                if let Some(k) = conv_key {
-                    for (fp, cut_consumed, cut_len) in probes {
-                        kernel.converge_record(
-                            k,
-                            0,
-                            cut_consumed,
-                            fp,
-                            cut_len,
-                            consumed,
-                            outcome.clone(),
-                        );
-                    }
-                }
-                (outcome, consumed)
-            }
-        }
-    };
     let exec_lower = |env: &EnvContext| -> (LowerRun, usize) {
-        if let Some(k) = kernel.deep_key(env) {
+        let key = kernel.deep_key(env);
+        if let Some(k) = key {
             if let Some((_, LiveSnap { machine, run, .. })) = kernel.resume_deepest(k, 0) {
                 // Fork the deepest snapshotted ancestor and execute only
                 // the schedule suffix, counting only the suffix work.
                 let mut machine = machine.fork_with_env(env.clone());
-                let mut inflight = Some(run);
-                return drive(&mut machine, env, &mut |m, hook| {
-                    m.resume_query_ctl(
-                        inflight.take().expect("the run resumes exactly once"),
-                        hook,
-                    )
-                });
+                let pre = machine.steps_taken() + machine.log.len() as u64;
+                let mut hook = |mach: &LayerMachine, run: &dyn ccal_core::layer::PrimRun| {
+                    snap_point(k, mach, run);
+                };
+                let res = machine.resume_query(run, &mut hook).map(|_| ());
+                ccal_core::prefix::record_steps(
+                    machine.steps_taken() + machine.log.len() as u64 - pre,
+                );
+                let consumed = sched_consumed(&machine);
+                return ((res, machine.log), consumed);
             }
         }
         let mut machine = LayerMachine::new(iface.clone(), pid, env.clone()).with_fuel(fuel);
-        drive(&mut machine, env, &mut |m, hook| {
-            m.call_prim_ctl(prim, args, hook)
-        })
+        let res = if let Some(k) = key {
+            let mut hook = |mach: &LayerMachine, run: &dyn ccal_core::layer::PrimRun| {
+                snap_point(k, mach, run);
+            };
+            machine.call_prim_with_snapshots(prim, args, &mut hook).map(|_| ())
+        } else {
+            machine.call_prim(prim, args).map(|_| ())
+        };
+        ccal_core::prefix::record_steps(machine.steps_taken() + machine.log.len() as u64);
+        let consumed = sched_consumed(&machine);
+        ((res, machine.log), consumed)
     };
     let explored = kernel.explore("live", contexts, 1, |ci, _| {
         let env = &contexts[ci];

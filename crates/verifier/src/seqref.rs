@@ -141,202 +141,76 @@ pub fn check_sequence_refinement_tuned(
         Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
     let sched_consumed =
         |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
-    // Sequence-refinement convergence fingerprint: the machine fingerprint
-    // alone is not canonical mid-script — two cuts can agree on machine
-    // state yet sit at different script positions or carry different
-    // completed return values (which are not part of the machine). Extend
-    // the fingerprint with both so a hit implies the donor's prefix rets
-    // equal the borrower's.
-    let seq_fp = |mach: &LayerMachine,
-                  r: &dyn ccal_core::layer::PrimRun,
-                  call: usize,
-                  rets: &[Val]|
-     -> Option<ccal_core::fingerprint::ContentHash> {
-        let fp = mach.conv_fingerprint(r)?;
-        let mut h = ccal_core::fingerprint::ContentHasher::new();
-        h.section("ccal.conv.seqref.v1");
-        h.bytes("machine.fp", &fp.0.to_le_bytes());
-        h.usize("script.call", call);
-        h.usize("script.nrets", rets.len());
-        for (i, v) in rets.iter().enumerate() {
-            h.val(&format!("script.ret[{i}]"), v);
-        }
-        Some(h.finish())
-    };
-    // Grafts a convergence donor's suffix log onto the borrower's executed
-    // prefix (`m` is parked exactly at the cut). The donor's rets are
-    // reused wholesale: the fingerprint pins the prefix rets equal, and
-    // the suffix is deterministic from the cut.
-    let graft_impl = |m: &LayerMachine, donor: ImplRun, donor_cut: usize| -> ImplRun {
-        let graft = |donor_log: &ccal_core::log::Log| {
-            let mut log = m.log.clone();
-            log.append_all(donor_log.suffix_from(donor_cut).cloned());
-            log
-        };
-        match donor {
-            ImplRun::Skipped => ImplRun::Skipped,
-            ImplRun::Failed { log, err } => ImplRun::Failed {
-                log: graft(&log),
-                err,
-            },
-            ImplRun::Done { log, rets } => ImplRun::Done {
-                log: graft(&log),
-                rets,
-            },
-        }
-    };
     // Runs script `si` on `m` from call index `first` (finishing `inflight`
     // first when resuming a snapshot), capturing a snapshot at every query
-    // point when deep sharing is on and probing the convergence cache when
-    // dedup is on. Returns the completed return values, or the aborted
-    // outcome — paired with `Some(donor consumed depth)` on a convergence
-    // hit (the caller memoizes at that depth, not the cut's). Cuts passed
-    // without a hit are pushed onto `probes` for the caller to seed.
+    // point when deep sharing is on. Returns the completed return values,
+    // or the aborted outcome.
     let run_script = |m: &mut LayerMachine,
                       si: usize,
                       first: usize,
                       inflight: Option<Box<dyn ccal_core::layer::PrimRun>>,
                       mut rets: Vec<Val>,
-                      key: Option<&ccal_core::prefix::ScheduleKey>,
-                      conv_key: Option<&ccal_core::prefix::ScheduleKey>,
-                      probes: &mut Vec<(ccal_core::fingerprint::ContentHash, usize, usize)>|
-     -> Result<Vec<Val>, (ImplRun, Option<usize>)> {
+                      key: Option<&ccal_core::prefix::ScheduleKey>|
+     -> Result<Vec<Val>, ImplRun> {
         let script = &scripts[si];
         let mut next = first;
-        let mut conv: Option<(ImplRun, usize)> = None;
         if let Some(run) = inflight {
             let before = rets.clone();
-            let mut hook = |mach: &LayerMachine, r: &dyn ccal_core::layer::PrimRun| -> bool {
-                if let Some(k) = key {
-                    kernel.snapshot(k, si, sched_consumed(mach), || {
-                        Some(SeqSnap {
-                            machine: mach.fork(),
-                            run: r.fork_run()?,
-                            extra: (first, before.clone()),
-                        })
-                    });
-                }
-                if let Some(k) = conv_key {
-                    let consumed = sched_consumed(mach);
-                    if let Some(fp) = seq_fp(mach, r, first, &before) {
-                        if let Some((donor, donor_cut, donor_consumed)) =
-                            kernel.converged(k, si, consumed, fp)
-                        {
-                            conv = Some((graft_impl(mach, donor, donor_cut), donor_consumed));
-                            return true;
-                        }
-                        probes.push((fp, consumed, mach.log.len()));
-                    }
-                }
-                false
+            let mut hook = |mach: &LayerMachine, r: &dyn ccal_core::layer::PrimRun| {
+                let Some(k) = key else { return };
+                kernel.snapshot(k, si, sched_consumed(mach), || {
+                    Some(SeqSnap {
+                        machine: mach.fork(),
+                        run: r.fork_run()?,
+                        extra: (first, before.clone()),
+                    })
+                });
             };
-            match m.resume_query_ctl(run, &mut hook) {
-                Ok(Some(v)) => rets.push(v),
-                Ok(None) => {
-                    let (outcome, donor_consumed) =
-                        conv.take().expect("an aborted call implies a convergence hit");
-                    return Err((outcome, Some(donor_consumed)));
-                }
-                Err(e) if e.is_invalid_context() => return Err((ImplRun::Skipped, None)),
+            match m.resume_query(run, &mut hook) {
+                Ok(v) => rets.push(v),
+                Err(e) if e.is_invalid_context() => return Err(ImplRun::Skipped),
                 Err(e) => {
-                    return Err((
-                        ImplRun::Failed {
-                            log: m.log.clone(),
-                            err: e,
-                        },
-                        None,
-                    ));
+                    return Err(ImplRun::Failed {
+                        log: m.log.clone(),
+                        err: e,
+                    });
                 }
             }
             next = first + 1;
         }
         for (i, (name, args)) in script.iter().enumerate().skip(next) {
             let before = rets.clone();
-            let mut hook = |mach: &LayerMachine, r: &dyn ccal_core::layer::PrimRun| -> bool {
-                if let Some(k) = key {
-                    kernel.snapshot(k, si, sched_consumed(mach), || {
-                        Some(SeqSnap {
-                            machine: mach.fork(),
-                            run: r.fork_run()?,
-                            extra: (i, before.clone()),
-                        })
-                    });
-                }
-                if let Some(k) = conv_key {
-                    let consumed = sched_consumed(mach);
-                    if let Some(fp) = seq_fp(mach, r, i, &before) {
-                        if let Some((donor, donor_cut, donor_consumed)) =
-                            kernel.converged(k, si, consumed, fp)
-                        {
-                            conv = Some((graft_impl(mach, donor, donor_cut), donor_consumed));
-                            return true;
-                        }
-                        probes.push((fp, consumed, mach.log.len()));
-                    }
-                }
-                false
+            let mut hook = |mach: &LayerMachine, r: &dyn ccal_core::layer::PrimRun| {
+                let Some(k) = key else { return };
+                kernel.snapshot(k, si, sched_consumed(mach), || {
+                    Some(SeqSnap {
+                        machine: mach.fork(),
+                        run: r.fork_run()?,
+                        extra: (i, before.clone()),
+                    })
+                });
             };
-            let res = if key.is_some() || conv_key.is_some() {
-                m.call_prim_ctl(name, args, &mut hook)
+            let res = if kernel.deep() && key.is_some() {
+                m.call_prim_with_snapshots(name, args, &mut hook)
             } else {
-                m.call_prim(name, args).map(Some)
+                m.call_prim(name, args)
             };
             match res {
-                Ok(Some(v)) => rets.push(v),
-                Ok(None) => {
-                    let (outcome, donor_consumed) =
-                        conv.take().expect("an aborted call implies a convergence hit");
-                    return Err((outcome, Some(donor_consumed)));
-                }
-                Err(e) if e.is_invalid_context() => return Err((ImplRun::Skipped, None)),
+                Ok(v) => rets.push(v),
+                Err(e) if e.is_invalid_context() => return Err(ImplRun::Skipped),
                 Err(e) => {
-                    return Err((
-                        ImplRun::Failed {
-                            log: m.log.clone(),
-                            err: e,
-                        },
-                        None,
-                    ));
+                    return Err(ImplRun::Failed {
+                        log: m.log.clone(),
+                        err: e,
+                    });
                 }
             }
         }
         Ok(rets)
     };
-    // Seals one executed (or converged) script run: records the executed
-    // step work, seeds the convergence cache at every cut a *completed*
-    // run passed through, and returns the consumed depth — the donor's on
-    // a convergence hit.
-    let seal_run = |m: &LayerMachine,
-                    si: usize,
-                    conv_key: Option<&ccal_core::prefix::ScheduleKey>,
-                    probes: Vec<(ccal_core::fingerprint::ContentHash, usize, usize)>,
-                    outcome: &ImplRun,
-                    over: Option<usize>,
-                    pre: u64|
-     -> usize {
-        ccal_core::prefix::record_steps(m.steps_taken() + m.log.len() as u64 - pre);
-        let consumed = over.unwrap_or_else(|| sched_consumed(m));
-        if over.is_none() {
-            if let Some(k) = conv_key {
-                for (fp, cut_consumed, cut_len) in probes {
-                    kernel.converge_record(
-                        k,
-                        si,
-                        cut_consumed,
-                        fp,
-                        cut_len,
-                        consumed,
-                        outcome.clone(),
-                    );
-                }
-            }
-        }
-        consumed
-    };
     let exec_impl = |env: &EnvContext, si: usize| -> (ImplRun, usize) {
-        let conv_key = kernel.conv_key(env);
-        let mut probes: Vec<(ccal_core::fingerprint::ContentHash, usize, usize)> = Vec::new();
-        if let Some(k) = kernel.deep_key(env) {
+        let key = kernel.deep_key(env);
+        if let Some(k) = key {
             if let Some((_, SeqSnap { machine, run, extra: (call, rets) })) =
                 kernel.resume_deepest(k, si)
             {
@@ -344,52 +218,30 @@ pub fn check_sequence_refinement_tuned(
                 // the schedule suffix, counting only the suffix work.
                 let mut m = machine.fork_with_env(env.clone());
                 let pre = m.steps_taken() + m.log.len() as u64;
-                let (outcome, over) = match run_script(
-                    &mut m,
-                    si,
-                    call,
-                    Some(run),
-                    rets,
-                    Some(k),
-                    conv_key,
-                    &mut probes,
-                ) {
-                    Ok(rets) => (
-                        ImplRun::Done {
-                            log: m.log.clone(),
-                            rets,
-                        },
-                        None,
-                    ),
+                let outcome = match run_script(&mut m, si, call, Some(run), rets, Some(k)) {
+                    Ok(rets) => ImplRun::Done {
+                        log: m.log.clone(),
+                        rets,
+                    },
                     Err(aborted) => aborted,
                 };
-                let consumed = seal_run(&m, si, conv_key, probes, &outcome, over, pre);
-                return (outcome, consumed);
+                ccal_core::prefix::record_steps(m.steps_taken() + m.log.len() as u64 - pre);
+                return (outcome, sched_consumed(&m));
             }
         }
         let mut impl_machine =
             LayerMachine::new(impl_iface.clone(), pid, env.clone()).with_fuel(fuel);
-        let (outcome, over) = match run_script(
-            &mut impl_machine,
-            si,
-            0,
-            None,
-            Vec::new(),
-            kernel.deep_key(env),
-            conv_key,
-            &mut probes,
-        ) {
-            Ok(rets) => (
-                ImplRun::Done {
-                    log: impl_machine.log.clone(),
-                    rets,
-                },
-                None,
-            ),
+        let outcome = match run_script(&mut impl_machine, si, 0, None, Vec::new(), key) {
+            Ok(rets) => ImplRun::Done {
+                log: impl_machine.log.clone(),
+                rets,
+            },
             Err(aborted) => aborted,
         };
-        let consumed = seal_run(&impl_machine, si, conv_key, probes, &outcome, over, 0);
-        (outcome, consumed)
+        ccal_core::prefix::record_steps(
+            impl_machine.steps_taken() + impl_machine.log.len() as u64,
+        );
+        (outcome, sched_consumed(&impl_machine))
     };
     let explored = kernel.explore("seqref", contexts, nscripts, |ci, si| {
         let env = &contexts[ci];

@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 (release build + root-package tests), the
 # parallel-vs-serial, POR, prefix-sharing, exploration-kernel,
-# bytecode-tier, convergence-dedup, and semantic-sharing differential
-# suites (each optimization both on and under its CCAL_POR=0 /
-# CCAL_PREFIX_SHARE=0 / CCAL_PREFIX_DEEP=0 / CCAL_BYTECODE=0 /
-# CCAL_STATE_DEDUP=0 / CCAL_SHARE_SEMANTIC=0 escape hatch; the kernel
-# differential also reruns under the obsolete CCAL_KERNEL=0 hatch), the
-# engine regression tests, the full workspace tests (on both execution
-# tiers, with the convergence cache off, and with sharing keys pinned),
-# and criterion-free benchmark smoke runs including the B5
-# (whole-prefix), B5d (query-point snapshot), B6 (compiled ClightX
-# bytecode VM), B7 (convergence dedup), and B8 (semantic sharing keys)
-# step-ratio gates. Everything
-# here works without network access — proptest/criterion resolve to the
-# in-repo shim crates. Each stage reports its own wall time so perf
-# regressions in the harness itself are visible.
+# bytecode-tier and semantic-sharing differential suites (each
+# optimization both on and under its CCAL_POR=0 / CCAL_PREFIX_SHARE=0 /
+# CCAL_PREFIX_DEEP=0 / CCAL_BYTECODE=0 / CCAL_SHARE_SEMANTIC=0 escape
+# hatch), the engine regression tests, the full workspace tests (on both
+# execution tiers and with sharing keys pinned), and criterion-free
+# benchmark smoke runs including the B5 (whole-prefix), B5d (query-point
+# snapshot), B6 (compiled ClightX bytecode VM) and B8 (semantic sharing
+# keys) step-ratio gates. Everything here works without network access —
+# proptest/criterion resolve to the in-repo shim crates. Each stage
+# reports its own wall time so perf regressions in the harness itself are
+# visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,9 +56,6 @@ stage "differential: fork-vs-fresh snapshot resume (all snapshots x agreeing con
 stage "differential: unified exploration kernel (all five checkers, ticket + qlock stacks)" \
   cargo test -q --test kernel_differential
 
-stage "differential: kernel rerun under the obsolete escape hatch (CCAL_KERNEL=0 warns, stays on)" \
-  env CCAL_KERNEL=0 cargo test -q --test kernel_differential
-
 stage "differential: bytecode VM vs interpreter (random programs, proptest)" \
   cargo test -q -p ccal-clightx --test bytecode_differential
 
@@ -70,12 +64,6 @@ stage "differential: bytecode VM vs interpreter (all five checkers, ticket stack
 
 stage "differential: bytecode VM vs interpreter (forensics captures + artifacts)" \
   cargo test -q -p ccal-forensics --test bytecode_differential
-
-stage "differential: convergence dedup on vs off (all five checkers, evidence byte-identity)" \
-  cargo test -q -p ccal-forensics --test convergence_differential
-
-stage "differential: convergence differential under the escape hatch (CCAL_STATE_DEDUP=0)" \
-  env CCAL_STATE_DEDUP=0 cargo test -q -p ccal-forensics --test convergence_differential
 
 stage "differential: semantic sharing keys vs pinned families (all five checkers, both tiers, hostile aliasing)" \
   cargo test -q --test sharing_differential
@@ -91,9 +79,6 @@ stage "workspace tests" \
 
 stage "workspace tests on the interpreter tier (escape hatch: CCAL_BYTECODE=0)" \
   env CCAL_BYTECODE=0 cargo test --workspace -q
-
-stage "workspace tests with the convergence cache off (escape hatch: CCAL_STATE_DEDUP=0)" \
-  env CCAL_STATE_DEDUP=0 cargo test --workspace -q
 
 stage "workspace tests with pinned sharing keys (escape hatch: CCAL_SHARE_SEMANTIC=0)" \
   env CCAL_SHARE_SEMANTIC=0 cargo test --workspace -q
@@ -112,9 +97,6 @@ stage "bench gate (no criterion): prefix_sharing --quick (asserts B5 share/off <
 
 stage "bench gate (no criterion): bytecode_vm --quick (asserts B6 vm/interp prim-steps <= 0.6 and exact atom-step tier equality at L=5; writes BENCH_6.json)" \
   cargo bench -p ccal-bench --no-default-features --bench bytecode_vm -- --quick
-
-stage "bench gate (no criterion): convergence --quick (asserts B7 dedup/base atom-steps <= 0.6 at L=5 + per-checker hits; writes BENCH_7.json)" \
-  cargo bench -p ccal-bench --no-default-features --bench convergence -- --quick
 
 stage "bench gate (no criterion): sharing --quick (asserts B8 semantic/pinned atom-steps <= 0.5 at L=5 + per-unit family hits; writes BENCH_8.json)" \
   cargo bench -p ccal-bench --no-default-features --bench sharing -- --quick

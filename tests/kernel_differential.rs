@@ -9,11 +9,6 @@
 //! byte-identical across every `workers × por × prefix/deep` engine
 //! configuration, and the process-global step counters must reproduce
 //! exactly on repeated serial runs.
-//!
-//! The `CCAL_KERNEL=0` escape hatch is recognized but obsolete (the
-//! pre-kernel checker paths were deleted once this differential passed);
-//! `scripts/verify.sh` reruns this binary with the flag set to exercise
-//! the warn-once path end to end.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -494,14 +489,4 @@ fn serial_step_counters_are_reproducible() {
         first.2 + first.3 > 0,
         "the kernel must share at least one lower run on this grid"
     );
-}
-
-#[test]
-fn kernel_escape_hatch_is_recognized_but_obsolete() {
-    let _g = serial();
-    // `CCAL_KERNEL` is parsed (and `CCAL_KERNEL=0` warns once) but the
-    // kernel can no longer be bypassed: the pre-kernel per-checker
-    // exploration paths were deleted. `scripts/verify.sh` reruns this
-    // whole binary with `CCAL_KERNEL=0` to pin that the flag is inert.
-    assert!(ccal::core::explore::kernel_enabled());
 }

@@ -550,7 +550,6 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         let base_opts = SimOptions::default()
             .with_prefix_share(true)
             .with_deep_share(true)
-            .with_state_dedup(true)
             .with_bytecode(bytecode)
             .with_workers(1)
             .with_por(true);
@@ -635,67 +634,4 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
              state crossed the ShareKey boundary (bytecode={bytecode})"
         );
     }
-}
-
-/// The interpreter tier now carries convergence fingerprints
-/// (`CRun::state_fp`): with the bytecode tier forced off, convergence
-/// dedup must still be (a) observationally invisible and (b) actually
-/// live — the gate answers suffixes from the cache.
-#[test]
-fn interpreter_tier_convergence_dedup_is_live_and_invisible() {
-    let _guard = serial();
-    // Three query points, so later probes happen at consumed depths > 0 —
-    // where schedules that interleave the (commuting) scratch writers in
-    // different orders reconverge on one canonical machine state with one
-    // remaining suffix. (A single query point only probes at depth 0,
-    // where every context still has a distinct suffix.)
-    let src = "int op(int x) { int t = tick(); int u = tick(); int v = tick(); \
-               return x + t + u + v + 1; }";
-    let machine = op_machine(src);
-    // Self-refinement: the spec is the machine itself, so lower and upper
-    // logs agree event-for-event and the verdict is a clean pass.
-    let spec = machine.clone();
-    let args: Vec<Vec<Val>> = (0..3).map(|i| vec![Val::Int(i)]).collect();
-    // An unpinned (per-call) grid — this test is about the conv cache,
-    // not cross-call sharing — with POR *off*: the partial-order
-    // reduction prunes exactly the commuting interleavings whose states
-    // reconverge, so a reduced grid leaves the gate nothing to collapse.
-    let grid = || {
-        ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
-            .with_player(Pid(1), Arc::new(ScratchPlayer::new(Pid(1), Loc(100))))
-            .with_player(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(101))))
-            .with_schedule_len(3)
-            .with_max_contexts(27)
-            .with_por(false)
-            .contexts()
-    };
-    let run = |state_dedup: bool| {
-        check_prim_refinement(
-            &machine,
-            "op",
-            &spec,
-            "op",
-            &SimRelation::identity(),
-            Pid(0),
-            &grid(),
-            &args,
-            &SimOptions::default()
-                .with_prefix_share(true)
-                .with_deep_share(true)
-                .with_bytecode(false)
-                .with_state_dedup(state_dedup)
-                .with_workers(1)
-                .with_por(false),
-        )
-    };
-    let reference = run(false);
-    let converged0 = prefix::converged_total();
-    let dedup = run(true);
-    let conv_hits = prefix::converged_total() - converged0;
-    assert_sim_invisible("interp-conv", &reference, &dedup);
-    assert!(
-        conv_hits > 0,
-        "interpreter-tier runs must reach the convergence gate via \
-         CRun::state_fp (got no hits)"
-    );
 }
