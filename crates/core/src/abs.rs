@@ -13,10 +13,15 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::val::{Val, ValError};
 
 /// A named record of abstract-state fields.
+///
+/// The field map is shared copy-on-write: cloning (every machine fork does)
+/// bumps a reference count, and the first write to a shared state copies
+/// the map.
 ///
 /// # Examples
 ///
@@ -31,7 +36,7 @@ use crate::val::{Val, ValError};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AbsState {
-    fields: BTreeMap<String, Val>,
+    fields: Arc<BTreeMap<String, Val>>,
 }
 
 impl AbsState {
@@ -42,7 +47,7 @@ impl AbsState {
 
     /// Sets field `name` to `value`, returning the previous value if any.
     pub fn set(&mut self, name: &str, value: Val) -> Option<Val> {
-        self.fields.insert(name.to_owned(), value)
+        Arc::make_mut(&mut self.fields).insert(name.to_owned(), value)
     }
 
     /// Reads field `name`.
@@ -125,8 +130,9 @@ impl AbsState {
     /// Merges `other` into `self`; fields of `other` win on collision.
     /// Used when layer interfaces are joined by horizontal composition.
     pub fn merged_with(mut self, other: &AbsState) -> AbsState {
+        let fields = Arc::make_mut(&mut self.fields);
         for (k, v) in other.iter() {
-            self.fields.insert(k.to_owned(), v.clone());
+            fields.insert(k.to_owned(), v.clone());
         }
         self
     }
@@ -212,6 +218,25 @@ mod tests {
     #[test]
     fn indexed_field_names() {
         assert_eq!(AbsState::field_at("tdqp", 3), "tdqp[3]");
+    }
+
+    #[test]
+    fn clones_copy_on_write() {
+        let mut a = AbsState::new();
+        a.set("x", Val::Int(1));
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.fields, &b.fields), "a clone shares the map");
+        b.set("x", Val::Int(2));
+        assert_eq!(
+            a.get_int("x").unwrap(),
+            1,
+            "writing the clone leaves the original"
+        );
+        assert_eq!(b.get_int("x").unwrap(), 2);
+        let c = a.clone();
+        a.set("y", Val::Int(3));
+        assert!(!c.contains("y"), "writing the original leaves the clone");
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -842,7 +842,7 @@ pub fn pcomp(a: &CertifiedLayer, b: &CertifiedLayer) -> Result<CertifiedLayer, L
 mod tests {
     use super::*;
     use crate::contexts::ContextGen;
-    use crate::event::EventKind;
+    use crate::event::{Event, EventKind};
     use crate::layer::PrimSpec;
     use crate::module::Lang;
 
@@ -892,6 +892,32 @@ mod tests {
                 .with_schedule_len(2)
                 .contexts(),
         )
+    }
+
+    #[test]
+    fn merge_then_clone_keeps_probe_order() {
+        use crate::log::Log;
+        let probe = |n: u32| Log::from_events((0..n).map(|i| Event::prim(Pid(i), "x", vec![])));
+        let cert = |range: std::ops::Range<u32>| {
+            let mut c = Certificate::new();
+            for n in range {
+                c.probes.push(Pid(n), probe(n));
+            }
+            c
+        };
+        let (a, b) = (cert(0..3), cert(3..5));
+        let mut merged = a.clone();
+        merged.merge(&b);
+        merged.probes.push(Pid(5), probe(5));
+        let cloned = merged.clone();
+        let expected: Vec<(Pid, Log)> = (0..6).map(|n| (Pid(n), probe(n))).collect();
+        assert_eq!(merged.probes.len(), 6);
+        assert!(merged.probes.iter().eq(expected.iter()));
+        assert!(cloned.probes.iter().eq(expected.iter()));
+        assert_eq!(merged, cloned);
+        // The merge shared the sources' probes without disturbing them.
+        assert!(a.probes.iter().eq(expected[..3].iter()));
+        assert!(b.probes.iter().eq(expected[3..5].iter()));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   in-order fold that makes parallel runs bit-identical to serial ones.
 //! * **Forensics capture** ([`crate::forensics`]): failing cases are
 //!   recorded with their grid index, context index, witness log and reason
-//!   whenever a capture scope is active.
+//!   whenever the calling thread holds a capture scope.
 //!
 //! A checker plugs in by choosing a snapshot type `S` (implementing
 //! [`crate::prefix::ForkSnapshot`] — [`RunSnap`] for single-machine
@@ -320,10 +320,10 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     /// The exploration loop: dispatches the `(context × sub-case)` grid
     /// onto the work-stealing queue (in subtree claim order when sharing
     /// is on and several workers race), prunes POR-equivalent contexts,
-    /// records failing cases into an active forensics capture scope, and
-    /// folds the slots in index order — so the verdict, the accounting and
-    /// the index-least first failure are bit-identical to a serial,
-    /// unshared exploration.
+    /// records failing cases into the forensics capture scope the calling
+    /// thread opened (if any), and folds the slots in index order — so the
+    /// verdict, the accounting and the index-least first failure are
+    /// bit-identical to a serial, unshared exploration.
     ///
     /// `run` is called with `(context index, sub-case index)`; the flat
     /// grid index is `ci * ninner + inner`. `checker` names the client in
@@ -349,6 +349,10 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             None => (0, total),
         };
         let span = hi - lo;
+        // Sampled once on the calling thread: workers record failures only
+        // for a capture scope their caller opened, never for one another
+        // thread holds.
+        let capture = crate::forensics::capturing();
         let run_case = |widx: usize| -> Case<D, E> {
             let idx = lo + widx;
             let (ci, inner) = (idx / ninner, idx % ninner);
@@ -358,7 +362,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
                 return Case::Reduced;
             }
             let outcome = run(ci, inner);
-            if crate::forensics::capturing() {
+            if capture {
                 if let Case::Failed(f) = &outcome {
                     crate::forensics::record(crate::forensics::FailingCase {
                         checker,
@@ -462,7 +466,7 @@ impl Kernel<GameState, GameRun> {
                 }
             };
             crate::prefix::record_steps(log.len() as u64 - pre);
-            let consumed = log.iter().filter(|e| e.is_sched()).count();
+            let consumed = log.sched_count();
             ((res, log), consumed)
         })
     }
@@ -853,6 +857,33 @@ mod tests {
             assert_eq!(serial.checked, par.checked);
             assert_eq!(serial.failure, par.failure);
         }
+    }
+
+    #[test]
+    fn capture_records_only_for_the_callers_scope() {
+        let contexts = grid(2);
+        let explore = |workers: usize| {
+            let opts = ExploreOptions::tuned(workers, false, false, false);
+            Kernel::<NoSnap, ()>::new(&opts).explore("test", &contexts, 1, |ci, _| {
+                let detail = format!("context #{ci}");
+                Case::<(), String>::failed("boom".into(), Log::new(), "boom".into(), detail)
+            })
+        };
+        let scope = crate::forensics::CaptureScope::begin();
+        // A failing exploration on another thread leaves the scope empty,
+        // however many workers it dispatches to.
+        std::thread::scope(|s| {
+            s.spawn(|| explore(1));
+            s.spawn(|| explore(2));
+        });
+        assert!(scope.take().is_empty());
+        // The opening thread's exploration records its failure, also from
+        // worker threads.
+        let scope = crate::forensics::CaptureScope::begin();
+        assert!(explore(2).failure.is_some());
+        let got = scope.take();
+        assert!(!got.is_empty());
+        assert_eq!(got[0].case_index, 0);
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! 1-minimal counterexample, and replays it deterministically. This module
 //! holds the core-side half of that pipeline:
 //!
-//! * a process-global **capture scope**: while a [`CaptureScope`] is alive,
-//!   every checker records its failing cases (grid index, context index,
-//!   the concrete machine log at the failure, and the reason) via
-//!   [`record`]. Outside a scope, [`record`] is a single relaxed atomic
-//!   load — ordinary verification runs pay nothing.
+//! * a thread-affine **capture scope**: while a [`CaptureScope`] is alive,
+//!   every checker *called on the thread that opened it* records its
+//!   failing cases (grid index, context index, the concrete machine log at
+//!   the failure, and the reason) via [`record`]. The exploration kernel
+//!   samples [`capturing`] once on its calling thread before dispatching
+//!   the grid, so its worker threads record exactly for the scope their
+//!   caller opened, and checks running on other threads (e.g. parallel
+//!   tests) never leak failures into it. Outside a scope, [`capturing`]
+//!   is a thread-local read — ordinary verification runs pay nothing.
 //! * [`ShrinkNote`] — the shrink-accounting record (original vs. minimized
 //!   steps, oracle iterations) that [`crate::calculus::Certificate`] and
 //!   the verifier's report rendering carry alongside ordinary obligations.
@@ -24,6 +28,7 @@
 //! grid case index and sorted on [`CaptureScope::take`], so the
 //! *index-least* capture is the same first failure the checker reported.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -57,6 +62,11 @@ fn active() -> &'static AtomicBool {
     &ACTIVE
 }
 
+thread_local! {
+    /// Whether this thread opened the live capture scope.
+    static OWNS_SCOPE: Cell<bool> = const { Cell::new(false) };
+}
+
 fn captured() -> &'static Mutex<Vec<FailingCase>> {
     static CAPTURED: OnceLock<Mutex<Vec<FailingCase>>> = OnceLock::new();
     CAPTURED.get_or_init(|| Mutex::new(Vec::new()))
@@ -67,16 +77,19 @@ fn gate() -> &'static Mutex<()> {
     GATE.get_or_init(|| Mutex::new(()))
 }
 
-/// Whether a capture scope is currently active. Checkers guard the (log
-/// clone) cost of building a [`FailingCase`] behind this.
+/// Whether the calling thread opened the currently active capture scope.
+/// Checkers sample this on the thread that starts an exploration and guard
+/// the (log clone) cost of building a [`FailingCase`] behind it.
 pub fn capturing() -> bool {
-    active().load(Ordering::Relaxed)
+    OWNS_SCOPE.with(Cell::get)
 }
 
-/// Records a failing case into the active capture scope. A no-op when no
-/// scope is active.
+/// Records a failing case into the active capture scope; a no-op when no
+/// scope is active. Callable from any thread — the exploration kernel's
+/// workers record on behalf of a caller whose [`capturing`] sample was
+/// true — so it does not re-check thread ownership.
 pub fn record(case: FailingCase) {
-    if !capturing() {
+    if !active().load(Ordering::Relaxed) {
         return;
     }
     captured()
@@ -85,16 +98,18 @@ pub fn record(case: FailingCase) {
         .push(case);
 }
 
-/// An exclusive failure-capture scope. While alive, checker failures are
-/// recorded process-wide; dropping (or [`CaptureScope::take`]) ends the
-/// scope and clears the buffer.
+/// An exclusive failure-capture scope. While alive, failures of checkers
+/// called on the opening thread are recorded; dropping (or
+/// [`CaptureScope::take`]) ends the scope and clears the buffer. The scope
+/// is not `Send` (it holds a mutex guard), so it ends on the thread that
+/// opened it.
 pub struct CaptureScope {
     _gate: MutexGuard<'static, ()>,
 }
 
 impl CaptureScope {
-    /// Opens a capture scope, waiting for any concurrently active scope to
-    /// finish first.
+    /// Opens a capture scope owned by the calling thread, waiting for any
+    /// concurrently active scope to finish first.
     pub fn begin() -> Self {
         let guard = gate().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         captured()
@@ -102,6 +117,7 @@ impl CaptureScope {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
         active().store(true, Ordering::Relaxed);
+        OWNS_SCOPE.with(|owns| owns.set(true));
         Self { _gate: guard }
     }
 
@@ -116,13 +132,15 @@ impl CaptureScope {
         );
         cases.sort_by_key(|c| c.case_index);
         cases
-        // `self` drops here, releasing the gate and clearing `active`.
+        // `self` drops here, releasing the gate and clearing `active` and
+        // the thread's ownership.
     }
 }
 
 impl Drop for CaptureScope {
     fn drop(&mut self) {
         active().store(false, Ordering::Relaxed);
+        OWNS_SCOPE.with(|owns| owns.set(false));
         captured()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -211,6 +229,16 @@ mod tests {
         let scope = CaptureScope::begin();
         record(case(3));
         assert_eq!(scope.take().len(), 1);
+    }
+
+    #[test]
+    fn only_the_opening_thread_is_capturing() {
+        let scope = CaptureScope::begin();
+        assert!(capturing());
+        let elsewhere = std::thread::spawn(capturing).join().unwrap();
+        assert!(!elsewhere, "another thread does not own the scope");
+        drop(scope);
+        assert!(!capturing());
     }
 
     #[test]

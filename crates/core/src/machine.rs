@@ -15,6 +15,7 @@
 //! guarantee condition on every local step.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::abs::{AbsError, AbsState};
 use crate::env::{EnvContext, EnvError};
@@ -153,15 +154,20 @@ impl From<EnvError> for MachineError {
 /// The layer machine for one focused participant over an interface `L[i]`,
 /// parameterized by an environment context `E`.
 ///
-/// Cloning is cheap — every heavy field is `Arc`/COW-backed — which is what
-/// makes [`LayerMachine::fork`] a viable snapshot primitive for the
-/// prefix-sharing exploration ([`crate::prefix`]).
+/// Cloning costs reference-count bumps plus a copy of the log's
+/// generation index and open region: the interface, the focused set and
+/// the environment are `Arc`-shared, the abstract state copies its field
+/// map only on the first write after a fork, and the log shares its sealed
+/// generations. That is what makes
+/// [`LayerMachine::fork`] a viable snapshot primitive for the
+/// prefix-sharing exploration ([`crate::prefix`]), which forks at every
+/// environment query point.
 #[derive(Clone)]
 pub struct LayerMachine {
-    iface: LayerInterface,
+    iface: Arc<LayerInterface>,
     /// The focused participant `i`.
     pub pid: Pid,
-    focused: PidSet,
+    focused: Arc<PidSet>,
     env: EnvContext,
     /// The abstract state `a`.
     pub abs: AbsState,
@@ -177,13 +183,16 @@ impl LayerMachine {
 
     /// Creates a machine for participant `pid` over `iface`, with
     /// environment context `env`. The abstract state starts from the
-    /// interface's `init_abs`, the log starts empty.
-    pub fn new(iface: LayerInterface, pid: Pid, env: EnvContext) -> Self {
+    /// interface's `init_abs`, the log starts empty. Checkers that create
+    /// many machines over one interface pass an `Arc<LayerInterface>` so
+    /// every machine shares it.
+    pub fn new(iface: impl Into<Arc<LayerInterface>>, pid: Pid, env: EnvContext) -> Self {
+        let iface = iface.into();
         let abs = iface.init_abs.clone();
         Self {
             iface,
             pid,
-            focused: PidSet::singleton(pid),
+            focused: Arc::new(PidSet::singleton(pid)),
             env,
             abs,
             log: Log::new(),
@@ -211,6 +220,12 @@ impl LayerMachine {
         &self.iface
     }
 
+    /// The shared interface allocation (tests check that forks share it).
+    #[cfg(test)]
+    fn iface_arc(&self) -> &Arc<LayerInterface> {
+        &self.iface
+    }
+
     /// The machine's environment context.
     pub fn env(&self) -> &EnvContext {
         &self.env
@@ -221,9 +236,10 @@ impl LayerMachine {
         self.iface.is_critical(self.pid, &self.log)
     }
 
-    /// Snapshots the machine at a call boundary: a cheap O(alive-handles)
-    /// clone of the Arc/COW-backed state (interface, environment, abstract
-    /// state, log, remaining fuel). Runs continued from the fork and from
+    /// Snapshots the machine at a call boundary: reference-count bumps for
+    /// the shared state (interface, focused set, environment, abstract
+    /// state, sealed log generations) plus a copy of the log's generation
+    /// index and open region and the remaining fuel. Runs continued from the fork and from
     /// the original diverge only through the events their environments
     /// append — the mechanism behind sharing a common schedule prefix
     /// across grid contexts ([`crate::prefix`]).
@@ -237,15 +253,16 @@ impl LayerMachine {
         self.clone()
     }
 
-    /// [`LayerMachine::fork`] under a different environment context. The
-    /// caller asserts that `env` agrees with the snapshot's context on the
-    /// schedule prefix already consumed in the log — then the continued run
-    /// is exactly the run the new context would have produced from scratch,
-    /// because strategies are pure functions of the log.
-    pub fn fork_with_env(&self, env: EnvContext) -> Self {
-        let mut m = self.clone();
-        m.env = env;
-        m
+    /// Rebinds the machine — typically a fork handed out by a snapshot
+    /// lookup — to a different environment context. The caller asserts
+    /// that `env` agrees with the snapshot's context on the schedule prefix
+    /// already consumed in the log — then the continued run is exactly the
+    /// run the new context would have produced from scratch, because
+    /// strategies are pure functions of the log. Resume a snapshot held by
+    /// reference with `snapshot.fork().with_env(env)`.
+    pub fn with_env(mut self, env: EnvContext) -> Self {
+        self.env = env;
+        self
     }
 
     /// Machine steps executed so far (fuel consumed out of the budget) —
@@ -529,7 +546,6 @@ mod tests {
     use crate::layer::PrimSpec;
     use crate::rely::{Conditions, Invariant, RelyGuarantee};
     use crate::strategy::RoundRobinScheduler;
-    use std::sync::Arc;
 
     fn tick_iface(conditions: RelyGuarantee) -> LayerInterface {
         LayerInterface::builder("L-tick")
@@ -622,6 +638,52 @@ mod tests {
         m.call_prim("tick", &[]).unwrap();
         // Only our own event was appended — no scheduling events in between.
         assert_eq!(m.log.len(), len_after_first + 1);
+    }
+
+    #[test]
+    fn forks_share_the_interface_and_focused_set() {
+        let m = LayerMachine::new(tick_iface(RelyGuarantee::none()), Pid(1), env2());
+        let f = m.fork();
+        assert!(Arc::ptr_eq(m.iface_arc(), f.iface_arc()));
+        assert!(Arc::ptr_eq(&m.focused, &f.focused));
+        let g = f.with_env(env2());
+        assert!(
+            Arc::ptr_eq(m.iface_arc(), g.iface_arc()),
+            "rebinding keeps it shared"
+        );
+        // Machines built from one `Arc` share it too.
+        let iface = Arc::new(tick_iface(RelyGuarantee::none()));
+        let a = LayerMachine::new(iface.clone(), Pid(0), env2());
+        let b = LayerMachine::new(iface.clone(), Pid(1), env2());
+        assert!(Arc::ptr_eq(a.iface_arc(), &iface) && Arc::ptr_eq(b.iface_arc(), &iface));
+    }
+
+    #[test]
+    fn fork_mutations_stay_on_their_side() {
+        let mut m = LayerMachine::new(tick_iface(RelyGuarantee::none()), Pid(1), env2());
+        m.abs.set("x", Val::Int(1));
+        m.call_prim("tick", &[]).unwrap();
+        let (abs0, log0) = (m.abs.clone(), m.log.clone());
+
+        // Mutating the fork leaves the original untouched.
+        let mut f = m.fork();
+        f.abs.set("x", Val::Int(2));
+        f.abs.set("y", Val::Int(3));
+        f.call_prim("tick", &[]).unwrap();
+        assert_eq!(m.abs, abs0);
+        assert_eq!(m.log, log0);
+        assert_eq!(f.abs.get_int("x").unwrap(), 2);
+        assert!(f.log.len() > log0.len());
+
+        // And the reverse: mutating the original leaves the fork untouched.
+        let g = m.fork();
+        let (gabs, glog) = (g.abs.clone(), g.log.clone());
+        m.abs.set("x", Val::Int(9));
+        m.call_prim("tick", &[]).unwrap();
+        assert_eq!(g.abs, gabs);
+        assert_eq!(g.log, glog);
+        assert_eq!(g.abs.get_int("x").unwrap(), 1);
+        assert_eq!(m.abs.get_int("x").unwrap(), 9);
     }
 
     #[test]

@@ -153,9 +153,18 @@ impl Conditions {
 /// A suite of `(pid, log)` probes used for empirical implication checking.
 /// Verifiers collect the logs reached while checking a layer and reuse them
 /// as probes for `Compat` side conditions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Probes live in `Arc`-shared chunks: [`ProbeSuite::extend_from`] and
+/// cloning share the other suite's chunks instead of copying every log, so
+/// certificates can merge and clone their probe logs all the way up a
+/// composition tower. Only [`crate::calculus::pcomp`] reads them.
+/// Iteration order, [`ProbeSuite::len`] and equality are those of the flat
+/// probe list; chunk boundaries are invisible.
+#[derive(Clone, Default)]
 pub struct ProbeSuite {
-    probes: Vec<(Pid, Log)>,
+    /// Non-empty chunks, oldest first.
+    chunks: Vec<Arc<Vec<(Pid, Log)>>>,
+    len: usize,
 }
 
 impl ProbeSuite {
@@ -164,29 +173,50 @@ impl ProbeSuite {
         Self::default()
     }
 
-    /// Adds a probe.
+    /// Adds a probe, appending to the last chunk unless another suite
+    /// shares it.
     pub fn push(&mut self, pid: Pid, log: Log) {
-        self.probes.push((pid, log));
+        match self.chunks.last_mut().and_then(Arc::get_mut) {
+            Some(chunk) => chunk.push((pid, log)),
+            None => self.chunks.push(Arc::new(vec![(pid, log)])),
+        }
+        self.len += 1;
     }
 
     /// Number of probes.
     pub fn len(&self) -> usize {
-        self.probes.len()
+        self.len
     }
 
     /// Whether the suite is empty.
     pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
+        self.len == 0
     }
 
     /// Iterates over probes.
     pub fn iter(&self) -> impl Iterator<Item = &(Pid, Log)> {
-        self.probes.iter()
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 
-    /// Merges another suite into this one.
+    /// Appends another suite's probes after this one's, sharing its chunks.
     pub fn extend_from(&mut self, other: &ProbeSuite) {
-        self.probes.extend(other.probes.iter().cloned());
+        self.chunks.extend(other.chunks.iter().cloned());
+        self.len += other.len;
+    }
+}
+
+impl PartialEq for ProbeSuite {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ProbeSuite {}
+
+impl fmt::Debug for ProbeSuite {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let probes: Vec<_> = self.iter().collect();
+        f.debug_struct("ProbeSuite").field("probes", &probes).finish()
     }
 }
 
@@ -316,6 +346,45 @@ mod tests {
         log.append(Event::prim(Pid(0), "x", vec![]));
         probes.push(Pid(0), log);
         assert_eq!(g.implies(&r, &probes), Some("le0".to_owned()));
+    }
+
+    fn probe(n: u32) -> (Pid, Log) {
+        let log = Log::from_events((0..n).map(|i| Event::prim(Pid(i), "x", vec![])));
+        (Pid(n), log)
+    }
+
+    #[test]
+    fn chunked_suites_equal_the_flat_list() {
+        let probes: Vec<(Pid, Log)> = (0..7).map(probe).collect();
+        let mut flat = ProbeSuite::new();
+        for (pid, log) in &probes {
+            flat.push(*pid, log.clone());
+        }
+        // The same probes assembled from three suites, one of them shared
+        // with a clone that keeps growing afterwards.
+        let mut a = ProbeSuite::new();
+        a.push(probes[0].0, probes[0].1.clone());
+        a.push(probes[1].0, probes[1].1.clone());
+        let mut b = ProbeSuite::new();
+        for (pid, log) in &probes[2..5] {
+            b.push(*pid, log.clone());
+        }
+        let mut b_clone = b.clone();
+        b_clone.push(Pid(99), Log::new());
+        let mut chunked = ProbeSuite::new();
+        chunked.extend_from(&a);
+        chunked.extend_from(&ProbeSuite::new());
+        chunked.extend_from(&b);
+        chunked.push(probes[5].0, probes[5].1.clone());
+        chunked.push(probes[6].0, probes[6].1.clone());
+        assert_eq!(chunked.len(), flat.len());
+        assert_eq!(chunked, flat);
+        assert!(chunked.iter().eq(probes.iter()));
+        // Growing the clone (or the chunked suite) touched no shared chunk.
+        assert_eq!(b.len(), 3);
+        assert!(b.iter().eq(probes[2..5].iter()));
+        assert_eq!(b_clone.len(), 4);
+        assert_ne!(chunked, b_clone);
     }
 
     #[test]

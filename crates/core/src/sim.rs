@@ -151,17 +151,28 @@ impl SimRelation {
 
     /// Applies the abstraction to a lower log, producing the related upper
     /// log (without scheduling events), or `None` if outside the domain.
+    /// A per-event first stage reads the lower log directly, skipping its
+    /// scheduling events, instead of first materializing the sched-free
+    /// copy.
     pub fn abstracted(&self, lower: &Log) -> Option<Log> {
-        let mut cur = lower.without_sched();
-        for stage in self.stages.iter() {
+        fn per_event<'a>(f: &EventAbsFn, events: impl Iterator<Item = &'a Event>) -> Log {
+            let mut out = Log::new();
+            for e in events {
+                out.extend(f(e));
+            }
+            out
+        }
+        let mut stages = self.stages.iter();
+        let mut cur = match stages.next() {
+            None => return Some(lower.without_sched()),
+            Some(RelStage::PerEvent(f)) => {
+                per_event(f.as_ref(), lower.iter().filter(|e| !e.is_sched()))
+            }
+            Some(RelStage::Whole(f)) => f(&lower.without_sched())?,
+        };
+        for stage in stages {
             cur = match stage {
-                RelStage::PerEvent(f) => {
-                    let mut out = Vec::with_capacity(cur.len());
-                    for e in cur.iter() {
-                        out.extend(f(e));
-                    }
-                    Log::from_events(out)
-                }
+                RelStage::PerEvent(f) => per_event(f.as_ref(), cur.iter()),
                 RelStage::Whole(f) => f(&cur)?,
             };
         }
@@ -171,10 +182,8 @@ impl SimRelation {
     /// Whether `R(lower, upper)` holds: the abstraction of `lower` equals
     /// `upper` modulo scheduling events.
     pub fn holds(&self, lower: &Log, upper: &Log) -> bool {
-        match self.abstracted(lower) {
-            Some(abs) => abs == upper.without_sched(),
-            None => false,
-        }
+        self.abstracted(lower)
+            .is_some_and(|abs| eq_modulo_sched(&abs, upper))
     }
 
     /// Relation composition `self ∘ next` in diagram order: `self` relates
@@ -206,6 +215,14 @@ impl SimRelation {
             .insert(key, composed.clone());
         composed
     }
+}
+
+/// Whether the sched-free log `expected` equals `upper` with its
+/// scheduling events dropped — compared in one pass, without building the
+/// sched-free copy of `upper`.
+fn eq_modulo_sched(expected: &Log, upper: &Log) -> bool {
+    expected.len() == upper.len() - upper.sched_count()
+        && expected.iter().eq(upper.iter().filter(|e| !e.is_sched()))
 }
 
 impl fmt::Debug for SimRelation {
@@ -256,7 +273,7 @@ pub fn replay_env_set(expected: &Log, focused: &crate::id::PidSet) -> EnvContext
             *i += 1;
         }
         let target = target.unwrap_or_else(|| {
-            let turn = log.iter().filter(|e| e.is_sched()).count();
+            let turn = log.sched_count();
             fallback[turn % fallback.len()]
         });
         StrategyMove::Emit(vec![Event::sched(target)])
@@ -778,10 +795,14 @@ pub fn check_prim_refinement(
             h.finish().0
         })
         .collect();
+    // Both interfaces are wrapped once per check: every machine below
+    // shares its `Arc` instead of deep-copying the interface.
+    let lower_shared = Arc::new(lower_iface.clone());
+    let upper_shared = Arc::new(upper_iface.clone());
     let run_upper = |expected: &Log, args: &[Val]| -> UpperRun {
         let upper_env = replay_env(expected, pid);
         let mut upper =
-            LayerMachine::new(upper_iface.clone(), pid, upper_env).with_fuel(opts.fuel);
+            LayerMachine::new(upper_shared.clone(), pid, upper_env).with_fuel(opts.fuel);
         for (sname, sargs) in &opts.setup {
             match upper.call_prim(sname, sargs) {
                 Ok(_) => {}
@@ -832,8 +853,7 @@ pub fn check_prim_refinement(
         None => crate::explore::Kernel::new(&explore_opts),
     };
     let deep = kernel.deep();
-    let sched_consumed =
-        |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
+    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
     // Content-derived inner indices. A memo/trie entry's inner
     // identifies the *computation* it belongs to — the completed call
     // history plus (for call-scoped states) the call in flight and its
@@ -1060,7 +1080,7 @@ pub fn check_prim_refinement(
     let exec_lower = |env: &EnvContext, ai: usize, args: &[Val]| -> (LowerRun, usize) {
         let key = kernel.share_key(env);
         let fresh =
-            || LayerMachine::new(lower_iface.clone(), pid, env.clone()).with_fuel(opts.fuel);
+            || LayerMachine::new(lower_shared.clone(), pid, env.clone()).with_fuel(opts.fuel);
         let mut lower = if opts.setup.is_empty() {
             fresh()
         } else {
@@ -1080,13 +1100,13 @@ pub fn check_prim_refinement(
                             return (outcome, depth);
                         }
                         Some((_, SimSnap::PostSetup { machine })) => {
-                            // Fork at the divergence point: the snapshot's
-                            // log was produced under a script agreeing with
-                            // `env`'s on every slot it consumed, so
-                            // resuming under `env` is identical to having
-                            // run setup under it.
+                            // The lookup forked at the divergence point:
+                            // the snapshot's log was produced under a
+                            // script agreeing with `env`'s on every slot it
+                            // consumed, so resuming under `env` is
+                            // identical to having run setup under it.
                             crate::prefix::record_shared();
-                            break 'setup machine.fork_with_env(env.clone());
+                            break 'setup machine.with_env(env.clone());
                         }
                         _ => {}
                     }
@@ -1098,7 +1118,7 @@ pub fn check_prim_refinement(
                             // call's pre-flush state, counting only the
                             // suffix work.
                             crate::prefix::record_shared();
-                            let mut m = machine.fork_with_env(env.clone());
+                            let mut m = machine.with_env(env.clone());
                             let pre = m.steps_taken() + m.log.len() as u64;
                             let early = run_setup(&mut m, call + 1, None, key);
                             crate::prefix::record_steps(
@@ -1115,7 +1135,7 @@ pub fn check_prim_refinement(
                             // Resume the in-flight setup call from its
                             // query point and finish the remaining calls.
                             crate::prefix::record_deep();
-                            let mut m = machine.fork_with_env(env.clone());
+                            let mut m = machine.with_env(env.clone());
                             let pre = m.steps_taken() + m.log.len() as u64;
                             let early = run_setup(&mut m, call, Some(run), key);
                             crate::prefix::record_steps(
@@ -1176,7 +1196,7 @@ pub fn check_prim_refinement(
                     kernel.lookup_snapshot(k, inner)
                 {
                     crate::prefix::record_shared();
-                    let mut lower = machine.fork_with_env(env.clone());
+                    let mut lower = machine.with_env(env.clone());
                     let pre = lower.steps_taken() + lower.log.len() as u64;
                     if deep {
                         let r = ret.clone();
@@ -1207,7 +1227,7 @@ pub fn check_prim_refinement(
                 kernel.lookup_snapshot(k, chk_inflight[ai])
             {
                 crate::prefix::record_deep();
-                let mut lower = machine.fork_with_env(env.clone());
+                let mut lower = machine.with_env(env.clone());
                 let pre = lower.steps_taken() + lower.log.len() as u64;
                 let res = {
                     let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| {
@@ -1229,17 +1249,18 @@ pub fn check_prim_refinement(
     let explored = kernel.explore("sim", contexts, nargs, |ci, ai| {
         let env = &contexts[ci];
         let args = &arg_vectors[ai];
-        let case = format!("context #{ci}, args #{ai} {args:?}");
         // A failing case carries the forensics payload — the witness lower
         // log, the reason, the case description — alongside the failure.
-        let failed = |case: String, lower_log: Log, upper_log: Log, reason: String| {
+        // The description is built only here, on the failure paths.
+        let failed = |lower_log: Log, upper_log: Log, reason: String| {
+            let case = format!("context #{ci}, args #{ai} {args:?}");
             let (log, r, detail) = (lower_log.clone(), reason.clone(), case.clone());
             Case::failed(fail(case, lower_log, upper_log, reason), log, r, detail)
         };
         let (lower_log, lower_ret) = match run_lower(env, ai, args) {
             LowerRun::Skipped => return Case::Skipped,
             LowerRun::Failed { lower_log, reason } => {
-                return failed(case, lower_log, Log::new(), reason);
+                return failed(lower_log, Log::new(), reason);
             }
             LowerRun::Done {
                 lower_log,
@@ -1251,7 +1272,6 @@ pub fn check_prim_refinement(
             Some(l) => l,
             None => {
                 return failed(
-                    case,
                     lower_log.clone(),
                     Log::new(),
                     format!("lower log outside domain of {}", relation.name),
@@ -1280,7 +1300,7 @@ pub fn check_prim_refinement(
         };
         match upper_run {
             UpperRun::Skipped => Case::Skipped,
-            UpperRun::Failed { reason, upper_log } => failed(case, lower_log, upper_log, reason),
+            UpperRun::Failed { reason, upper_log } => failed(lower_log, upper_log, reason),
             UpperRun::Done {
                 upper_log,
                 upper_ret,
@@ -1288,9 +1308,8 @@ pub fn check_prim_refinement(
                 // 5. Compare logs modulo R — `expected` *is* the
                 // abstraction of the lower log, so `R(lower, upper)`
                 // reduces to one comparison — and return values.
-                if expected != upper_log.without_sched() {
+                if !eq_modulo_sched(&expected, &upper_log) {
                     return failed(
-                        case,
                         lower_log,
                         upper_log,
                         format!("logs not related by {}", relation.name),
@@ -1298,7 +1317,6 @@ pub fn check_prim_refinement(
                 }
                 if opts.compare_rets && lower_ret != upper_ret {
                     return failed(
-                        case,
                         lower_log,
                         upper_log,
                         format!("return values differ: {lower_ret} vs {upper_ret}"),

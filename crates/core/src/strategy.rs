@@ -278,7 +278,7 @@ impl RoundRobinScheduler {
 
 impl Strategy for RoundRobinScheduler {
     fn next_move(&self, log: &Log) -> StrategyMove {
-        let k = log.iter().filter(|e| e.is_sched()).count();
+        let k = log.sched_count();
         let target = self.domain[k % self.domain.len()];
         StrategyMove::Emit(vec![Event::sched(target)])
     }
@@ -317,7 +317,7 @@ impl ScriptScheduler {
 
 impl Strategy for ScriptScheduler {
     fn next_move(&self, log: &Log) -> StrategyMove {
-        let k = log.iter().filter(|e| e.is_sched()).count();
+        let k = log.sched_count();
         match self.script.get(k) {
             Some(target) => StrategyMove::Emit(vec![Event::sched(*target)]),
             None => self.fallback.next_move(log),

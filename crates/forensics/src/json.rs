@@ -186,6 +186,7 @@ impl std::error::Error for ParseError {}
 /// [`ParseError`] on malformed input; floats are rejected.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -199,6 +200,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -314,12 +316,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both delimiters are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -409,6 +414,29 @@ mod tests {
         assert!(parse("1.5").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn multi_byte_runs_next_to_escapes_round_trip() {
+        for s in ["⊢∘é", "a⊢\"b\"∘\\é\n", "\"⊢\"", "é\u{0001}∘", "\\\\⊢", "∘"] {
+            let v = Json::Str(s.to_owned());
+            assert_eq!(parse(&v.pretty()).unwrap(), v, "{s:?}");
+        }
+        assert_eq!(
+            parse(r#""x⊢\n∘\"é""#).unwrap(),
+            Json::Str("x⊢\n∘\"é".into())
+        );
+        // An unterminated string still reports the end of input.
+        let err = parse("\"⊢∘").unwrap_err();
+        assert_eq!(err.at, "\"⊢∘".len());
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_to_the_same_value() {
+        let big: String = "ab⊢é\"∘\\".repeat(1 << 17);
+        assert!(big.len() >= 1 << 20);
+        let v = Json::obj([("big", Json::Str(big)), ("n", Json::Int(7))]);
+        assert_eq!(parse(&v.pretty()).unwrap(), v);
     }
 
     #[test]

@@ -124,8 +124,8 @@ pub fn check_liveness_tuned(
     type LiveSnap = ccal_core::explore::RunSnap<()>;
     let kernel: Kernel<LiveSnap, LowerRun> =
         Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
-    let sched_consumed =
-        |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
+    let iface = std::sync::Arc::new(iface.clone());
+    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
     let snap_point = |k: &ccal_core::prefix::ScheduleKey,
                       mach: &LayerMachine,
                       run: &dyn ccal_core::layer::PrimRun| {
@@ -141,9 +141,10 @@ pub fn check_liveness_tuned(
         let key = kernel.deep_key(env);
         if let Some(k) = key {
             if let Some((_, LiveSnap { machine, run, .. })) = kernel.resume_deepest(k, 0) {
-                // Fork the deepest snapshotted ancestor and execute only
-                // the schedule suffix, counting only the suffix work.
-                let mut machine = machine.fork_with_env(env.clone());
+                // Resume the deepest snapshotted ancestor (the lookup
+                // already forked it) and execute only the schedule
+                // suffix, counting only the suffix work.
+                let mut machine = machine.with_env(env.clone());
                 let pre = machine.steps_taken() + machine.log.len() as u64;
                 let mut hook = |mach: &LayerMachine, run: &dyn ccal_core::layer::PrimRun| {
                     snap_point(k, mach, run);
@@ -194,7 +195,7 @@ pub fn check_liveness_tuned(
                 return fail(reason, &log, LayerError::Machine(e));
             }
         }
-        let steps = log.iter().filter(|e| e.is_sched()).count() as u64;
+        let steps = log.sched_count() as u64;
         if steps > bound {
             return fail(
                 format!("{steps} steps exceed the bound {bound}"),

@@ -139,8 +139,10 @@ pub fn check_sequence_refinement_tuned(
     let nscripts = scripts.len();
     let kernel: Kernel<SeqSnap, ImplRun> =
         Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
-    let sched_consumed =
-        |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
+    // Every impl and spec machine shares one `Arc` of its interface.
+    let impl_shared = std::sync::Arc::new(impl_iface.clone());
+    let spec_shared = std::sync::Arc::new(spec_iface.clone());
+    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
     // Runs script `si` on `m` from call index `first` (finishing `inflight`
     // first when resuming a snapshot), capturing a snapshot at every query
     // point when deep sharing is on. Returns the completed return values,
@@ -214,9 +216,10 @@ pub fn check_sequence_refinement_tuned(
             if let Some((_, SeqSnap { machine, run, extra: (call, rets) })) =
                 kernel.resume_deepest(k, si)
             {
-                // Fork the deepest snapshotted ancestor and execute only
-                // the schedule suffix, counting only the suffix work.
-                let mut m = machine.fork_with_env(env.clone());
+                // Resume the deepest snapshotted ancestor (the lookup
+                // already forked it) and execute only the schedule
+                // suffix, counting only the suffix work.
+                let mut m = machine.with_env(env.clone());
                 let pre = m.steps_taken() + m.log.len() as u64;
                 let outcome = match run_script(&mut m, si, call, Some(run), rets, Some(k)) {
                     Ok(rets) => ImplRun::Done {
@@ -230,7 +233,7 @@ pub fn check_sequence_refinement_tuned(
             }
         }
         let mut impl_machine =
-            LayerMachine::new(impl_iface.clone(), pid, env.clone()).with_fuel(fuel);
+            LayerMachine::new(impl_shared.clone(), pid, env.clone()).with_fuel(fuel);
         let outcome = match run_script(&mut impl_machine, si, 0, None, Vec::new(), key) {
             Ok(rets) => ImplRun::Done {
                 log: impl_machine.log.clone(),
@@ -269,7 +272,7 @@ pub fn check_sequence_refinement_tuned(
             );
         };
         let mut spec_machine =
-            LayerMachine::new(spec_iface.clone(), pid, replay_env(&expected, pid)).with_fuel(fuel);
+            LayerMachine::new(spec_shared.clone(), pid, replay_env(&expected, pid)).with_fuel(fuel);
         let mut spec_rets = Vec::with_capacity(script.len());
         for (name, args) in script {
             match spec_machine.call_prim(name, args) {

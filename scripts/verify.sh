@@ -8,7 +8,9 @@
 # execution tiers and with sharing keys pinned), and criterion-free
 # benchmark smoke runs including the B5 (whole-prefix), B5d (query-point
 # snapshot), B6 (compiled ClightX bytecode VM) and B8 (semantic sharing
-# keys) step-ratio gates. Everything here works without network access —
+# keys) step-ratio gates, and the end-to-end benchmark package's own tests
+# (its traced layer-by-layer pipeline must answer like the checkers' entry
+# points). Everything here works without network access —
 # proptest/criterion resolve to the in-repo shim crates. Each stage
 # reports its own wall time so perf regressions in the harness itself are
 # visible.
@@ -103,5 +105,8 @@ stage "bench gate (no criterion): sharing --quick (asserts B8 semantic/pinned at
 
 stage "certd service e2e: sharded grid, zero-step cache hits, SIGKILL recovery, store persistence" \
   scripts/certd_e2e.sh
+
+stage "e2ebench package tests: the traced per-layer pipeline and the certd replay answer like the entry points and the live daemon" \
+  cargo test --release --manifest-path e2ebench/Cargo.toml
 
 echo "verify: all green"

@@ -83,7 +83,7 @@ fn run_with_snapshots(
 fn resume_snapshot(snap: &(LayerMachine, Box<dyn PrimRun>), env: &EnvContext) -> String {
     let (m, r) = snap;
     let run = r.fork_run().expect("StepWait is forkable");
-    let mut machine = m.fork_with_env(env.clone());
+    let mut machine = m.fork().with_env(env.clone());
     let mut hook = |_: &LayerMachine, _: &dyn PrimRun| {};
     let res = machine.resume_query(run, &mut hook);
     outcome(res, &machine)
