@@ -38,13 +38,13 @@
 //! capture for free.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::conc::{ConcurrentMachine, ConcurrentOutcome, GameState, ThreadScript};
 use crate::env::EnvContext;
+use crate::fxhash::FxHashMap;
 use crate::id::PidSet;
 use crate::layer::{LayerInterface, PrimRun};
 use crate::log::Log;
@@ -518,7 +518,7 @@ pub struct BoundedCache<K, V> {
 }
 
 struct CacheStore<K, V> {
-    entries: HashMap<K, (usize, u64, V)>,
+    entries: FxHashMap<K, (usize, u64, V)>,
     next_seq: u64,
 }
 
@@ -528,7 +528,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     pub fn new(cap: usize) -> Self {
         Self {
             map: Mutex::new(CacheStore {
-                entries: HashMap::new(),
+                entries: FxHashMap::default(),
                 next_seq: 0,
             }),
             cap: cap.max(1),

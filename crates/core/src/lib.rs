@@ -80,6 +80,7 @@ pub mod event;
 pub mod explore;
 pub mod fingerprint;
 pub mod forensics;
+mod fxhash;
 pub mod id;
 pub mod layer;
 pub mod log;

@@ -154,11 +154,11 @@ impl From<EnvError> for MachineError {
 /// The layer machine for one focused participant over an interface `L[i]`,
 /// parameterized by an environment context `E`.
 ///
-/// Cloning costs reference-count bumps plus a copy of the log's
-/// generation index and open region: the interface, the focused set and
-/// the environment are `Arc`-shared, the abstract state copies its field
-/// map only on the first write after a fork, and the log shares its sealed
-/// generations. That is what makes
+/// Cloning costs reference-count bumps only: the interface, the focused
+/// set and the environment are `Arc`-shared, the abstract state copies
+/// its field map only on the first write after a fork, and the persistent
+/// log shares all of its events (its next append starts a new generation
+/// instead of copying the shared tail). That is what makes
 /// [`LayerMachine::fork`] a viable snapshot primitive for the
 /// prefix-sharing exploration ([`crate::prefix`]), which forks at every
 /// environment query point.
@@ -238,8 +238,8 @@ impl LayerMachine {
 
     /// Snapshots the machine at a call boundary: reference-count bumps for
     /// the shared state (interface, focused set, environment, abstract
-    /// state, sealed log generations) plus a copy of the log's generation
-    /// index and open region and the remaining fuel. Runs continued from the fork and from
+    /// state, log) plus a copy of the remaining fuel; no event is copied.
+    /// Runs continued from the fork and from
     /// the original diverge only through the events their environments
     /// append — the mechanism behind sharing a common schedule prefix
     /// across grid contexts ([`crate::prefix`]).

@@ -53,10 +53,10 @@
 //!
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::fxhash::FxHashMap;
 use crate::id::Pid;
 
 /// Whether prefix-sharing is enabled for this process.
@@ -262,17 +262,17 @@ impl ScheduleKey {
 /// key's script (`Vec<Pid>: Borrow<[Pid]>`) — looking up every prefix
 /// depth allocates nothing while the lock is held.
 pub struct PrefixMemo<T> {
-    map: Mutex<HashMap<(u64, usize), PrefixShard<T>>>,
+    map: Mutex<FxHashMap<(u64, usize), PrefixShard<T>>>,
 }
 
 /// One `(family, inner)` shard: consumed prefix → cached outcome.
-type PrefixShard<T> = HashMap<Vec<Pid>, T>;
+type PrefixShard<T> = FxHashMap<Vec<Pid>, T>;
 
 impl<T: Clone> PrefixMemo<T> {
     /// Creates an empty memo.
     pub fn new() -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(FxHashMap::default()),
         }
     }
 
@@ -321,7 +321,7 @@ impl<T: Clone> PrefixMemo<T> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .values()
-            .map(HashMap::len)
+            .map(FxHashMap::len)
             .sum()
     }
 
@@ -382,7 +382,7 @@ pub struct SnapshotTrie<S> {
 
 /// One resident snapshot per `(family, inner)` shard, keyed by consumed
 /// schedule prefix and tagged with its insertion sequence number.
-type SnapshotShards<S> = HashMap<(u64, usize), HashMap<Vec<Pid>, (u64, S)>>;
+type SnapshotShards<S> = FxHashMap<(u64, usize), FxHashMap<Vec<Pid>, (u64, S)>>;
 
 struct SnapshotStore<S> {
     shards: SnapshotShards<S>,
@@ -396,7 +396,7 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
     pub fn new(cap: usize) -> Self {
         Self {
             map: Mutex::new(SnapshotStore {
-                shards: HashMap::new(),
+                shards: FxHashMap::default(),
                 len: 0,
                 next_seq: 0,
             }),

@@ -29,7 +29,7 @@
 //! and return values. Contexts that violate the rely condition are skipped
 //! — the definition only quantifies over valid contexts.
 //!
-//! # Parallel exploration and state dedup
+//! # Parallel exploration and the upper-run memo
 //!
 //! The `(context × argument-vector)` grid is explored by the unified
 //! exploration kernel ([`crate::explore::Kernel`]): a shared atomic work

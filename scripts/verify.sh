@@ -4,8 +4,11 @@
 # bytecode-tier and semantic-sharing differential suites (each
 # optimization both on and under its CCAL_POR=0 / CCAL_PREFIX_SHARE=0 /
 # CCAL_PREFIX_DEEP=0 / CCAL_BYTECODE=0 / CCAL_SHARE_SEMANTIC=0 escape
-# hatch), the engine regression tests, the full workspace tests (on both
-# execution tiers and with sharing keys pinned), and criterion-free
+# hatch), the engine regression tests, the persistent-log and kernel
+# hasher unit tests once more as a release build (the hasher is wrapping
+# arithmetic, and release builds drop overflow checks and debug
+# assertions), the full workspace tests (on both execution tiers and
+# with sharing keys pinned), and criterion-free
 # benchmark smoke runs including the B5 (whole-prefix), B5d (query-point
 # snapshot), B6 (compiled ClightX bytecode VM) and B8 (semantic sharing
 # keys) step-ratio gates, and the end-to-end benchmark package's own tests
@@ -75,6 +78,9 @@ stage "differential: sharing differential under the escape hatch (CCAL_SHARE_SEM
 
 stage "regression: grid sampling, space_size, workers, cache cap" \
   cargo test -q -p ccal-core -- contexts:: par:: por:: sim::
+
+stage "regression: persistent log and kernel hasher unit tests (release build)" \
+  cargo test -q --release -p ccal-core --lib -- log:: fxhash::
 
 stage "workspace tests" \
   cargo test --workspace -q
