@@ -12,7 +12,8 @@
 //! certifications of the nine-unit ticket stack — at each schedule
 //! length:
 //!
-//! * **pinned** — `CCAL_SHARE_SEMANTIC=0` semantics with no warm state:
+//! * **pinned** — semantic keys forced off (`ShareSemanticOverride`),
+//!   with no warm state:
 //!   the prefix-memo family is the unit fingerprint and every unit of
 //!   every request rebuilds its exploration state from zero (the
 //!   engine's pre-ShareKey per-request behaviour);

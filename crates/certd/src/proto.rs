@@ -44,8 +44,8 @@ pub struct Lease {
     /// The unit's semantic sharing key — the warm-state key on the
     /// shard. Units of one stack whose lower machines are content-equal
     /// carry the same key and share one warm exploration state; equal to
-    /// `fingerprint` when semantic sharing is disabled
-    /// (`CCAL_SHARE_SEMANTIC=0`).
+    /// `fingerprint` when semantic sharing is forced off
+    /// (`ccal_core::prefix::ShareSemanticOverride`).
     pub share: String,
     /// Exploration parameters.
     pub params: CertParams,

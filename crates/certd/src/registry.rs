@@ -54,7 +54,7 @@ pub struct UnitDef {
     /// Semantic sharing key (32 hex digits): the content identity of the
     /// unit's lower-machine exploration family. Units with equal keys
     /// share one warm exploration state; equals the fingerprint rendering
-    /// when semantic sharing is disabled (`CCAL_SHARE_SEMANTIC=0`).
+    /// when semantic sharing is forced off ([`prefix::ShareSemanticOverride`]).
     pub share: String,
     /// Flat grid size (`contexts × argument vectors`), the leaseable
     /// index space.
@@ -113,7 +113,7 @@ impl CtxSpec {
         // cross-family memo aliasing impossible, so `with_family` must
         // come after them — `ContextGen` debug-asserts this ordering.
         // The pinned family is the unit's semantic sharing key (or its
-        // fingerprint with `CCAL_SHARE_SEMANTIC=0`), chosen by
+        // fingerprint with semantic sharing forced off), chosen by
         // `run_unit`, so content-equal lower machines share warm state.
         let gen = gen
             .with_schedule_len(params.schedule_len)
@@ -338,13 +338,13 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.section("sim_options");
     h.u64("opt.fuel", sim.fuel);
     h.bool("opt.compare_rets", sim.compare_rets);
-    h.usize("opt.workers", sim.workers);
+    h.usize("opt.workers", sim.explore.workers);
     h.bool("opt.dedup", sim.dedup);
-    h.bool("opt.por", sim.por);
-    h.bool("opt.prefix_share", sim.prefix_share);
-    h.bool("opt.deep_share", sim.deep_share);
+    h.bool("opt.por", sim.explore.por);
+    h.bool("opt.prefix_share", sim.explore.prefix_share);
+    h.bool("opt.deep_share", sim.explore.deep_share);
     h.bool("opt.bytecode", sim.bytecode);
-    h.usize("opt.snapshot_cap", sim.snapshot_cap);
+    h.usize("opt.snapshot_cap", sim.explore.snapshot_cap);
     h.usize("opt.upper_cache_cap", sim.upper_cache_cap);
     h.finish()
 }
@@ -498,7 +498,7 @@ pub fn run_unit(
 /// explored over one context-grid structure, so every entry a lookup can
 /// hit describes the identical deterministic computation — whether the
 /// hitter is a re-run of the same unit, a different unit of the same
-/// family, or a later request. (With `CCAL_SHARE_SEMANTIC=0` the key
+/// family, or a later request. (With semantic sharing forced off the key
 /// degenerates to the unit fingerprint and reuse is strictly per-unit.)
 #[derive(Debug, Default)]
 pub struct WarmMap {
@@ -641,10 +641,7 @@ mod tests {
 
     #[test]
     fn semantic_share_keys_group_units_into_families() {
-        // Pin the mode: the suite also runs under CCAL_SHARE_SEMANTIC=0,
-        // where shares legitimately degenerate to fingerprints.
         let _mode = share_mode_lock();
-        let _on = prefix::ShareSemanticOverride::force(true);
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("resolves");
         let share = |name: &str| {

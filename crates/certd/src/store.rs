@@ -8,9 +8,9 @@
 //! are stored too: re-requesting a known-bad unit replays its rendered
 //! counterexample with zero exploration steps.
 //!
-//! The `CCAL_CERTD_CACHE=0` escape hatch disables *hits* (every lookup
-//! misses) without disabling writes, so a suspect cache can be bypassed
-//! and repopulated in one run.
+//! A request with `use_cache` off (`ccal-certd certify --no-cache`)
+//! skips every lookup but still writes its results, so a suspect cache
+//! can be bypassed and repopulated in one run.
 
 use std::collections::HashMap;
 use std::fs;
@@ -18,7 +18,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use ccal_core::envflag;
 use ccal_core::fingerprint::ContentHash;
 use ccal_forensics::json::{self, Json};
 
@@ -201,26 +200,8 @@ impl CertStore {
         })
     }
 
-    /// Whether lookups may hit (the `CCAL_CERTD_CACHE` hatch; writes are
-    /// unaffected). Unlike the engine's `CCAL_*` flags this one is read
-    /// on every lookup, not cached at first use: it is an operational
-    /// hatch for a long-running daemon, so flipping the variable must
-    /// not require a restart.
-    pub fn hits_enabled() -> bool {
-        match std::env::var("CCAL_CERTD_CACHE") {
-            Ok(raw) => envflag::parse_bool(&raw).unwrap_or_else(|| {
-                envflag::warn_ignored("CCAL_CERTD_CACHE", &raw, "0 disables cache hits");
-                true
-            }),
-            Err(_) => true,
-        }
-    }
-
-    /// The stored verdict for `fp`, unless hits are disabled.
+    /// The stored verdict for `fp`.
     pub fn get(&self, fp: ContentHash) -> Option<StoredUnit> {
-        if !Self::hits_enabled() {
-            return None;
-        }
         self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(&fp).cloned()
     }
 
@@ -252,12 +233,8 @@ impl CertStore {
             .insert(fp, unit);
     }
 
-    /// The stored stack manifest for `fp`, unless hits are disabled
-    /// (the same `CCAL_CERTD_CACHE` hatch that gates unit hits).
+    /// The stored stack manifest for `fp`.
     pub fn get_manifest(&self, fp: ContentHash) -> Option<StoredManifest> {
-        if !Self::hits_enabled() {
-            return None;
-        }
         self.manifests
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -290,15 +267,6 @@ impl CertStore {
 mod tests {
     use super::*;
 
-    /// Serializes tests against the per-lookup `CCAL_CERTD_CACHE` read:
-    /// every test that mutates the variable or performs lookups takes
-    /// this, so the kill-switch test cannot disable a neighbour's hits.
-    static ENV: Mutex<()> = Mutex::new(());
-
-    fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-        ENV.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn fp(n: u128) -> ContentHash {
         ContentHash(n)
     }
@@ -315,7 +283,6 @@ mod tests {
 
     #[test]
     fn memory_store_round_trips() {
-        let _env = env_guard();
         let store = CertStore::in_memory();
         assert!(store.is_empty());
         store.put(fp(42), sample("op"));
@@ -325,7 +292,6 @@ mod tests {
 
     #[test]
     fn persistent_store_survives_reopen() {
-        let _env = env_guard();
         let dir = std::env::temp_dir().join(format!("ccal-certd-store-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
@@ -348,7 +314,6 @@ mod tests {
 
     #[test]
     fn failed_disk_write_keeps_the_record_and_leaves_no_temp_file() {
-        let _env = env_guard();
         let dir = std::env::temp_dir().join(format!("ccal-certd-fstore-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = CertStore::at_dir(dir.clone()).expect("creates");
@@ -377,7 +342,6 @@ mod tests {
 
     #[test]
     fn manifests_round_trip_and_survive_reopen() {
-        let _env = env_guard();
         let store = CertStore::in_memory();
         assert_eq!(store.get_manifest(fp(99)), None);
         store.put_manifest(fp(99), manifest());
@@ -398,17 +362,5 @@ mod tests {
         );
         assert_eq!(reopened.len(), 1, "manifest files are not unit records");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_hits_respect_the_kill_switch() {
-        let _env = env_guard();
-        let store = CertStore::in_memory();
-        store.put_manifest(fp(5), manifest());
-        std::env::set_var("CCAL_CERTD_CACHE", "0");
-        let hit = store.get_manifest(fp(5));
-        std::env::remove_var("CCAL_CERTD_CACHE");
-        assert_eq!(hit, None, "hits disabled by the kill switch");
-        assert_eq!(store.get_manifest(fp(5)), Some(manifest()));
     }
 }

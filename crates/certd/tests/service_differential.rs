@@ -459,32 +459,32 @@ fn clean_recertify_skips_registry_decomposition() {
     assert!(third.certified, "qlock certifies on the interpreter tier");
 }
 
-/// The `CCAL_CERTD_CACHE=0` hatch disables store hits (the daemon
-/// process reads it per lookup), forcing recertification.
+/// A request with `use_cache` off (`--no-cache`) skips every store
+/// lookup, forcing recertification, and still writes its results.
 #[test]
 fn cache_kill_switch_forces_recertification() {
     let _guard = serial();
-    let p = CertParams::default();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
-    req.params = p;
+    req.params = CertParams::default();
+    req.use_cache = false;
     // Warm reuse off, so a forced re-check is visible in the step
     // counters (a warm re-check can legitimately cost zero steps).
     req.warm = false;
     let first = ccal_certd::certify(&addr, &req).expect("daemon answers");
     assert!(first.certified);
-    std::env::set_var("CCAL_CERTD_CACHE", "0");
-    let second = ccal_certd::certify(&addr, &req);
-    std::env::remove_var("CCAL_CERTD_CACHE");
-    let second = second.expect("daemon answers");
-    assert_eq!(second.cache_hits, 0, "hits disabled by the kill switch");
+    let second = ccal_certd::certify(&addr, &req).expect("daemon answers");
+    assert!(!second.manifest_hit, "no manifest lookup without the cache");
+    assert_eq!(second.cache_hits, 0, "no unit lookup without the cache");
     assert!(second.total_steps > 0, "the grid was re-explored");
     assert_eq!(second.certified, first.certified);
+    req.use_cache = true;
     let third = ccal_certd::certify(&addr, &req).expect("daemon answers");
+    assert!(third.manifest_hit, "uncached requests still write the manifest");
     assert_eq!(
         third.cache_hits,
         third.units.len(),
-        "hits come back once the switch is lifted"
+        "a cached request hits the results the uncached ones wrote"
     );
 }
 
@@ -495,10 +495,6 @@ fn cache_kill_switch_forces_recertification() {
 #[test]
 fn warm_state_is_reused_across_requests() {
     let _guard = serial();
-    // The cross-unit assertions below are about *semantic* families;
-    // pin the mode so the CCAL_SHARE_SEMANTIC=0 suite rerun still
-    // exercises them (the hatch's pinned behaviour has its own tests).
-    let _on = prefix::ShareSemanticOverride::force(true);
     let p = CertParams::default();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
@@ -549,9 +545,6 @@ fn warm_state_is_reused_across_requests() {
 #[test]
 fn ticket_units_share_family_state_within_and_across_requests() {
     let _guard = serial();
-    // Family grouping is the semantic-sharing feature itself — pin the
-    // mode so the CCAL_SHARE_SEMANTIC=0 suite rerun keeps covering it.
-    let _on = prefix::ShareSemanticOverride::force(true);
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("ticket");
     req.params = CertParams::default();

@@ -348,7 +348,7 @@ impl CheckOptions {
     /// Sets the worker-thread count for case-grid exploration (1 = serial).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.sim.workers = workers.max(1);
+        self.sim.explore.workers = workers.max(1);
         self
     }
 
@@ -364,7 +364,7 @@ impl CheckOptions {
     /// marked trace-equivalent by [`crate::contexts::ContextGen`]).
     #[must_use]
     pub fn with_por(mut self, por: bool) -> Self {
-        self.sim.por = por;
+        self.sim.explore.por = por;
         self
     }
 
@@ -373,7 +373,7 @@ impl CheckOptions {
     /// [`crate::prefix`]).
     #[must_use]
     pub fn with_prefix_share(mut self, prefix_share: bool) -> Self {
-        self.sim.prefix_share = prefix_share;
+        self.sim.explore.prefix_share = prefix_share;
         self
     }
 
@@ -382,7 +382,7 @@ impl CheckOptions {
     /// Effective only when prefix-sharing is on.
     #[must_use]
     pub fn with_deep_share(mut self, deep_share: bool) -> Self {
-        self.sim.deep_share = deep_share;
+        self.sim.explore.deep_share = deep_share;
         self
     }
 
@@ -399,7 +399,7 @@ impl CheckOptions {
     /// trie is cleared wholesale when full).
     #[must_use]
     pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.sim.snapshot_cap = cap.max(1);
+        self.sim.explore.snapshot_cap = cap.max(1);
         self
     }
 

@@ -149,8 +149,9 @@ impl EnvContext {
     }
 
     /// Whether a lower-indexed trace-equivalent context exists, so a
-    /// checker with [`crate::por::por_enabled`] reduction may skip this one
-    /// without changing its verdict.
+    /// checker with the partial-order reduction on
+    /// ([`crate::explore::ExploreOptions::por`]) may skip this one without
+    /// changing its verdict.
     pub fn is_por_equivalent(&self) -> bool {
         self.por_equivalent
     }

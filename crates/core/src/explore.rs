@@ -51,25 +51,41 @@ use crate::log::Log;
 use crate::machine::{LayerMachine, MachineError};
 use crate::prefix::{ForkSnapshot, PrefixMemo, ScheduleKey, SnapshotTrie};
 
-/// The exploration knobs every checker shares. Mirrors the sharing-related
-/// subset of [`crate::sim::SimOptions`]; the verifier checkers build it
-/// from their `_tuned` parameters.
+/// The exploration knobs every checker shares: the simulation checker
+/// reads them from [`crate::sim::SimOptions::explore`], the verifier
+/// checkers build them from their `_tuned` parameters. A plain value —
+/// nothing read from the process environment changes what is explored
+/// (only the *default* worker count follows `CCAL_WORKERS`, and the worker
+/// count never changes a result).
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Worker threads exploring the case grid (1 = serial).
+    /// Worker threads exploring the case grid (1 = serial). Defaults to
+    /// [`crate::par::default_workers`] (the `CCAL_WORKERS` environment
+    /// variable, else the machine's available parallelism); any value
+    /// yields bit-identical results.
     pub workers: usize,
-    /// Skip contexts marked trace-equivalent by the partial-order
-    /// reduction.
+    /// Skip contexts marked [`EnvContext::is_por_equivalent`] by the
+    /// partial-order reduction — trace-equivalent to a lower-indexed
+    /// context whose verdict subsumes theirs. On by default.
     pub por: bool,
-    /// Share lower runs across contexts with a common consumed schedule
-    /// prefix ([`crate::prefix::PrefixMemo`]).
+    /// Share lower runs across contexts whose schedule scripts agree on
+    /// the consumed prefix ([`crate::prefix::PrefixMemo`]): a lower run is
+    /// a deterministic function of the schedule slots it actually reads,
+    /// so a grid of `n^L` contexts executes only one run per *distinct
+    /// consumed prefix*. Never changes the verdict or the evidence; on by
+    /// default.
     pub prefix_share: bool,
-    /// Additionally fork mid-run snapshots at every environment query
-    /// point ([`crate::prefix::SnapshotTrie`]); effective only when
-    /// `prefix_share` is on.
+    /// Additionally fork mid-run snapshots of the lower machine at every
+    /// environment query point ([`crate::prefix::SnapshotTrie`]): a long
+    /// multi-query primitive (e.g. a spinning `acq`) executes once along
+    /// each distinct schedule path, and every context that diverges later
+    /// forks the deepest snapshot and replays only its suffix. Effective
+    /// only when `prefix_share` is on; never changes the verdict or the
+    /// evidence; on by default.
     pub deep_share: bool,
     /// Capacity cap on the query-point snapshot trie (deepest-first
-    /// eviction, see [`crate::prefix::SnapshotTrie`]).
+    /// eviction, see [`crate::prefix::SnapshotTrie`]): snapshots only save
+    /// work, so eviction costs re-execution, never correctness.
     pub snapshot_cap: usize,
     /// Restrict exploration to the half-open flat-index range
     /// `[lo, hi)` of the `ci·ninner+ii` grid. `None` explores the whole
@@ -84,14 +100,7 @@ pub struct ExploreOptions {
 
 impl Default for ExploreOptions {
     fn default() -> Self {
-        Self {
-            workers: crate::par::default_workers(),
-            por: crate::por::por_enabled(),
-            prefix_share: crate::prefix::prefix_share_enabled(),
-            deep_share: crate::prefix::prefix_deep_enabled(),
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
-            window: None,
-        }
+        Self::tuned(crate::par::default_workers(), true, true, true)
     }
 }
 

@@ -265,10 +265,10 @@ pub fn share_key(
     h.u64("fuel", opts.fuel);
     h.bool("compare_rets", opts.compare_rets);
     h.bool("dedup", opts.dedup);
-    h.bool("prefix_share", opts.prefix_share);
-    h.bool("deep_share", opts.deep_share);
+    h.bool("prefix_share", opts.explore.prefix_share);
+    h.bool("deep_share", opts.explore.deep_share);
     h.bool("bytecode", opts.bytecode);
-    h.usize("snapshot_cap", opts.snapshot_cap);
+    h.usize("snapshot_cap", opts.explore.snapshot_cap);
     h.usize("upper_cache_cap", opts.upper_cache_cap);
     ShareKey(h.finish())
 }

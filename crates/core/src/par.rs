@@ -39,6 +39,9 @@ use std::sync::Mutex;
 ///   for bit-for-bit reference runs and debugging;
 /// * anything else — a warning is printed to stderr once per process and
 ///   the variable is ignored (available parallelism is used).
+///
+/// This is the one environment variable the exploration engine reads, and
+/// it only changes how the grid is scheduled, never what is explored.
 pub fn default_workers() -> usize {
     let fallback = || {
         std::thread::available_parallelism()
@@ -47,7 +50,13 @@ pub fn default_workers() -> usize {
     };
     match std::env::var("CCAL_WORKERS") {
         Ok(v) => parse_workers(&v).unwrap_or_else(|| {
-            crate::envflag::warn_ignored("CCAL_WORKERS", &v, "0 means serial");
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "ccal: ignoring unparseable CCAL_WORKERS={v:?} (expected a \
+                     non-negative integer; 0 means serial)"
+                );
+            });
             fallback()
         }),
         Err(_) => fallback(),
@@ -55,9 +64,7 @@ pub fn default_workers() -> usize {
 }
 
 /// Parses a `CCAL_WORKERS` value: `Some(1)` for `0` (serial), `Some(n)`
-/// for a positive integer, `None` for anything unparseable. The boolean
-/// flags share this grammar via [`crate::envflag::bool_flag`]; workers is
-/// the one numeric flag, so only the warn-once path is shared.
+/// for a positive integer, `None` for anything unparseable.
 fn parse_workers(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Some(1),

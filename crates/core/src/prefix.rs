@@ -46,72 +46,33 @@
 //! [`ScheduleKey`]; hand-built contexts (notably the forensics replay
 //! engine's scripted contexts) have none and structurally bypass the memo.
 //!
-//! `CCAL_PREFIX_SHARE=0` is the process-wide escape hatch, mirroring
-//! `CCAL_POR` ([`crate::por::por_enabled`]); `CCAL_PREFIX_DEEP=0`
-//! additionally disables only the query-point snapshot layer, keeping
-//! PR-4-style whole-outcome sharing on.
+//! Both layers are on by default; a caller turns them off per check with
+//! [`crate::explore::ExploreOptions::prefix_share`] (both layers) or
+//! [`crate::explore::ExploreOptions::deep_share`] (only the query-point
+//! snapshot layer).
 //!
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fxhash::FxHashMap;
 use crate::id::Pid;
 
-/// Whether prefix-sharing is enabled for this process.
-///
-/// Controlled by the `CCAL_PREFIX_SHARE` environment variable with the
-/// shared `CCAL_*` grammar ([`crate::envflag`]): unset or any non-zero
-/// integer — sharing on (the default); `0` — sharing off (the escape hatch
-/// for differential debugging); garbage warns once and is ignored. The
-/// variable is read once and cached for the lifetime of the process.
-pub fn prefix_share_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_PREFIX_SHARE", true)
-}
+/// The process-wide execution tier: `true` — compiled bytecode (the
+/// default), `false` — the tree-walking interpreter. Strategy closures are
+/// built long before any checker decides its options, so the tier must be
+/// read at *instantiation* time; a checker whose
+/// [`crate::sim::SimOptions::bytecode`] is off installs a
+/// [`BytecodeOverride`] for the duration of the check.
+static BYTECODE: AtomicBool = AtomicBool::new(true);
 
-/// Whether query-point (deep) snapshot sharing is enabled for this
-/// process. Same grammar and caching as [`prefix_share_enabled`], read
-/// from `CCAL_PREFIX_DEEP`. Deep sharing is additionally subordinate to
-/// prefix sharing: checkers only consult the snapshot trie when both are
-/// on.
-pub fn prefix_deep_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_PREFIX_DEEP", true)
-}
-
-/// Whether the compiled ClightX bytecode tier is enabled by this process's
-/// environment. Same grammar and caching as [`prefix_share_enabled`], read
-/// from `CCAL_BYTECODE`: unset or any non-zero integer — compiled tier on
-/// (the default); `0` — interpret everything (the differential-debugging
-/// escape hatch). Checkers install a scoped override on top of this via
-/// [`BytecodeOverride`]; instantiation sites should consult
-/// [`bytecode_effective`], not this function.
-pub fn bytecode_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_BYTECODE", true)
-}
-
-/// Scoped override of the bytecode tier: -1 = no override (fall back to
-/// [`bytecode_enabled`]), 0 = force interpreter, 1 = force compiled.
-/// Strategy closures are built long before any checker decides its
-/// options, so the tier must be read at *instantiation* time; the checkers
-/// install their [`crate::sim::SimOptions`] choice here for the duration
-/// of a check.
-fn bytecode_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The bytecode-tier choice in effect right now: the innermost
-/// [`BytecodeOverride`] if one is live, else the `CCAL_BYTECODE`
-/// environment default. Strategy instantiation sites (notably
-/// `ccal_clightx::module_from_lowered`'s closures) consult this on every
-/// call, so one compiled module serves both tiers.
+/// The bytecode-tier choice in effect right now: the innermost live
+/// [`BytecodeOverride`], else the compiled tier. Strategy instantiation
+/// sites (notably `ccal_clightx::module_from_lowered`'s closures) consult
+/// this on every call, so one compiled module serves both tiers.
 pub fn bytecode_effective() -> bool {
-    match bytecode_override().load(Ordering::Relaxed) {
-        -1 => bytecode_enabled(),
-        0 => false,
-        _ => true,
-    }
+    BYTECODE.load(Ordering::Relaxed)
 }
 
 /// RAII guard forcing the bytecode tier on or off process-wide until
@@ -120,67 +81,39 @@ pub fn bytecode_effective() -> bool {
 /// choices would race (the benchmarks and differential tests that toggle
 /// the tier run checks serially).
 pub struct BytecodeOverride {
-    prev: i8,
+    prev: bool,
 }
 
 impl BytecodeOverride {
     /// Forces the tier to `on` until the guard drops.
     pub fn force(on: bool) -> Self {
-        let prev = bytecode_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
+        Self {
+            prev: BYTECODE.swap(on, Ordering::Relaxed),
+        }
     }
 }
 
 impl Drop for BytecodeOverride {
     fn drop(&mut self) {
-        bytecode_override().store(self.prev, Ordering::Relaxed);
+        BYTECODE.store(self.prev, Ordering::Relaxed);
     }
 }
 
-/// Whether **semantic sharing keys** are enabled by this process's
-/// environment: warm exploration state keyed by the content identity of
-/// the lower-machine family ([`crate::fingerprint::ShareKey`]) instead of
-/// being pinned to each certification unit's whole-input fingerprint, so
-/// units of one stack and successive requests over the same underlay
-/// share one `PrefixMemo`/`SnapshotTrie` store. Same grammar and caching
-/// as [`prefix_share_enabled`], read from `CCAL_SHARE_SEMANTIC`: unset
-/// or any non-zero integer — semantic keys on (the default); `0` —
-/// per-unit pinned families (the differential-debugging escape hatch),
-/// warned once so stale CI configs fail loudly. Consumers should consult [`share_semantic_effective`],
-/// which also honors scoped [`ShareSemanticOverride`] guards.
-pub fn share_semantic_enabled() -> bool {
-    let on = crate::envflag::bool_flag("CCAL_SHARE_SEMANTIC", true);
-    if !on {
-        static WARNED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "ccal: CCAL_SHARE_SEMANTIC=0 — warm exploration state is pinned \
-                 per-unit (no cross-unit or cross-request semantic sharing)"
-            );
-        });
-    }
-    on
-}
+/// Whether **semantic sharing keys** are in effect: warm exploration state
+/// keyed by the content identity of the lower-machine family
+/// ([`crate::fingerprint::ShareKey`]) instead of being pinned to each
+/// certification unit's whole-input fingerprint, so units of one stack and
+/// successive requests over the same underlay share one
+/// `PrefixMemo`/`SnapshotTrie` store. On unless a [`ShareSemanticOverride`]
+/// is live; the B8 benchmark measures both sides of its ratio in one
+/// process, and the sharing differential pins bit-identity across the two
+/// modes.
+static SHARE_SEMANTIC: AtomicBool = AtomicBool::new(true);
 
-/// Scoped override of semantic sharing keys: -1 = no override (fall back
-/// to [`share_semantic_enabled`]), 0 = force pinned families, 1 = force
-/// semantic keys. The B8 benchmark measures both sides of its ratio in
-/// one process, and the sharing differential pins bit-identity across the
-/// two modes.
-fn share_semantic_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The semantic-sharing choice in effect right now: the innermost
-/// [`ShareSemanticOverride`] if one is live, else the
-/// `CCAL_SHARE_SEMANTIC` environment default.
+/// The semantic-sharing choice in effect right now: the innermost live
+/// [`ShareSemanticOverride`], else semantic keys.
 pub fn share_semantic_effective() -> bool {
-    match share_semantic_override().load(Ordering::Relaxed) {
-        -1 => share_semantic_enabled(),
-        0 => false,
-        _ => true,
-    }
+    SHARE_SEMANTIC.load(Ordering::Relaxed)
 }
 
 /// RAII guard forcing semantic sharing keys on or off process-wide until
@@ -188,20 +121,21 @@ pub fn share_semantic_effective() -> bool {
 /// [`BytecodeOverride`]: the guard restores the value it displaced, and
 /// concurrent runs wanting different choices would race.
 pub struct ShareSemanticOverride {
-    prev: i8,
+    prev: bool,
 }
 
 impl ShareSemanticOverride {
     /// Forces semantic sharing keys to `on` until the guard drops.
     pub fn force(on: bool) -> Self {
-        let prev = share_semantic_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
+        Self {
+            prev: SHARE_SEMANTIC.swap(on, Ordering::Relaxed),
+        }
     }
 }
 
 impl Drop for ShareSemanticOverride {
     fn drop(&mut self) {
-        share_semantic_override().store(self.prev, Ordering::Relaxed);
+        SHARE_SEMANTIC.store(self.prev, Ordering::Relaxed);
     }
 }
 

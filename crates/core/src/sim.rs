@@ -57,9 +57,8 @@
 //! the first failure, or the evidence, because every shared outcome is
 //! exactly what re-execution would have produced.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::env::EnvContext;
 use crate::event::Event;
@@ -92,16 +91,6 @@ enum RelStage {
 pub struct SimRelation {
     name: String,
     stages: Arc<Vec<RelStage>>,
-}
-
-/// Composed relations, memoized by `(lower name, upper name)`. Relation
-/// names identify their relations globally (the same convention
-/// `crate::rely::Conditions` uses for structural implication), so `Vcomp`
-/// towers that re-compose the same pair — once per certified primitive —
-/// reuse one chain.
-fn composed_relations() -> &'static Mutex<HashMap<(String, String), SimRelation>> {
-    static CACHE: OnceLock<Mutex<HashMap<(String, String), SimRelation>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 impl SimRelation {
@@ -189,31 +178,14 @@ impl SimRelation {
     /// Relation composition `self ∘ next` in diagram order: `self` relates
     /// `L₁→L₂` and `next` relates `L₂→L₃`; the result relates `L₁→L₃`.
     /// Used by the `Vcomp` and `Wk` rules (Fig. 9). Concatenates the stage
-    /// chains and memoizes the result by name pair.
+    /// chains: each stage is an `Arc`, so composing copies no closure.
+    /// Names are labels, not identities — two different relations may
+    /// share one — so nothing is looked up by name.
     pub fn then(&self, next: &SimRelation) -> SimRelation {
-        let key = (self.name.clone(), next.name.clone());
-        if let Some(hit) = composed_relations()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            return hit.clone();
-        }
-        let stages: Vec<RelStage> = self
-            .stages
-            .iter()
-            .chain(next.stages.iter())
-            .cloned()
-            .collect();
-        let composed = SimRelation {
+        SimRelation {
             name: format!("{} ∘ {}", self.name, next.name),
-            stages: Arc::new(stages),
-        };
-        composed_relations()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, composed.clone());
-        composed
+            stages: Arc::new(self.stages.iter().chain(next.stages.iter()).cloned().collect()),
+        }
     }
 }
 
@@ -358,56 +330,27 @@ pub struct SimOptions {
     /// initial logs (e.g. a lock `rel` is checked from states reached by
     /// a preceding `acq`).
     pub setup: Vec<(String, Vec<Val>)>,
-    /// Worker threads exploring the case grid. Defaults to
-    /// [`crate::par::default_workers`] (the `CCAL_WORKERS` environment
-    /// variable, else the machine's available parallelism). `1` explores
-    /// serially; any value yields bit-identical results.
-    pub workers: usize,
+    /// The exploration knobs shared with the other checkers: workers, POR,
+    /// prefix and deep sharing, the snapshot-trie cap and the case-grid
+    /// window ([`crate::explore::ExploreOptions`]). None of them changes
+    /// the verdict or the evidence.
+    pub explore: crate::explore::ExploreOptions,
     /// Memoize upper-machine runs keyed on the replayed abstract event
     /// sequence and argument vector, so symmetric schedules — contexts
     /// whose logs abstract to the same upper environment — are explored
     /// once. Never changes the verdict or the evidence; on by default.
     pub dedup: bool,
-    /// Skip contexts marked [`EnvContext::is_por_equivalent`] by the
-    /// partial-order reduction — trace-equivalent to a lower-indexed
-    /// context whose verdict subsumes theirs. Defaults to
-    /// [`crate::por::por_enabled`] (on unless `CCAL_POR=0`).
-    pub por: bool,
-    /// Share lower-machine runs across contexts whose schedule scripts
-    /// agree on the consumed prefix (see [`crate::prefix`]): the lower run
-    /// is a deterministic function of the schedule slots it actually reads,
-    /// so a grid of `n^L` contexts executes only one run per *distinct
-    /// consumed prefix*. Never changes the verdict or the evidence.
-    /// Defaults to [`crate::prefix::prefix_share_enabled`] (on unless
-    /// `CCAL_PREFIX_SHARE=0`).
-    pub prefix_share: bool,
-    /// Additionally share *mid-run* snapshots of the lower machine, forked
-    /// at every environment query point ([`crate::prefix::SnapshotTrie`]):
-    /// a long multi-query primitive (e.g. a spinning `acq`) executes once
-    /// along each distinct schedule path, and every context that diverges
-    /// later forks the deepest snapshot and replays only its suffix.
-    /// Effective only when `prefix_share` is on; never changes the verdict
-    /// or the evidence. Defaults to
-    /// [`crate::prefix::prefix_deep_enabled`] (on unless
-    /// `CCAL_PREFIX_DEEP=0`).
-    pub deep_share: bool,
     /// Run ClightX primitives on the compiled bytecode tier
     /// ([`crate::prefix::bytecode_effective`]): modules are slot-resolved
     /// and flattened once at lower time, and each instantiation executes
     /// the flat code instead of walking the statement tree. The tier is
     /// bit-identical to the interpreter — same events, queries, return
     /// values, and error strings — so this is purely a performance knob.
-    /// Defaults to [`crate::prefix::bytecode_enabled`] (on unless
-    /// `CCAL_BYTECODE=0`). The checker installs the choice process-wide
-    /// for the duration of the check when it differs from the
-    /// environment default, so concurrent checks with *conflicting*
-    /// explicit tiers must be serialized by the caller.
+    /// On by default. With the tier off the checker forces the
+    /// interpreter process-wide ([`crate::prefix::BytecodeOverride`]) for
+    /// the duration of the check, so concurrent checks with *conflicting*
+    /// tiers must be serialized by the caller.
     pub bytecode: bool,
-    /// Capacity cap on the query-point snapshot trie, with the same
-    /// deepest-first eviction as `upper_cache_cap`
-    /// ([`crate::prefix::SnapshotTrie`]): snapshots only save work, so
-    /// eviction costs re-execution, never correctness.
-    pub snapshot_cap: usize,
     /// Capacity cap on the upper-run memo table
     /// ([`crate::explore::BoundedCache`]). When an insert would exceed the
     /// cap, the deepest entries — the longest replayed event sequences,
@@ -417,14 +360,6 @@ pub struct SimOptions {
     /// bounded on huge grids while verdicts and evidence are unchanged —
     /// a miss merely re-runs the deterministic upper machine.
     pub upper_cache_cap: usize,
-    /// Restrict exploration to the half-open window `[lo, hi)` of the
-    /// flat `context·nargs+arg` case grid (see
-    /// [`crate::explore::ExploreOptions::window`]). `None` — the default —
-    /// explores the whole grid. Disjoint ascending windows fold to the
-    /// same verdict, case accounting and index-least first failure as a
-    /// whole-grid check; the certification service uses this to lease
-    /// grid chunks to shard processes.
-    pub window: Option<(usize, usize)>,
     /// Caller-owned warm state ([`SimWarm`]) shared across checker
     /// invocations: the prefix memo, query-point snapshot trie and
     /// upper-run cache survive the call instead of being dropped with the
@@ -446,15 +381,10 @@ impl Default for SimOptions {
             fuel: LayerMachine::DEFAULT_FUEL,
             compare_rets: true,
             setup: Vec::new(),
-            workers: crate::par::default_workers(),
+            explore: crate::explore::ExploreOptions::default(),
             dedup: true,
-            por: crate::por::por_enabled(),
-            prefix_share: crate::prefix::prefix_share_enabled(),
-            deep_share: crate::prefix::prefix_deep_enabled(),
-            bytecode: crate::prefix::bytecode_enabled(),
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
+            bytecode: true,
             upper_cache_cap: Self::DEFAULT_UPPER_CACHE_CAP,
-            window: None,
             warm: None,
         }
     }
@@ -464,7 +394,7 @@ impl SimOptions {
     /// Sets the worker-thread count (1 = serial exploration).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.explore.workers = workers.max(1);
         self
     }
 
@@ -478,14 +408,14 @@ impl SimOptions {
     /// Enables or disables the partial-order reduction.
     #[must_use]
     pub fn with_por(mut self, por: bool) -> Self {
-        self.por = por;
+        self.explore.por = por;
         self
     }
 
     /// Enables or disables prefix-sharing of lower-machine runs.
     #[must_use]
     pub fn with_prefix_share(mut self, prefix_share: bool) -> Self {
-        self.prefix_share = prefix_share;
+        self.explore.prefix_share = prefix_share;
         self
     }
 
@@ -493,7 +423,7 @@ impl SimOptions {
     /// when `prefix_share` is on).
     #[must_use]
     pub fn with_deep_share(mut self, deep_share: bool) -> Self {
-        self.deep_share = deep_share;
+        self.explore.deep_share = deep_share;
         self
     }
 
@@ -507,7 +437,7 @@ impl SimOptions {
     /// Caps the query-point snapshot trie (minimum 1 snapshot).
     #[must_use]
     pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.snapshot_cap = cap.max(1);
+        self.explore.snapshot_cap = cap.max(1);
         self
     }
 
@@ -521,7 +451,7 @@ impl SimOptions {
     /// Restricts exploration to the flat case-index window `[lo, hi)`.
     #[must_use]
     pub fn with_window(mut self, lo: usize, hi: usize) -> Self {
-        self.window = Some((lo, hi));
+        self.explore.window = Some((lo, hi));
         self
     }
 
@@ -641,8 +571,9 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 /// may legitimately share one handle: the content-derived inner indices
 /// (setup history + called primitive + arguments) keep their computations
 /// apart, and the upper-run cache keys carry a per-check signature for
-/// the same reason. With `CCAL_SHARE_SEMANTIC=0` the service falls back
-/// to pinning one handle per unit fingerprint.
+/// the same reason. Under a [`crate::prefix::ShareSemanticOverride`]
+/// forcing semantic keys off, the service falls back to pinning one handle
+/// per unit fingerprint.
 #[derive(Clone, Default)]
 pub struct SimWarm {
     memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
@@ -745,11 +676,10 @@ pub fn check_prim_refinement(
     // Strategy closures read the tier at instantiation time
     // ([`crate::prefix::bytecode_effective`]), so a scoped override is the
     // only way an option chosen *after* layer construction can reach them.
-    // Installed only when it differs from the environment default, so
-    // checks under default options never perturb an outer override (e.g. a
+    // Installed only when the check asks for the interpreter, so checks
+    // under default options never perturb an outer override (e.g. a
     // differential harness bracketing a whole checker run).
-    let _tier = (opts.bytecode != crate::prefix::bytecode_enabled())
-        .then(|| crate::prefix::BytecodeOverride::force(opts.bytecode));
+    let _tier = (!opts.bytecode).then(|| crate::prefix::BytecodeOverride::force(false));
     let fail = |case: String, lower_log: Log, upper_log: Log, reason: String| {
         Box::new(SimFailure {
             lower: format!("{}::{}", lower_iface.name, lower_prim),
@@ -836,21 +766,13 @@ pub fn check_prim_refinement(
     // (`Abort`/`PostSetup`/`Return`) from deep (`Setup`/`Call`) snapshot
     // hits, so it resumes via the raw
     // [`crate::explore::Kernel::lookup_snapshot`] and records itself.
-    let explore_opts = crate::explore::ExploreOptions {
-        workers: opts.workers,
-        por: opts.por,
-        prefix_share: opts.prefix_share,
-        deep_share: opts.deep_share,
-        snapshot_cap: opts.snapshot_cap,
-        window: opts.window,
-    };
     let kernel: crate::explore::Kernel<SimSnap, LowerRun> = match &opts.warm {
         Some(w) => crate::explore::Kernel::with_state(
-            &explore_opts,
+            &opts.explore,
             w.memo.clone(),
-            w.snaps(opts.snapshot_cap),
+            w.snaps(opts.explore.snapshot_cap),
         ),
-        None => crate::explore::Kernel::new(&explore_opts),
+        None => crate::explore::Kernel::new(&opts.explore),
     };
     let deep = kernel.deep();
     let sched_consumed = |m: &LayerMachine| m.log.sched_count();
@@ -1362,6 +1284,21 @@ mod tests {
 
     fn rr_ctx() -> Vec<EnvContext> {
         vec![EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)))]
+    }
+
+    /// Relation names are labels, not identities: composing two different
+    /// relations that share a name must keep each one's own stages.
+    #[test]
+    fn composing_same_named_relations_keeps_each_chain() {
+        let keep = SimRelation::per_event("probeA", |e| vec![e.clone()]);
+        let erase = SimRelation::per_event("probeA", |_| Vec::new());
+        let probe_b = SimRelation::per_event("probeB", |e| vec![e.clone()]);
+        let mut log = Log::new();
+        log.append(Event::prim(Pid(0), "x", vec![]));
+        let kept = |r: &SimRelation| r.abstracted(&log).map(|l| l.len());
+        assert_eq!(kept(&keep.then(&probe_b)), Some(1));
+        assert_eq!(kept(&erase.then(&probe_b)), Some(0));
+        assert_eq!(kept(&erase), Some(0));
     }
 
     #[test]

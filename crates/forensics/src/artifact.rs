@@ -58,8 +58,8 @@ pub struct ReplayOptions {
     /// written before the compile tier existed read as `false`).
     pub bytecode: bool,
     /// Semantic sharing keys at capture time: `true` if warm-state
-    /// families were keyed by content (`ShareKey`), `false` under the
-    /// `CCAL_SHARE_SEMANTIC=0` pin. Informational — replay runs
+    /// families were keyed by content (`ShareKey`), `false` when they were
+    /// pinned per unit. Informational — replay runs
     /// memo-free, so the key space is irrelevant to validation — and
     /// decoded tolerantly (artifacts written before the flag existed
     /// read as `false`).

@@ -270,3 +270,75 @@ fn full_ticket_stack_certificate_is_tier_invariant() {
         assert!(stack.contains("Obligation"), "certificate renders: {stack}");
     }
 }
+
+/// Every other object with ClightX bodies — the queuing lock, the MCS
+/// lock, the condition variable, IPC, the shared queue and the scheduler
+/// — certifies to the same rendered certificate on both tiers.
+#[test]
+fn object_certificates_are_tier_invariant() {
+    use ccal_core::calculus::{CertifiedLayer, LayerError};
+    use ccal_core::id::QId;
+    use ccal_objects::{condvar, ipc, mcs, qlock, sched, sharedq};
+    type Certify<'a> = Box<dyn Fn() -> Result<CertifiedLayer, LayerError> + 'a>;
+
+    let grid = |player: Arc<dyn ccal_core::strategy::Strategy>| {
+        ContextGen::new(vec![Pid(0), Pid(1)])
+            .with_player(Pid(1), player)
+            .with_schedule_len(3)
+            .contexts()
+    };
+    let (l, ch, q, cv, sleep_q) = (Loc(4), Loc(6), Loc(3), QId(8), QId(5));
+    let objects: [(&str, Certify); 6] = [
+        (
+            "qlock",
+            Box::new(|| {
+                let player = qlock::QlockEnvPlayer::new(Pid(1), l, 2);
+                qlock::certify_qlock(Pid(0), l, grid(Arc::new(player)))
+            }),
+        ),
+        (
+            "mcs",
+            Box::new(|| {
+                let player = mcs::McsEnvPlayer::new(Pid(1), B, 2);
+                mcs::certify_mcs_lock(Pid(0), B, grid(Arc::new(player)))
+            }),
+        ),
+        (
+            "condvar",
+            Box::new(|| {
+                let player = condvar::CvEnvPlayer::new(Pid(1), cv, l);
+                condvar::certify_condvar(Pid(0), cv, l, grid(Arc::new(player)))
+            }),
+        ),
+        (
+            "ipc",
+            Box::new(|| {
+                let player = ipc::SenderEnvPlayer::new(Pid(1), ch, 2);
+                ipc::certify_ipc(Pid(0), ch, grid(Arc::new(player)))
+            }),
+        ),
+        (
+            "sharedq",
+            Box::new(|| {
+                let player = sharedq::SharedQEnvPlayer::new(Pid(1), q, 2);
+                sharedq::certify_shared_queue(Pid(0), q, grid(Arc::new(player)))
+            }),
+        ),
+        (
+            "sched",
+            Box::new(|| {
+                let player = sched::WakerEnvPlayer::new(Pid(1), sleep_q, 2);
+                sched::certify_scheduler(Pid(0), sleep_q, Loc(9), grid(Arc::new(player)))
+            }),
+        ),
+    ];
+    for (name, certify) in &objects {
+        let rendered = both_tiers(|| {
+            certify()
+                .map(|layer| format!("{layer:?}"))
+                .map_err(|e| e.to_string())
+        });
+        let layer = rendered.unwrap_or_else(|e| panic!("{name} certifies: {e}"));
+        assert!(layer.contains("Obligation"), "{name} certificate renders: {layer}");
+    }
+}

@@ -24,15 +24,10 @@ pub mod report;
 pub mod seqref;
 
 pub use linz::{
-    check_linearizability, check_linearizability_por, check_linearizability_tuned,
-    fifo_history_validator, lock_history_validator,
+    check_linearizability, check_linearizability_tuned, fifo_history_validator,
+    lock_history_validator,
 };
-pub use live::{check_liveness, check_liveness_por, check_liveness_tuned, ticket_bound};
-pub use race::{
-    check_race_freedom, check_race_freedom_por, check_race_freedom_tuned, count_racy_interleavings,
-};
+pub use live::{check_liveness, check_liveness_tuned, ticket_bound};
+pub use race::{check_race_freedom, check_race_freedom_tuned, count_racy_interleavings};
 pub use report::{ReportSection, VerificationReport};
-pub use seqref::{
-    check_sequence_refinement, check_sequence_refinement_por, check_sequence_refinement_tuned,
-    OpScript,
-};
+pub use seqref::{check_sequence_refinement, check_sequence_refinement_tuned, OpScript};

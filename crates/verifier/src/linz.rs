@@ -47,36 +47,6 @@ pub fn check_linearizability(
     contexts: &[EnvContext],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_linearizability_por(
-        impl_iface,
-        focused,
-        programs,
-        relation,
-        validate_history,
-        contexts,
-        fuel,
-        ccal_core::por::por_enabled(),
-    )
-}
-
-/// [`check_linearizability`] with the partial-order reduction explicitly
-/// on or off (contexts marked trace-equivalent by the generator are
-/// skipped and counted as `cases_reduced` when `por` is true).
-///
-/// # Errors
-///
-/// As [`check_linearizability`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_linearizability_por(
-    impl_iface: &LayerInterface,
-    focused: &PidSet,
-    programs: &BTreeMap<Pid, ThreadScript>,
-    relation: &SimRelation,
-    validate_history: &HistoryValidator,
-    contexts: &[EnvContext],
-    fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
     check_linearizability_tuned(
         impl_iface,
         focused,
@@ -86,13 +56,14 @@ pub fn check_linearizability_por(
         contexts,
         fuel,
         ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
+        true,
+        true,
+        true,
     )
 }
 
-/// [`check_linearizability_por`] with an explicit worker count — `1`
+/// [`check_linearizability`] with every exploration knob explicit: the partial-order
+/// reduction (`por`), an explicit worker count — `1`
 /// explores the grid serially on the calling thread, the reference
 /// behavior the forensics replay gate uses for bit-identical reproduction
 /// — and explicit prefix-sharing of runs across contexts with common

@@ -43,36 +43,6 @@ pub fn check_liveness(
     bound: u64,
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_liveness_por(
-        iface,
-        prim,
-        args,
-        pid,
-        contexts,
-        bound,
-        fuel,
-        ccal_core::por::por_enabled(),
-    )
-}
-
-/// [`check_liveness`] with the partial-order reduction explicitly on or
-/// off (contexts marked trace-equivalent by the generator are skipped and
-/// counted as `cases_reduced` when `por` is true).
-///
-/// # Errors
-///
-/// As [`check_liveness`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_liveness_por(
-    iface: &LayerInterface,
-    prim: &str,
-    args: &[Val],
-    pid: Pid,
-    contexts: &[EnvContext],
-    bound: u64,
-    fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
     check_liveness_tuned(
         iface,
         prim,
@@ -82,13 +52,14 @@ pub fn check_liveness_por(
         bound,
         fuel,
         ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
+        true,
+        true,
+        true,
     )
 }
 
-/// [`check_liveness_por`] with an explicit worker count — `1` explores the
+/// [`check_liveness`] with every exploration knob explicit: the partial-order
+/// reduction (`por`), an explicit worker count — `1` explores the
 /// grid serially on the calling thread, the reference behavior the
 /// forensics replay gate uses for bit-identical reproduction — and
 /// explicit prefix-sharing of lower runs across contexts with common

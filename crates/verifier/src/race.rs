@@ -37,31 +37,6 @@ pub fn check_race_freedom(
     contexts: &[EnvContext],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_race_freedom_por(
-        iface,
-        focused,
-        programs,
-        contexts,
-        fuel,
-        ccal_core::por::por_enabled(),
-    )
-}
-
-/// [`check_race_freedom`] with the partial-order reduction explicitly on
-/// or off (contexts marked trace-equivalent by the generator are skipped
-/// and counted as `cases_reduced` when `por` is true).
-///
-/// # Errors
-///
-/// As [`check_race_freedom`].
-pub fn check_race_freedom_por(
-    iface: &LayerInterface,
-    focused: &PidSet,
-    programs: &BTreeMap<Pid, ThreadScript>,
-    contexts: &[EnvContext],
-    fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
     check_race_freedom_tuned(
         iface,
         focused,
@@ -69,13 +44,14 @@ pub fn check_race_freedom_por(
         contexts,
         fuel,
         ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
+        true,
+        true,
+        true,
     )
 }
 
-/// [`check_race_freedom_por`] with an explicit worker count — `1` explores
+/// [`check_race_freedom`] with every exploration knob explicit: the partial-order
+/// reduction (`por`), an explicit worker count — `1` explores
 /// the grid serially on the calling thread, the reference behavior the
 /// forensics replay gate uses for bit-identical reproduction — and
 /// explicit prefix-sharing of runs across contexts with common consumed

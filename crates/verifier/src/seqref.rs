@@ -40,36 +40,6 @@ pub fn check_sequence_refinement(
     scripts: &[OpScript],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_sequence_refinement_por(
-        impl_iface,
-        spec_iface,
-        relation,
-        pid,
-        contexts,
-        scripts,
-        fuel,
-        ccal_core::por::por_enabled(),
-    )
-}
-
-/// [`check_sequence_refinement`] with the partial-order reduction
-/// explicitly on or off (contexts marked trace-equivalent by the generator
-/// are skipped and counted as `cases_reduced` when `por` is true).
-///
-/// # Errors
-///
-/// As [`check_sequence_refinement`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_sequence_refinement_por(
-    impl_iface: &LayerInterface,
-    spec_iface: &LayerInterface,
-    relation: &SimRelation,
-    pid: Pid,
-    contexts: &[EnvContext],
-    scripts: &[OpScript],
-    fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
     check_sequence_refinement_tuned(
         impl_iface,
         spec_iface,
@@ -79,13 +49,14 @@ pub fn check_sequence_refinement_por(
         scripts,
         fuel,
         ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
+        true,
+        true,
+        true,
     )
 }
 
-/// [`check_sequence_refinement_por`] with an explicit worker count — `1`
+/// [`check_sequence_refinement`] with every exploration knob explicit: the partial-order
+/// reduction (`por`), an explicit worker count — `1`
 /// explores the grid serially on the calling thread, the reference
 /// behavior the forensics replay gate uses for bit-identical reproduction
 /// — and explicit prefix-sharing of impl-machine runs across contexts with

@@ -13,9 +13,9 @@
 #   stage 2 — a delayed shard is SIGKILLed mid-lease; the re-leased run
 #             produces the bit-identical verdict and index-least
 #             counterexample that the healthy baseline produced.
-#   stage 3 — the CCAL_CERTD_CACHE=0 hatch forces recertification, and
-#             the store survives daemon restarts (a fresh daemon on the
-#             same directory answers with zero steps).
+#   stage 3 — a --no-cache request forces recertification, and the
+#             store survives daemon restarts (a fresh daemon on the same
+#             directory answers with zero steps).
 #
 # Works without network access; everything binds 127.0.0.1 ephemeral
 # ports.
@@ -151,9 +151,9 @@ for key in certified failed_unit failure; do
 done
 stop_daemon
 
-echo "-- certd stage 3: CCAL_CERTD_CACHE=0 recertifies; the store survives restarts --"
-start_daemon c CCAL_CERTD_CACHE=0
-"$BIN" certify ticket --connect "$ADDR" --json >"$TMP/ticket3.json"
+echo "-- certd stage 3: --no-cache recertifies; the store survives restarts --"
+start_daemon c
+"$BIN" certify ticket --connect "$ADDR" --no-cache --json >"$TMP/ticket3.json"
 grep -q '"certified": true' "$TMP/ticket3.json"
 grep -q '"cache_hits": 0' "$TMP/ticket3.json"
 [ "$(total_steps "$TMP/ticket3.json")" -gt 0 ]

@@ -1,27 +1,27 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 (release build + root-package tests), the
-# parallel-vs-serial, POR, prefix-sharing, exploration-kernel,
-# bytecode-tier and semantic-sharing differential suites (each
-# optimization both on and under its CCAL_POR=0 / CCAL_PREFIX_SHARE=0 /
-# CCAL_PREFIX_DEEP=0 / CCAL_BYTECODE=0 / CCAL_SHARE_SEMANTIC=0 escape
-# hatch), the engine regression tests, the persistent-log and kernel
-# hasher unit tests once more as a release build (the hasher is wrapping
-# arithmetic, and release builds drop overflow checks and debug
-# assertions), the full workspace tests (on both execution tiers and
-# with sharing keys pinned), and criterion-free
-# benchmark smoke runs including the B5 (whole-prefix), B5d (query-point
-# snapshot), B6 (compiled ClightX bytecode VM) and B8 (semantic sharing
-# keys) step-ratio gates, and the end-to-end benchmark package's own tests
-# (its traced layer-by-layer pipeline must answer like the checkers' entry
-# points). Everything here works without network access —
-# proptest/criterion resolve to the in-repo shim crates. Each stage
-# reports its own wall time so perf regressions in the harness itself are
-# visible.
+# engine differential (every exploration-engine configuration — workers,
+# upper-run dedup, POR, prefix and deep sharing — against its reference
+# row, all five checkers), the fork-vs-fresh, bytecode-tier and
+# semantic-sharing differential suites, the engine regression tests, the
+# persistent-log and kernel hasher unit tests once more as a release build
+# (the hasher is wrapping arithmetic, and release builds drop overflow
+# checks and debug assertions), the full workspace tests, and
+# criterion-free benchmark smoke runs including the B5 (whole-prefix),
+# B5d (query-point snapshot), B6 (compiled ClightX bytecode VM) and B8
+# (semantic sharing keys) step-ratio gates, and the end-to-end benchmark
+# package's own tests (its traced layer-by-layer pipeline must answer like
+# the checkers' entry points). The engine reads no configuration from the
+# environment besides CCAL_WORKERS, so every stage runs the one shipped
+# engine; the differential suites set the other configurations in code.
+# Everything here works without network access — proptest/criterion
+# resolve to the in-repo shim crates. Each stage reports its own wall time
+# so perf regressions in the harness itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# stage DESCRIPTION COMMAND... — runs COMMAND (use `env VAR=... cmd` for
-# per-stage environment overrides) and prints the stage's wall time.
+# stage DESCRIPTION COMMAND... — runs COMMAND and prints the stage's wall
+# time.
 stage() {
   local desc="$1"
   shift
@@ -37,29 +37,12 @@ stage "tier-1: release build" \
 stage "tier-1: root-package tests" \
   cargo test -q
 
-stage "differential: parallel + dedup engine vs serial" \
-  cargo test -q --test parallel_differential
-
-stage "differential: POR-reduced grid vs full grid (all five checkers)" \
-  cargo test -q --test por_differential
-
-stage "differential: full grid re-checked with the escape hatch (CCAL_POR=0)" \
-  env CCAL_POR=0 cargo test -q --test por_differential
-
-stage "differential: prefix-sharing trie vs memo-free engine (all five checkers)" \
-  cargo test -q --test prefix_differential
-
-stage "differential: sharing disabled via the escape hatch (CCAL_PREFIX_SHARE=0)" \
-  env CCAL_PREFIX_SHARE=0 cargo test -q --test prefix_differential
-
-stage "differential: deep sharing disabled via the escape hatch (CCAL_PREFIX_DEEP=0)" \
-  env CCAL_PREFIX_DEEP=0 cargo test -q --test prefix_differential
+stage "differential: engine configurations (workers x dedup x POR x prefix/deep sharing, all five checkers, synthetic grids + ticket and qlock stacks)" \
+  cargo test -q --test parallel_differential --test por_differential \
+    --test prefix_differential --test kernel_differential
 
 stage "differential: fork-vs-fresh snapshot resume (all snapshots x agreeing contexts)" \
   cargo test -q --test fork_differential
-
-stage "differential: unified exploration kernel (all five checkers, ticket + qlock stacks)" \
-  cargo test -q --test kernel_differential
 
 stage "differential: bytecode VM vs interpreter (random programs, proptest)" \
   cargo test -q -p ccal-clightx --test bytecode_differential
@@ -73,9 +56,6 @@ stage "differential: bytecode VM vs interpreter (forensics captures + artifacts)
 stage "differential: semantic sharing keys vs pinned families (all five checkers, both tiers, hostile aliasing)" \
   cargo test -q --test sharing_differential
 
-stage "differential: sharing differential under the escape hatch (CCAL_SHARE_SEMANTIC=0)" \
-  env CCAL_SHARE_SEMANTIC=0 cargo test -q --test sharing_differential
-
 stage "regression: grid sampling, space_size, workers, cache cap" \
   cargo test -q -p ccal-core -- contexts:: par:: por:: sim::
 
@@ -84,12 +64,6 @@ stage "regression: persistent log and kernel hasher unit tests (release build)" 
 
 stage "workspace tests" \
   cargo test --workspace -q
-
-stage "workspace tests on the interpreter tier (escape hatch: CCAL_BYTECODE=0)" \
-  env CCAL_BYTECODE=0 cargo test --workspace -q
-
-stage "workspace tests with pinned sharing keys (escape hatch: CCAL_SHARE_SEMANTIC=0)" \
-  env CCAL_SHARE_SEMANTIC=0 cargo test --workspace -q
 
 stage "forensics: shrink/replay selftest (all five checkers)" \
   cargo run -q --release -p ccal-forensics --bin ccal-replay -- --selftest

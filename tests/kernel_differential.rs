@@ -1,36 +1,33 @@
-//! Differential tests for the unified exploration kernel
-//! (`ccal_core::explore::Kernel`): every bounded checker — simulation,
-//! liveness, linearizability, race freedom and sequence refinement — now
-//! routes its grid walk, prefix memoization, query-point snapshotting,
-//! POR pruning and forensics capture through the one kernel, and that
-//! consolidation must be *observationally invisible*. For real workloads
-//! (the ticket-lock stack of §2 and the queuing lock of Fig. 11) the
-//! verdict, the case accounting, and the first-failure evidence must be
-//! byte-identical across every `workers × por × prefix/deep` engine
-//! configuration, and the process-global step counters must reproduce
-//! exactly on repeated serial runs.
+//! The engine differential (`tests/engine`) on real workloads: every
+//! bounded checker — simulation, liveness, linearizability, race freedom
+//! and sequence refinement — routes its grid walk, prefix memoization,
+//! query-point snapshotting, POR pruning and forensics capture through
+//! the one exploration kernel (`ccal_core::explore::Kernel`). For the
+//! ticket-lock stack of §2 and the queuing lock of Fig. 11 the verdict,
+//! the case accounting, and the first-failure evidence must be
+//! byte-identical across every `workers × por × prefix/deep` row, and the
+//! process-global step counters must reproduce exactly on repeated serial
+//! runs.
+
+mod engine;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ccal::core::calculus::{LayerError, Obligation};
+use ccal::core::conc::ThreadScript;
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::id::{Loc, Pid, PidSet};
-use ccal::core::conc::ThreadScript;
-use ccal::core::sim::{
-    check_prim_refinement, SimEvidence, SimFailure, SimOptions, SimRelation,
-};
+use ccal::core::layer::LayerInterface;
+use ccal::core::sim::SimRelation;
 use ccal::core::val::Val;
 use ccal::machine::mx86::mx86_hw_interface;
 use ccal::objects::qlock::{certify_qlock, qlock_overlay, QlockEnvPlayer};
 use ccal::objects::ticket::{
     l0_interface, lock_interface, lock_low_interface, m1_module, r1_relation, TicketEnvPlayer,
 };
-use ccal::verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, lock_history_validator, ticket_bound, OpScript,
-};
+use ccal::verifier::{lock_history_validator, ticket_bound, OpScript};
+use engine::{assert_sharing_invisible, SHIPPED};
 
 const B: Loc = Loc(0);
 const FUEL: u64 = 200_000;
@@ -41,64 +38,14 @@ const FUEL: u64 = 200_000;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The engine configurations every checker is compared across: the
-/// reference is serial with sharing off; each (workers, por, deep)
-/// combination with sharing on must be indistinguishable from the
-/// matching memo-free run.
-const WORKERS: [usize; 2] = [1, 4];
-const POR: [bool; 2] = [false, true];
-
-/// Asserts that the kernel-shared run is indistinguishable from the
-/// share-free reference with the same POR setting: identical verdict
-/// (`Obligation`s compare field-by-field, so checked/skipped/reduced
-/// counts must all match) and identical first-failure evidence, including
-/// captured logs (`Debug` formatting renders every event).
-fn assert_invisible(
-    label: &str,
-    reference: &Result<Obligation, LayerError>,
-    shared: &Result<Obligation, LayerError>,
-) {
-    match (reference, shared) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: obligation drifted under the kernel"),
-        (Err(a), Err(b)) => {
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{label}: failure evidence drifted under the kernel"
-            );
-        }
-        (a, b) => panic!("{label}: verdicts diverged: {a:?} (reference) vs {b:?} (shared)"),
-    }
-}
-
-/// Same contract for the simulation checker, whose evidence type carries
-/// the probe suite rather than an `Obligation`.
-fn assert_sim_invisible(
-    label: &str,
-    reference: &Result<SimEvidence, Box<SimFailure>>,
-    shared: &Result<SimEvidence, Box<SimFailure>>,
-) {
-    match (reference, shared) {
-        (Ok(a), Ok(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{label}: sim evidence drifted under the kernel"
-        ),
-        (Err(a), Err(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{label}: sim counterexample drifted under the kernel"
-        ),
-        (a, b) => panic!("{label}: sim verdicts diverged: {a:?} (reference) vs {b:?} (shared)"),
-    }
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// `M1` (real ClightX `acq`/`rel` bodies) installed over the ticket
 /// underlay — the implementation side of the paper's Fig. 5 fun-lift.
-fn ticket_iface() -> ccal::core::layer::LayerInterface {
+fn ticket_iface() -> LayerInterface {
     m1_module()
         .expect("M1 parses")
         .install(&l0_interface())
@@ -124,17 +71,18 @@ fn game_contexts() -> Vec<EnvContext> {
 }
 
 fn acq_rel_programs(acq: &str, rel: &str) -> BTreeMap<Pid, ThreadScript> {
-    let mut programs: BTreeMap<Pid, ThreadScript> = BTreeMap::new();
-    for pid in [Pid(0), Pid(1)] {
-        programs.insert(
-            pid,
-            vec![
-                (acq.to_owned(), vec![Val::Loc(B)]),
-                (rel.to_owned(), vec![Val::Loc(B)]),
-            ],
-        );
-    }
-    programs
+    [Pid(0), Pid(1)]
+        .into_iter()
+        .map(|pid| {
+            (
+                pid,
+                vec![
+                    (acq.to_owned(), vec![Val::Loc(B)]),
+                    (rel.to_owned(), vec![Val::Loc(B)]),
+                ],
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -148,38 +96,21 @@ fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
     // first abstracted event, so the counterexample (which must match
     // byte-for-byte across configurations) is exercised too.
     for upper_prim in ["acq", "rel"] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_prim_refinement(
-                &lower,
-                "acq",
-                &lock_low_interface(),
-                upper_prim,
-                &SimRelation::identity(),
-                Pid(0),
-                &contexts,
-                &args,
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
-            )
-        };
-        for por in POR {
-            let reference = run(1, por, false, false);
-            if upper_prim == "rel" {
+        let references =
+            assert_sharing_invisible(&format!("sim ticket upper={upper_prim}"), |row| {
+                row.refinement(
+                    &lower,
+                    "acq",
+                    &lock_low_interface(),
+                    upper_prim,
+                    &contexts,
+                    &args,
+                    &[],
+                )
+            });
+        if upper_prim == "rel" {
+            for reference in &references {
                 assert!(reference.is_err(), "acq vs rel must be a counterexample");
-            }
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_sim_invisible(
-                        &format!(
-                            "sim ticket upper={upper_prim} workers={workers} por={por} deep={deep}"
-                        ),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
             }
         }
     }
@@ -193,8 +124,8 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
     // The paper's bound passes; bound 1 is unmeetable, so both polarities
     // (obligation and starvation counterexample) are compared.
     for bound in [ticket_bound(4, 8, 2), 1] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_liveness_tuned(
+        let references = assert_sharing_invisible(&format!("live ticket bound={bound}"), |row| {
+            row.liveness(
                 &iface,
                 "acq",
                 &[Val::Loc(B)],
@@ -202,24 +133,10 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
                 &contexts,
                 bound,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(1, por, false, false);
+        });
+        for reference in &references {
             assert_eq!(reference.is_ok(), bound > 1, "bound {bound} polarity");
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("live ticket bound={bound} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
-            }
         }
     }
 }
@@ -235,8 +152,8 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
     let reject: Box<ccal::verifier::linz::HistoryValidator> =
         Box::new(|_, _| Err("forced rejection (negative control)".to_owned()));
     for (label, validator, expect_ok) in [("honest", &honest, true), ("reject", &reject, false)] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_linearizability_tuned(
+        let references = assert_sharing_invisible(&format!("linz ticket {label}"), |row| {
+            row.linearizability(
                 &iface,
                 &focused,
                 &programs,
@@ -244,24 +161,10 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
                 validator,
                 &contexts,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(1, por, false, false);
+        });
+        for reference in &references {
             assert_eq!(reference.is_ok(), expect_ok, "{label} polarity");
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("linz ticket {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
-            }
         }
     }
 }
@@ -272,9 +175,13 @@ fn race_freedom_is_kernel_config_invariant() {
     // Honest: the locked ticket client is race-free. Broken: fully
     // preemptible pull/push on the raw hardware machine gets stuck, and
     // the stuck-context evidence must match across configurations.
-    let scenarios: [(&str, ccal::core::layer::LayerInterface, BTreeMap<Pid, ThreadScript>, bool);
-        2] = [
-        ("ticket", ticket_iface(), acq_rel_programs("acq", "rel"), true),
+    let scenarios = [
+        (
+            "ticket",
+            ticket_iface(),
+            acq_rel_programs("acq", "rel"),
+            true,
+        ),
         (
             "mx86",
             mx86_hw_interface(),
@@ -285,23 +192,11 @@ fn race_freedom_is_kernel_config_invariant() {
     let focused = PidSet::from_pids([Pid(0), Pid(1)]);
     let contexts = game_contexts();
     for (label, iface, programs, expect_ok) in &scenarios {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_race_freedom_tuned(
-                iface, &focused, programs, &contexts, FUEL, workers, por, share, deep,
-            )
-        };
-        for por in POR {
-            let reference = run(1, por, false, false);
+        let references = assert_sharing_invisible(&format!("race {label}"), |row| {
+            row.race_freedom(iface, &focused, programs, &contexts, FUEL)
+        });
+        for reference in &references {
             assert_eq!(reference.is_ok(), *expect_ok, "{label} polarity");
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("race {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
-            }
         }
     }
 }
@@ -321,8 +216,8 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
     // exact case index and rendered evidence — must be configuration
     // independent.
     for (label, relation) in [("r1", r1_relation()), ("id", SimRelation::identity())] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_sequence_refinement_tuned(
+        assert_sharing_invisible(&format!("seqref ticket {label}"), |row| {
+            row.sequence_refinement(
                 &impl_iface,
                 &lock_interface(),
                 &relation,
@@ -330,24 +225,8 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
                 &contexts,
                 &scripts,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(1, por, false, false);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("seqref ticket {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
-            }
-        }
+        });
     }
 }
 
@@ -363,66 +242,50 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
     let programs = acq_rel_programs("acq_q", "rel_q");
     let contexts = game_contexts();
     let validator = lock_history_validator();
-    for por in POR {
-        let linz_ref = check_linearizability_tuned(
-            &iface, &focused, &programs, &SimRelation::identity(), &validator, &contexts, FUEL,
-            1, por, false, false,
-        );
-        assert!(linz_ref.is_ok(), "atomic qlock histories linearize");
-        let race_ref = check_race_freedom_tuned(
-            &iface, &focused, &programs, &contexts, FUEL, 1, por, false, false,
-        );
-        assert!(race_ref.is_ok(), "atomic qlock clients are race-free");
-        let scripts: Vec<OpScript> = vec![vec![
-            ("acq_q".to_owned(), vec![Val::Loc(B)]),
-            ("rel_q".to_owned(), vec![Val::Loc(B)]),
-        ]];
-        let seq_ref = check_sequence_refinement_tuned(
-            &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts, FUEL,
-            1, por, false, false,
-        );
-        let live_ref = check_liveness_tuned(
-            &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-            1, por, false, false,
-        );
-        assert!(live_ref.is_ok(), "uncontended acq_q completes promptly");
-        for workers in WORKERS {
-            for deep in [false, true] {
-                let label = format!("qlock workers={workers} por={por} deep={deep}");
-                assert_invisible(
-                    &format!("linz {label}"),
-                    &linz_ref,
-                    &check_linearizability_tuned(
-                        &iface, &focused, &programs, &SimRelation::identity(), &validator,
-                        &contexts, FUEL, workers, por, true, deep,
-                    ),
-                );
-                assert_invisible(
-                    &format!("race {label}"),
-                    &race_ref,
-                    &check_race_freedom_tuned(
-                        &iface, &focused, &programs, &contexts, FUEL, workers, por, true, deep,
-                    ),
-                );
-                assert_invisible(
-                    &format!("seqref {label}"),
-                    &seq_ref,
-                    &check_sequence_refinement_tuned(
-                        &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts,
-                        FUEL, workers, por, true, deep,
-                    ),
-                );
-                assert_invisible(
-                    &format!("live {label}"),
-                    &live_ref,
-                    &check_liveness_tuned(
-                        &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-                        workers, por, true, deep,
-                    ),
-                );
-            }
-        }
-    }
+    let linz = assert_sharing_invisible("linz qlock", |row| {
+        row.linearizability(
+            &iface,
+            &focused,
+            &programs,
+            &SimRelation::identity(),
+            &validator,
+            &contexts,
+            FUEL,
+        )
+    });
+    assert!(
+        linz.iter().all(Result::is_ok),
+        "atomic qlock histories linearize"
+    );
+    let race = assert_sharing_invisible("race qlock", |row| {
+        row.race_freedom(&iface, &focused, &programs, &contexts, FUEL)
+    });
+    assert!(
+        race.iter().all(Result::is_ok),
+        "atomic qlock clients are race-free"
+    );
+    let scripts: Vec<OpScript> = vec![vec![
+        ("acq_q".to_owned(), vec![Val::Loc(B)]),
+        ("rel_q".to_owned(), vec![Val::Loc(B)]),
+    ]];
+    assert_sharing_invisible("seqref qlock", |row| {
+        row.sequence_refinement(
+            &iface,
+            &iface,
+            &SimRelation::identity(),
+            Pid(0),
+            &contexts,
+            &scripts,
+            FUEL,
+        )
+    });
+    let live = assert_sharing_invisible("live qlock", |row| {
+        row.liveness(&iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL)
+    });
+    assert!(
+        live.iter().all(Result::is_ok),
+        "uncontended acq_q completes promptly"
+    );
 }
 
 #[test]
@@ -445,7 +308,10 @@ fn qlock_certificate_is_deterministic_through_the_kernel() {
     let first = run();
     assert_eq!(first, run(), "qlock certificate drifted between runs");
     let rendered = first.expect("the queuing lock certifies");
-    assert!(rendered.contains("Obligation"), "certificate renders: {rendered}");
+    assert!(
+        rendered.contains("Obligation"),
+        "certificate renders: {rendered}"
+    );
 }
 
 #[test]
@@ -459,20 +325,17 @@ fn serial_step_counters_are_reproducible() {
     let contexts = ticket_contexts();
     let run = || {
         ccal::core::prefix::steps_reset();
-        let ob = check_liveness_tuned(
-            &iface,
-            "acq",
-            &[Val::Loc(B)],
-            Pid(0),
-            &contexts,
-            ticket_bound(4, 8, 2),
-            FUEL,
-            1,
-            true,
-            true,
-            true,
-        )
-        .expect("acq is starvation-free under the rely");
+        let ob = SHIPPED
+            .liveness(
+                &iface,
+                "acq",
+                &[Val::Loc(B)],
+                Pid(0),
+                &contexts,
+                ticket_bound(4, 8, 2),
+                FUEL,
+            )
+            .expect("acq is starvation-free under the rely");
         (
             format!("{ob:?}"),
             ccal::core::prefix::steps_total(),

@@ -1,21 +1,20 @@
-//! Differential tests for the parallel, work-stealing exploration engine:
+//! The worker and dedup axes of the engine differential (`tests/engine`):
 //! exploring the `(context × argument)` case grid across workers, with or
 //! without symmetric-schedule dedup, must be **bit-identical** to the
 //! serial checker — same certificates (obligations, counts, probe logs in
 //! the same order), same verdicts, and the same *first* failure selected
 //! by case index.
 
+mod engine;
+
 use std::sync::Arc;
 
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
-use ccal::core::event::EventKind;
 use ccal::core::id::{Loc, Pid};
-use ccal::core::layer::{LayerInterface, PrimSpec};
-use ccal::core::sim::{check_prim_refinement, SimOptions, SimRelation};
-use ccal::core::val::Val;
 use ccal::objects::sharedq::{certify_shared_queue_tuned, SharedQEnvPlayer};
 use ccal::objects::ticket::{certify_ticket_stack_tuned, FooEnvPlayer, TicketEnvPlayer};
+use engine::{int_args, op_pair, Row, SHIPPED};
 
 const B: Loc = Loc(0);
 
@@ -33,40 +32,56 @@ fn atomic_contexts(b: Loc) -> Vec<EnvContext> {
         .contexts()
 }
 
+fn ticket_stack(row: Row) -> ccal::objects::ticket::TicketStack {
+    certify_ticket_stack_tuned(
+        Pid(0),
+        B,
+        low_contexts(B),
+        atomic_contexts(B),
+        row.workers,
+        row.dedup,
+    )
+    .expect("the ticket stack certifies")
+}
+
+/// The serial, dedup-free row every parallel or deduplicated row must
+/// reproduce.
+const SERIAL: Row = SHIPPED.with_dedup(false);
+
 #[test]
 fn ticket_stack_certificates_are_identical_across_workers_and_dedup() {
-    let serial = certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), 1, false)
-        .expect("serial certification succeeds");
-    let parallel =
-        certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), 4, true)
-            .expect("parallel certification succeeds");
+    let serial = ticket_stack(SERIAL);
+    let parallel = ticket_stack(SERIAL.with_workers(4).with_dedup(true));
     assert_eq!(serial.fun_lift.certificate, parallel.fun_lift.certificate);
     assert_eq!(serial.log_lift.certificate, parallel.log_lift.certificate);
-    assert_eq!(serial.lock_layer.certificate, parallel.lock_layer.certificate);
+    assert_eq!(
+        serial.lock_layer.certificate,
+        parallel.lock_layer.certificate
+    );
     assert_eq!(
         serial.client_layer.certificate,
         parallel.client_layer.certificate
     );
-    assert_eq!(serial.full_stack.certificate, parallel.full_stack.certificate);
     assert_eq!(
-        serial.full_stack.judgment(),
-        parallel.full_stack.judgment()
+        serial.full_stack.certificate,
+        parallel.full_stack.certificate
     );
+    assert_eq!(serial.full_stack.judgment(), parallel.full_stack.judgment());
 }
 
 #[test]
 fn shared_queue_certificates_are_identical_across_workers_and_dedup() {
     let q = Loc(3);
-    let contexts = || {
-        ContextGen::new(vec![Pid(0), Pid(1)])
+    let run = |row: Row| {
+        let contexts = ContextGen::new(vec![Pid(0), Pid(1)])
             .with_player(Pid(1), Arc::new(SharedQEnvPlayer::new(Pid(1), q, 2)))
             .with_schedule_len(3)
-            .contexts()
+            .contexts();
+        certify_shared_queue_tuned(Pid(0), q, contexts, row.workers, row.dedup)
+            .expect("the shared queue certifies")
     };
-    let serial = certify_shared_queue_tuned(Pid(0), q, contexts(), 1, false)
-        .expect("serial certification succeeds");
-    let parallel = certify_shared_queue_tuned(Pid(0), q, contexts(), 4, true)
-        .expect("parallel certification succeeds");
+    let serial = run(SERIAL);
+    let parallel = run(SERIAL.with_workers(4).with_dedup(true));
     assert_eq!(serial.certificate, parallel.certificate);
     assert_eq!(serial.judgment(), parallel.judgment());
 }
@@ -77,44 +92,33 @@ fn shared_queue_certificates_are_identical_across_workers_and_dedup() {
 /// index, i.e. context #0, args #5.
 #[test]
 fn first_failure_is_selected_by_case_index_in_every_configuration() {
-    let lower = LayerInterface::builder("LD")
-        .prim(PrimSpec::atomic("op", |ctx, args| {
-            ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-            Ok(args[0].clone())
-        }))
-        .build();
-    let upper = LayerInterface::builder("UD")
-        .prim(PrimSpec::atomic("op", |ctx, args| {
-            ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-            let n = args[0].as_int()?;
-            Ok(Val::Int(if n >= 5 { n + 1 } else { n }))
-        }))
-        .build();
+    let (lower, upper) = op_pair(5);
     let contexts = ContextGen::new(vec![Pid(0), Pid(1)])
         .with_schedule_len(3)
         .contexts();
     assert!(contexts.len() > 1, "the grid must span several contexts");
-    let args: Vec<Vec<Val>> = (0..10).map(|i| vec![Val::Int(i)]).collect();
-    let mut failures = Vec::new();
-    for (workers, dedup) in [(1, false), (1, true), (4, false), (4, true), (8, true)] {
-        let opts = SimOptions::default().with_workers(workers).with_dedup(dedup);
-        let failure = check_prim_refinement(
-            &lower, "op", &upper, "op", &SimRelation::identity(), Pid(0), &contexts, &args, &opts,
-        )
-        .expect_err("the refinement is broken");
-        failures.push((workers, dedup, failure));
-    }
-    let reference = format!("{}", failures[0].2);
+    let args = int_args(10);
+    let failures: Vec<_> = [(1, false), (1, true), (4, false), (4, true), (8, true)]
+        .into_iter()
+        .map(|(workers, dedup)| {
+            let row = SHIPPED.with_workers(workers).with_dedup(dedup);
+            let failure = row
+                .refinement(&lower, "op", &upper, "op", &contexts, &args, &[])
+                .expect_err("the refinement is broken");
+            (row, failure)
+        })
+        .collect();
     assert!(
-        failures[0].2.case.starts_with("context #0, args #5"),
+        failures[0].1.case.starts_with("context #0, args #5"),
         "serial first failure must be the smallest case index, got {}",
-        failures[0].2.case
+        failures[0].1.case
     );
-    for (workers, dedup, failure) in &failures {
+    let reference = format!("{}", failures[0].1);
+    for (row, failure) in &failures {
         assert_eq!(
             format!("{failure}"),
             reference,
-            "workers={workers} dedup={dedup} selected a different failure"
+            "{row:?} selected a different failure"
         );
     }
 }
@@ -126,33 +130,21 @@ fn first_failure_is_selected_by_case_index_in_every_configuration() {
 /// before the earlier chunk's failure is even run).
 #[test]
 fn first_failure_beyond_the_first_chunk_is_stable() {
-    let lower = LayerInterface::builder("LD2")
-        .prim(PrimSpec::atomic("op", |ctx, args| {
-            ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-            Ok(args[0].clone())
-        }))
-        .build();
-    let upper = LayerInterface::builder("UD2")
-        .prim(PrimSpec::atomic("op", |ctx, args| {
-            ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-            let n = args[0].as_int()?;
-            Ok(Val::Int(if n >= 17 { n + 1 } else { n }))
-        }))
-        .build();
+    let (lower, upper) = op_pair(17);
     let contexts = ContextGen::new(vec![Pid(0), Pid(1)])
         .with_schedule_len(1)
         .contexts();
-    let args: Vec<Vec<Val>> = (0..20).map(|i| vec![Val::Int(i)]).collect();
+    let args = int_args(20);
     // Failing case indices: 17..20 per context — the first (17) is inside
     // the second chunk, the rest straddle every later chunk boundary.
     assert!(contexts.len() * args.len() > 32, "grid must span 3+ chunks");
     let mut reference: Option<String> = None;
     for workers in [1, 2, 4, 8] {
-        let opts = SimOptions::default().with_workers(workers).with_por(false);
-        let failure = check_prim_refinement(
-            &lower, "op", &upper, "op", &SimRelation::identity(), Pid(0), &contexts, &args, &opts,
-        )
-        .expect_err("the refinement is broken");
+        let failure = SHIPPED
+            .with_workers(workers)
+            .with_por(false)
+            .refinement(&lower, "op", &upper, "op", &contexts, &args, &[])
+            .expect_err("the refinement is broken");
         assert!(
             failure.case.starts_with("context #0, args #17"),
             "workers={workers}: first failure must be case 17, got {}",
@@ -176,18 +168,19 @@ fn parallel_capture_yields_the_index_least_failing_case() {
     use ccal::objects::buggy;
 
     let check = |workers: usize| {
-        check_prim_refinement(
-            &buggy::scratch_sensitive_lower(),
-            "op",
-            &buggy::scratch_sensitive_upper(),
-            "op",
-            &SimRelation::identity(),
-            Pid(0),
-            &buggy::scratch_sensitive_contexts(),
-            &[vec![]],
-            &SimOptions::default().with_workers(workers).with_por(false),
-        )
-        .expect_err("the fixture is buggy")
+        SHIPPED
+            .with_workers(workers)
+            .with_por(false)
+            .refinement(
+                &buggy::scratch_sensitive_lower(),
+                "op",
+                &buggy::scratch_sensitive_upper(),
+                "op",
+                &buggy::scratch_sensitive_contexts(),
+                &[vec![]],
+                &[],
+            )
+            .expect_err("the fixture is buggy")
     };
     let scope = CaptureScope::begin();
     let serial_failure = check(1);
@@ -211,12 +204,8 @@ fn parallel_capture_yields_the_index_least_failing_case() {
 #[test]
 fn dedup_never_changes_the_verdict_or_the_evidence() {
     for workers in [1, 4] {
-        let with_dedup =
-            certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), workers, true)
-                .expect("certification succeeds with dedup");
-        let without =
-            certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), workers, false)
-                .expect("certification succeeds without dedup");
+        let with_dedup = ticket_stack(SHIPPED.with_workers(workers));
+        let without = ticket_stack(SERIAL.with_workers(workers));
         assert_eq!(
             with_dedup.full_stack.certificate, without.full_stack.certificate,
             "workers={workers}: dedup changed the certificate"

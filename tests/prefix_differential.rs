@@ -1,116 +1,36 @@
-//! Differential tests for the prefix-sharing lower-run exploration
-//! (`ccal_core::prefix`): running any bounded checker with the
-//! schedule-prefix trie on must be *observationally invisible* — the same
-//! verdict, the same case accounting (checked/skipped/reduced), the same
-//! first-failure case index, and bit-identical captured logs as the
+//! The sharing axis of the engine differential (`tests/engine`): running
+//! any bounded checker with the schedule-prefix trie
+//! (`ccal_core::prefix`) on must be *observationally invisible* — the
+//! same verdict, the same case accounting (checked/skipped/reduced), the
+//! same first-failure case index, and bit-identical captured logs as the
 //! memo-free engine, across serial and parallel workers and with the
-//! partial-order reduction on or off. Mirrors `tests/por_differential.rs`
-//! along the sharing axis, across all five bounded checkers. Each
-//! comparison runs twice more with deep sharing (the query-point snapshot
-//! trie, `ccal_core::prefix::SnapshotTrie`) off and on, so forked-resume
-//! suffix execution is held to the same invisibility contract.
+//! partial-order reduction on or off. Every comparison runs with deep
+//! sharing (the query-point snapshot trie,
+//! `ccal_core::prefix::SnapshotTrie`) off and on, so forked-resume suffix
+//! execution is held to the same invisibility contract.
 
-use std::collections::BTreeMap;
+mod engine;
+
 use std::sync::Arc;
 
-use ccal::core::calculus::{LayerError, Obligation};
-use ccal::core::sim::{SimEvidence, SimFailure};
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
-use ccal::core::id::{Loc, Pid, PidSet, QId};
+use ccal::core::id::{Loc, Pid, PidSet};
 use ccal::core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
-use ccal::core::machine::MachineError;
-use ccal::core::sim::{check_prim_refinement, SimOptions, SimRelation};
 use ccal::core::log::Log;
+use ccal::core::machine::MachineError;
 use ccal::core::rely::{Conditions, Invariant, RelyGuarantee};
+use ccal::core::sim::SimRelation;
 use ccal::core::strategy::ScratchPlayer;
 use ccal::core::val::Val;
-use ccal::objects::ticket::TicketEnvPlayer;
-use ccal::verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, fifo_history_validator,
+use ccal::machine::mx86::mx86_hw_interface;
+use ccal::verifier::fifo_history_validator;
+use engine::{
+    assert_invisible, assert_sharing_invisible, atomic_queue_iface, counter_iface,
+    enq_deq_programs, five_checkers, grid, int_args, op_pair, pull_push_programs, racy_grid,
+    random_contexts, wait_for_iface, Row,
 };
-
-/// The engine configurations every checker is compared across: the
-/// reference is sharing off; each (workers, por) combination with sharing
-/// on must be indistinguishable from the matching memo-free run.
-const WORKERS: [usize; 2] = [1, 4];
-const POR: [bool; 2] = [false, true];
-
-/// A grid with mixed sharing behavior: the contexts are full-script
-/// keyed, the contender forces some lower runs to consume the whole
-/// schedule while others finish (and memoize) early, and the scratch
-/// threads make the grid POR-reducible.
-fn grid(len: usize) -> Vec<EnvContext> {
-    let total = 4_usize.pow(len as u32);
-    ContextGen::new(vec![Pid(0), Pid(1), Pid(2), Pid(3)])
-        .with_player(Pid(1), Arc::new(TicketEnvPlayer::new(Pid(1), Loc(0), 1)))
-        .with_player(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(100))))
-        .with_player(Pid(3), Arc::new(ScratchPlayer::new(Pid(3), Loc(101))))
-        .with_schedule_len(len)
-        .with_max_contexts(total)
-        .with_por(true)
-        .contexts()
-}
-
-/// Asserts that the shared run is indistinguishable from the memo-free
-/// reference with the same POR setting: identical verdict (`Obligation`s
-/// compare field-by-field, so checked/skipped/reduced counts must all
-/// match) and identical first-failure evidence, including captured logs
-/// (`Debug` formatting renders every event).
-fn assert_invisible(
-    label: &str,
-    reference: &Result<Obligation, LayerError>,
-    shared: &Result<Obligation, LayerError>,
-) {
-    match (reference, shared) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: obligation drifted under sharing"),
-        (Err(a), Err(b)) => {
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{label}: failure evidence drifted under sharing"
-            );
-        }
-        (a, b) => panic!("{label}: verdicts diverged: {a:?} (reference) vs {b:?} (shared)"),
-    }
-}
-
-/// Same contract for the simulation checker, whose evidence type carries
-/// the probe suite rather than an `Obligation`: both sides are compared
-/// through their `Debug` rendering, which spells out every case count,
-/// every probe log, and (on failure) both captured logs event by event.
-fn assert_sim_invisible(
-    label: &str,
-    reference: &Result<SimEvidence, Box<SimFailure>>,
-    shared: &Result<SimEvidence, Box<SimFailure>>,
-) {
-    match (reference, shared) {
-        (Ok(a), Ok(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{label}: sim evidence drifted under sharing"
-        ),
-        (Err(a), Err(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{label}: sim counterexample drifted under sharing"
-        ),
-        (a, b) => panic!("{label}: sim verdicts diverged: {a:?} (reference) vs {b:?} (shared)"),
-    }
-}
-
-fn counter_iface(name: &str, broken: bool) -> LayerInterface {
-    LayerInterface::builder(name)
-        .prim(PrimSpec::atomic("bump", move |ctx, _| {
-            let n = ctx.abs.get_or_undef("n").as_int().unwrap_or(0) + 1;
-            ctx.abs.set("n", Val::Int(n));
-            ctx.emit(EventKind::Prim("bump".into(), vec![]));
-            Ok(Val::Int(if broken && n >= 3 { n + 1 } else { n }))
-        }))
-        .build()
-}
 
 #[test]
 fn sim_refinement_is_identical_with_and_without_sharing() {
@@ -118,54 +38,14 @@ fn sim_refinement_is_identical_with_and_without_sharing() {
     // 6 argument vectors so the memo's inner (argument) dimension is
     // exercised alongside the context dimension; broken for args ≥ 4 so
     // the index-least failing case is in the middle of the grid.
-    let lower = LayerInterface::builder("LD")
-        .prim(PrimSpec::atomic("op", |ctx, args| {
-            ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-            Ok(args[0].clone())
-        }))
-        .build();
-    let upper = |broken: bool| {
-        LayerInterface::builder("UD")
-            .prim(PrimSpec::atomic("op", move |ctx, args| {
-                ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
-                let n = args[0].as_int()?;
-                Ok(Val::Int(if broken && n >= 4 { n + 1 } else { n }))
-            }))
-            .build()
-    };
-    let args: Vec<Vec<Val>> = (0..6).map(|i| vec![Val::Int(i)]).collect();
+    let args = int_args(6);
     for broken in [false, true] {
-        let up = upper(broken);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_prim_refinement(
-                &lower,
-                "op",
-                &up,
-                "op",
-                &SimRelation::identity(),
-                Pid(0),
-                &contexts,
-                &args,
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
-            )
-        };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    let shared = run(true, deep, workers, por);
-                    assert_sim_invisible(
-                        &format!("sim broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &shared,
-                    );
-                }
-            }
-            if broken {
+        let (lower, upper) = op_pair(if broken { 4 } else { i64::MAX });
+        let references = assert_sharing_invisible(&format!("sim broken={broken}"), |row| {
+            row.refinement(&lower, "op", &upper, "op", &contexts, &args, &[])
+        });
+        if broken {
+            for reference in &references {
                 let failure = reference.as_ref().expect_err("broken for args >= 4");
                 assert!(
                     format!("{failure}").contains("args #4"),
@@ -248,79 +128,31 @@ fn setup_skips_and_failures_stay_keyed_at_their_consumed_depth() {
     let lower = gated_lower_iface();
     // Two argument vectors: the poisoning path needs an inner index > 0
     // that replays the memoized setup outcome.
-    let args: Vec<Vec<Val>> = (0..2).map(|i| vec![Val::Int(i)]).collect();
+    let args = int_args(2);
+    let setup = [("gate".to_owned(), Vec::new())];
     for broken in [false, true] {
         let upper = gated_upper_iface(broken);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            let mut opts = SimOptions::default()
-                .with_prefix_share(share)
-                .with_deep_share(deep)
-                .with_workers(workers)
-                .with_por(por);
-            opts.setup = vec![("gate".to_owned(), Vec::new())];
-            check_prim_refinement(
-                &lower,
-                "op",
-                &upper,
-                "op",
-                &SimRelation::identity(),
-                Pid(0),
-                &contexts,
-                &args,
-                &opts,
-            )
-        };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            if !broken {
-                // The grid must mix skipping and non-skipping setups, or
-                // the scenario exercises nothing.
+        let references = assert_sharing_invisible(&format!("gated-setup broken={broken}"), |row| {
+            row.refinement(&lower, "op", &upper, "op", &contexts, &args, &setup)
+        });
+        if !broken {
+            // The grid must mix skipping and non-skipping setups, or the
+            // scenario exercises nothing.
+            for reference in &references {
                 let ev = reference.as_ref().expect("honest pair verifies");
                 assert!(ev.cases_skipped > 0, "some setups must skip");
                 assert!(ev.cases_checked > 0, "some setups must succeed");
             }
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_sim_invisible(
-                        &format!(
-                            "gated-setup broken={broken} deep={deep} workers={workers} por={por}"
-                        ),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
-            }
         }
     }
-}
-
-/// A primitive that queries the environment until `k` non-scheduling
-/// events exist in the log, then finishes — the liveness workload.
-fn wait_for_iface(k: usize) -> LayerInterface {
-    struct WaitFor(usize);
-    impl PrimRun for WaitFor {
-        fn resume(&mut self, ctx: &mut PrimCtx<'_>) -> Result<PrimStep, MachineError> {
-            if ctx.log.without_sched().len() >= self.0 {
-                ctx.emit(EventKind::Prim("done".into(), vec![]));
-                Ok(PrimStep::Done(Val::Unit))
-            } else {
-                Ok(PrimStep::Query)
-            }
-        }
-    }
-    LayerInterface::builder("L-wait")
-        .prim(PrimSpec::strategy("wait", true, move |_, _| {
-            Box::new(WaitFor(k))
-        }))
-        .build()
 }
 
 #[test]
 fn liveness_is_identical_with_and_without_sharing() {
     let contexts = grid(3);
     for bound in [64, 0] {
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_liveness_tuned(
+        assert_sharing_invisible(&format!("live bound={bound}"), |row| {
+            row.liveness(
                 &wait_for_iface(1),
                 "wait",
                 &[],
@@ -328,129 +160,45 @@ fn liveness_is_identical_with_and_without_sharing() {
                 &contexts,
                 bound,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("live bound={bound} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
-            }
-        }
+        });
     }
 }
 
 #[test]
 fn race_freedom_is_identical_with_and_without_sharing() {
-    use ccal::machine::mx86::mx86_hw_interface;
-    let contexts = grid(3);
-    let focused = PidSet::from_pids([Pid(0)]);
     for broken in [false, true] {
         // Private location when honest; shared with a (racy) second
-        // focused pid when broken.
-        let pids = if broken {
-            PidSet::from_pids([Pid(0), Pid(1)])
+        // focused pid when broken — who then must not also be an
+        // environment player.
+        let (contexts, pids, programs) = if broken {
+            (
+                racy_grid(3),
+                PidSet::from_pids([Pid(0), Pid(1)]),
+                pull_push_programs(&[(Pid(0), Loc(0)), (Pid(1), Loc(0))]),
+            )
         } else {
-            focused.clone()
-        };
-        let contexts = if broken {
-            // Focused pids must not also be environment players.
-            ContextGen::new(vec![Pid(0), Pid(1), Pid(2), Pid(3)])
-                .with_player(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(100))))
-                .with_player(Pid(3), Arc::new(ScratchPlayer::new(Pid(3), Loc(101))))
-                .with_schedule_len(3)
-                .with_max_contexts(64)
-                .with_por(true)
-                .contexts()
-        } else {
-            contexts.clone()
-        };
-        let mut programs = BTreeMap::new();
-        let n = if broken { 2 } else { 1 };
-        for c in 0..n {
-            let loc = if broken { Loc(0) } else { Loc(50) };
-            programs.insert(
-                Pid(c),
-                vec![
-                    ("pull".to_owned(), vec![Val::Loc(loc)]),
-                    ("push".to_owned(), vec![Val::Loc(loc)]),
-                ],
-            );
-        }
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_race_freedom_tuned(
-                &mx86_hw_interface(),
-                &pids,
-                &programs,
-                &contexts,
-                50_000,
-                workers,
-                por,
-                share,
-                deep,
+            (
+                grid(3),
+                PidSet::from_pids([Pid(0)]),
+                pull_push_programs(&[(Pid(0), Loc(50))]),
             )
         };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("race broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
-            }
-        }
+        assert_sharing_invisible(&format!("race broken={broken}"), |row| {
+            row.race_freedom(&mx86_hw_interface(), &pids, &programs, &contexts, 50_000)
+        });
     }
-}
-
-fn atomic_queue_iface(deq_ret: Option<i64>) -> LayerInterface {
-    let mut b = LayerInterface::builder("Lq").prim(PrimSpec::atomic("enq", |ctx, args| {
-        let q = QId(args[0].as_int()? as u32);
-        ctx.emit(EventKind::EnQ(q, args[1].clone()));
-        Ok(Val::Unit)
-    }));
-    b = match deq_ret {
-        None => b.prim(PrimSpec::atomic("deq", |ctx, args| {
-            let q = QId(args[0].as_int()? as u32);
-            ctx.emit(EventKind::DeQ(q));
-            Ok(ccal::core::replay::deq_result(ctx.log, ctx.log.len() - 1))
-        })),
-        Some(k) => b.prim(PrimSpec::atomic("deq", move |ctx, args| {
-            let q = QId(args[0].as_int()? as u32);
-            ctx.emit(EventKind::DeQ(q));
-            Ok(Val::Int(k))
-        })),
-    };
-    b.build()
 }
 
 #[test]
 fn linearizability_is_identical_with_and_without_sharing() {
     let contexts = grid(3);
     let focused = PidSet::from_pids([Pid(0)]);
-    let mut programs = BTreeMap::new();
-    programs.insert(
-        Pid(0),
-        vec![
-            ("enq".to_owned(), vec![Val::Int(0), Val::Int(10)]),
-            ("deq".to_owned(), vec![Val::Int(0)]),
-        ],
-    );
+    let programs = enq_deq_programs();
     for broken in [false, true] {
-        let iface = atomic_queue_iface(if broken { Some(999) } else { None });
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_linearizability_tuned(
+        let iface = atomic_queue_iface(broken.then_some(999));
+        assert_sharing_invisible(&format!("linz broken={broken}"), |row| {
+            row.linearizability(
                 &iface,
                 &focused,
                 &programs,
@@ -458,24 +206,8 @@ fn linearizability_is_identical_with_and_without_sharing() {
                 &*fifo_history_validator("deq"),
                 &contexts,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("linz broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
-            }
-        }
+        });
     }
 }
 
@@ -487,11 +219,11 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
         vec![("bump".to_owned(), vec![]); 4],
         vec![("bump".to_owned(), vec![]); 2],
     ];
+    let spec_iface = counter_iface("ctr-spec", false);
     for broken in [false, true] {
         let impl_iface = counter_iface("ctr-impl", broken);
-        let spec_iface = counter_iface("ctr-spec", false);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_sequence_refinement_tuned(
+        assert_sharing_invisible(&format!("seqref broken={broken}"), |row| {
+            row.sequence_refinement(
                 &impl_iface,
                 &spec_iface,
                 &SimRelation::identity(),
@@ -499,24 +231,8 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
                 &contexts,
                 &scripts,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
             )
-        };
-        for por in POR {
-            let reference = run(false, false, 1, por);
-            for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("seqref broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
-            }
-        }
+        });
     }
 }
 
@@ -525,29 +241,6 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
-
-/// Builds a grid from encoded player choices for the three environment
-/// pids, as in `por_differential`: `0` = opaque, `1`/`2` = scratch
-/// threads, `3` = a ticket contender. The mix varies how much of the
-/// schedule each lower run consumes — and therefore how much the trie
-/// can share.
-fn random_contexts(len: usize, choices: [u8; 3]) -> Vec<EnvContext> {
-    let total = 4_usize.pow(len as u32);
-    let mut gen = ContextGen::new(vec![Pid(0), Pid(1), Pid(2), Pid(3)])
-        .with_schedule_len(len)
-        .with_max_contexts(total)
-        .with_por(true);
-    for (i, &c) in choices.iter().enumerate() {
-        let pid = Pid(1 + i as u32);
-        gen = match c {
-            0 => gen,
-            1 => gen.with_player(pid, Arc::new(ScratchPlayer::new(pid, Loc(100)))),
-            2 => gen.with_player(pid, Arc::new(ScratchPlayer::new(pid, Loc(101)))),
-            _ => gen.with_player(pid, Arc::new(TicketEnvPlayer::new(pid, Loc(0), 1))),
-        };
-    }
-    gen.contexts()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -569,111 +262,18 @@ proptest! {
         let broken = broken == 1;
         let por = knobs & 1 == 1;
         let workers = if knobs & 2 == 2 { 4 } else { 1 };
-        let deep = knobs & 4 == 4;
-
-        // 1. Prim refinement.
-        let sim = |share: bool, workers: usize| {
-            check_prim_refinement(
-                &counter_iface("ctr-impl", broken),
-                "bump",
-                &counter_iface("ctr-spec", false),
-                "bump",
-                &SimRelation::identity(),
-                Pid(0),
-                &contexts,
-                &[vec![], vec![], vec![]],
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
-            )
-        };
-        assert_sim_invisible("sim", &sim(false, 1), &sim(true, workers));
-
-        // 2. Liveness.
-        let bound = if broken { 0 } else { 64 };
-        let live = |share: bool, workers: usize| {
-            check_liveness_tuned(
-                &wait_for_iface(1), "wait", &[], Pid(0), &contexts, bound, 100_000,
-                workers, por, share, deep,
-            )
-        };
-        assert_invisible("live", &live(false, 1), &live(true, workers));
-
-        // 3. Race freedom (focused pids must not be environment players).
-        if c1 == 0 {
-            use ccal::machine::mx86::mx86_hw_interface;
-            let focused = PidSet::from_pids([Pid(0), Pid(1)]);
-            let loc = |c: u32| if broken { Loc(0) } else { Loc(50 + c) };
-            let mut programs = BTreeMap::new();
-            for c in 0..2 {
-                programs.insert(
-                    Pid(c),
-                    vec![
-                        ("pull".to_owned(), vec![Val::Loc(loc(c))]),
-                        ("push".to_owned(), vec![Val::Loc(loc(c))]),
-                    ],
-                );
-            }
-            let race = |share: bool, workers: usize| {
-                check_race_freedom_tuned(
-                    &mx86_hw_interface(), &focused, &programs, &contexts, 50_000,
-                    workers, por, share, deep,
-                )
-            };
-            assert_invisible("race", &race(false, 1), &race(true, workers));
+        let row = Row::shared(workers, por, knobs & 4 == 4);
+        // Focused pids must not also be environment players.
+        let race = c1 == 0;
+        let reference = five_checkers(Row::reference(por), &contexts, broken, race);
+        let shared = five_checkers(row, &contexts, broken, race);
+        let label = format!("{row:?}");
+        assert_invisible(&format!("sim {label}"), &reference.sim, &shared.sim);
+        assert_invisible(&format!("live {label}"), &reference.live, &shared.live);
+        if let (Some(a), Some(b)) = (&reference.race, &shared.race) {
+            assert_invisible(&format!("race {label}"), a, b);
         }
-
-        // 4. Linearizability of the atomic queue.
-        {
-            let focused = PidSet::from_pids([Pid(0)]);
-            let mut programs = BTreeMap::new();
-            programs.insert(
-                Pid(0),
-                vec![
-                    ("enq".to_owned(), vec![Val::Int(0), Val::Int(10)]),
-                    ("deq".to_owned(), vec![Val::Int(0)]),
-                ],
-            );
-            let iface = atomic_queue_iface(if broken { Some(999) } else { None });
-            let linz = |share: bool, workers: usize| {
-                check_linearizability_tuned(
-                    &iface,
-                    &focused,
-                    &programs,
-                    &SimRelation::identity(),
-                    &*fifo_history_validator("deq"),
-                    &contexts,
-                    100_000,
-                    workers,
-                    por,
-                    share,
-                    deep,
-                )
-            };
-            assert_invisible("linz", &linz(false, 1), &linz(true, workers));
-        }
-
-        // 5. Sequence refinement of the counter pair.
-        {
-            let scripts = vec![vec![("bump".to_owned(), vec![]); 4]];
-            let seq = |share: bool, workers: usize| {
-                check_sequence_refinement_tuned(
-                    &counter_iface("ctr-impl", broken),
-                    &counter_iface("ctr-spec", false),
-                    &SimRelation::identity(),
-                    Pid(0),
-                    &contexts,
-                    &scripts,
-                    100_000,
-                    workers,
-                    por,
-                    share,
-                    deep,
-                )
-            };
-            assert_invisible("seqref", &seq(false, 1), &seq(true, workers));
-        }
+        assert_invisible(&format!("linz {label}"), &reference.linz, &shared.linz);
+        assert_invisible(&format!("seqref {label}"), &reference.seqref, &shared.seqref);
     }
 }

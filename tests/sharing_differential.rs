@@ -9,8 +9,8 @@
 //! Three layers of coverage:
 //!
 //! 1. **Registry differential**: every known stack is certified twice —
-//!    pinned per-unit keys cold (`CCAL_SHARE_SEMANTIC=0`, the old
-//!    behavior) vs. semantic keys with one warm map shared across units
+//!    pinned per-unit keys cold (`ShareSemanticOverride::force(false)`,
+//!    the old behavior) vs. semantic keys with one warm map shared across units
 //!    exactly as `ccal-certd` runs it — across workers × POR ×
 //!    prefix/deep sharing × both ClightX execution tiers.
 //! 2. **Checker differential**: all five bounded checkers run on a
