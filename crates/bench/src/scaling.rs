@@ -357,11 +357,11 @@ pub fn render_por(lens: &[usize]) -> String {
 /// the widened-POR configuration: the focused participant runs `foo`
 /// while a `foo`-shaped contender and two scratch threads fill out a
 /// four-pid domain. The contender's bursts contain `Prim` events (`f`,
-/// `g`), so before per-primitive footprint declarations its alphabet
-/// carried a global footprint and licensed *no* reduction against the
-/// scratch threads; with `f`/`g` declared empty-footprint the whole
-/// alphabet is local to the lock and the sleep sets prune the
-/// contender/scratch interleavings too.
+/// `g`). A `Prim` event's footprint is global unless its player declares
+/// otherwise, which would license *no* reduction against the scratch
+/// threads; the contender declares its `f`/`g` empty
+/// (`Strategy::footprints_of_prim`), so the whole alphabet is local to the
+/// lock and the sleep sets prune the contender/scratch interleavings too.
 fn certify_client_por(
     schedule_len: usize,
     workers: usize,
@@ -1026,7 +1026,7 @@ mod tests {
     }
 
     #[test]
-    fn declared_prim_footprints_widen_the_client_layer_reduction() {
+    fn declared_f_g_footprints_widen_the_client_layer_reduction() {
         let _counters = crate::counter_lock();
         let row = por_widened_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));

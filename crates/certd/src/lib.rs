@@ -9,11 +9,11 @@
 //!   certification unit (one `check_prim_refinement` obligation of a
 //!   stack's Fig. 9 pipeline) is keyed by a
 //!   [`ccal_core::fingerprint::ContentHash`] over its ClightX sources,
-//!   both layer interfaces (with declared primitive footprints), the
-//!   simulation relation, the context-family parameters and the full
-//!   `SimOptions`. A request whose units all hit the store is answered
-//!   with **zero** exploration steps; editing one layer dirties only the
-//!   units whose inputs actually changed.
+//!   both layer interfaces (name and primitive names), the simulation
+//!   relation, the context-family parameters and the full `SimOptions`.
+//!   A request whose units all hit the store is answered with **zero**
+//!   exploration steps; editing one layer dirties only the units whose
+//!   inputs actually changed.
 //! * **Warm memo state** ([`coordinator`], [`shard`]): the daemon and its
 //!   shards keep one [`ccal_core::sim::SimWarm`] per unit fingerprint
 //!   alive across requests, so a re-check of a known unit starts with the

@@ -168,7 +168,6 @@ fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
     let mut out = Vec::new();
     match stack {
         "ticket" => {
-            ticket::declare_client_footprints();
             let m1 = front_end("M1", ticket::M1_SOURCE)?;
             let m2 = front_end("M2", ticket::M2_SOURCE)?;
             let l0 = ticket::l0_interface();
@@ -230,7 +229,6 @@ fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
             }
         }
         "qlock" => {
-            qlock::declare_qlock_footprints();
             let m = front_end("Mql", qlock::QLOCK_SOURCE)?;
             let under = qlock::qlock_underlay();
             let over = qlock::qlock_overlay();
@@ -396,10 +394,14 @@ pub fn decompositions_total() -> u64 {
 /// The identity of a whole-stack certificate: stack name plus every
 /// verdict-relevant parameter. Keying the manifest by this (rather than
 /// the stack name alone) makes a parameter change a manifest miss, the
-/// same way it dirties every unit fingerprint.
+/// same way it dirties every unit fingerprint. A manifest lists unit
+/// fingerprints, so the version tag moves whenever they are computed
+/// differently: a store written under the old scheme then misses its
+/// manifest and re-checks once instead of answering with fingerprints
+/// this build no longer computes.
 pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.section("ccal.cert.manifest.v1");
+    h.section("ccal.cert.manifest.v2");
     h.str("stack", stack);
     h.usize("schedule_len", params.schedule_len);
     h.u64("rounds", params.rounds);
@@ -620,6 +622,58 @@ mod tests {
         );
         assert!(ticket.iter().all(|u| u.ncases > 0));
         assert!(stack_units("nope", &params).is_err());
+    }
+
+    /// Pins every service key at the default parameters. A change that
+    /// moves a key makes every store from earlier builds re-check the
+    /// affected units, so it must update this table on purpose (and say so
+    /// in the CHANGELOG).
+    #[test]
+    fn service_keys_are_pinned_at_default_params() {
+        let _mode = share_mode_lock();
+        let params = CertParams::default();
+        let manifests = [
+            ("ticket", "302bc85d874a4e8db67e1788f56e43ac"),
+            ("qlock", "a8b09461c1debf2234f4ef204942fd63"),
+            ("scratch", "53ce69406e270b888235ea297ae3048f"),
+        ];
+        for (stack, key) in manifests {
+            assert_eq!(manifest_key(stack, &params).to_string(), key, "{stack} manifest");
+        }
+        // One sharing family per lower machine: ticket has 3, qlock 1.
+        let funlift = "943eff2bd8d200dac08bc47db3158e9f";
+        let loglift = "01319f5130592fd43c9c6a1c2ace58fd";
+        let client = "fb28c9d48d22ca927d5b74a060e48b0f";
+        let qlock = "504f97e95c7fc442b02a522257f4a311";
+        let scratch = "a20722e51a53b16c62d8d1b7cec8b152";
+        // (stack, unit, fingerprint, share)
+        let pinned = [
+            ("ticket", "funlift/acq", "a34e91afa0236c17e118a817bb8af624", funlift),
+            ("ticket", "funlift/f", "700048938152a6051b096efdd4816eed", funlift),
+            ("ticket", "funlift/g", "e93fc056b0cd25d129a1b4d5da8752e1", funlift),
+            ("ticket", "funlift/rel", "73686e5a0af6b1edc834c3a35777aa18", funlift),
+            ("ticket", "loglift/acq", "58f253043fcfdd2a8df99f6b609907af", loglift),
+            ("ticket", "loglift/f", "3dcf45c31c6e4f91b2bee4b8a139ef32", loglift),
+            ("ticket", "loglift/g", "6728921aff56b01f7306329b00bf7680", loglift),
+            ("ticket", "loglift/rel", "a1fbf7f09a6306c4c7f62e48fb16370b", loglift),
+            ("ticket", "client/foo", "25dcf657357b80acd10ab4a434d0dffe", client),
+            ("qlock", "acq_q", "da34aeb0b38d9c87175c2df77d06b315", qlock),
+            ("qlock", "rel_q", "c404756cf9f914be44eab110fe61e611", qlock),
+            ("scratch", "op", "47f965d8a7732a90effb8c9f2459eef0", scratch),
+        ];
+        let mut got = Vec::new();
+        for stack in known_stacks() {
+            for u in stack_units(stack, &params).expect("resolves") {
+                got.push((*stack, u.name, u.fingerprint.to_string(), u.share));
+            }
+        }
+        let want: Vec<_> = pinned
+            .iter()
+            .map(|&(stack, unit, fp, share)| {
+                (stack, unit.to_owned(), fp.to_owned(), share.to_owned())
+            })
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

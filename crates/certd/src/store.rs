@@ -1,8 +1,8 @@
 //! The content-addressed certificate store.
 //!
 //! One record per certification unit, keyed by the unit's
-//! [`ContentHash`] (sources + interfaces + footprints + relation +
-//! context family + full `SimOptions`). Records are held in memory and,
+//! [`ContentHash`] (sources + interfaces + relation + context family +
+//! full `SimOptions`). Records are held in memory and,
 //! when the daemon is given a store directory, mirrored to
 //! `<fingerprint>.json` files that survive restarts. Failing verdicts
 //! are stored too: re-requesting a known-bad unit replays its rendered

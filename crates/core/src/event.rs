@@ -11,10 +11,13 @@
 //! (spinlocks, shared queues, schedulers, queuing locks, condition
 //! variables, IPC) plus a generic [`EventKind::Prim`] escape hatch for
 //! client-defined primitives such as `f`, `g` and `foo` of Fig. 3.
+//!
+//! A named kind knows its own [`Footprint`]. A `Prim` kind does not: its
+//! name says nothing about what it touches, since two objects may each
+//! define an `f`. The player that emits a `Prim` event declares its
+//! footprint ([`crate::strategy::Strategy::footprints_of_prim`]).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 use crate::id::{Loc, Pid, QId};
 use crate::val::Val;
@@ -92,7 +95,10 @@ pub enum EventKind {
 
 /// One shared resource an event may touch. Used by the independence
 /// relation of the partial-order reduction ([`crate::por`]): two events
-/// can only commute when their footprints are disjoint.
+/// can only commute when their footprints are disjoint. A named kind's
+/// footprints are [`EventKind::footprints`]; a [`EventKind::Prim`] kind's
+/// are declared by the player emitting it
+/// ([`crate::strategy::Strategy::footprints_of_prim`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Footprint {
     /// A shared memory location.
@@ -100,9 +106,9 @@ pub enum Footprint {
     /// A shared queue / channel.
     Queue(QId),
     /// Everything — the event's effect cannot be localized (scheduling
-    /// transitions, generic [`EventKind::Prim`] calls, `yield`). A global
-    /// footprint conflicts with every footprint, including another global
-    /// one.
+    /// transitions, `yield`, and [`EventKind::Prim`] calls no player has
+    /// localized). A global footprint conflicts with every footprint,
+    /// including another global one.
     Global,
 }
 
@@ -114,103 +120,6 @@ impl Footprint {
     }
 }
 
-/// How the footprint of a generic [`EventKind::Prim`] event with a given
-/// name is derived. Declared by object authors via
-/// [`declare_prim_footprint`]; undeclared primitives stay
-/// [`PrimFootprint::Global`], the conservative default.
-///
-/// A declaration is a *soundness claim* about the abstraction the event
-/// lives under: the replay functions and simulation relations consuming
-/// the event must depend only on the declared resources (and on the
-/// per-author event order, which the independence relation always
-/// preserves). In exchange, the partial-order reduction's alphabet gets
-/// finer and more context pairs become trace-equivalent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrimFootprint {
-    /// The footprints are exactly the [`Val::Loc`] arguments of the event
-    /// — e.g. `ql_take(b)` touches `b`. An event with no location
-    /// arguments has an *empty* footprint: it touches no shared resource
-    /// and commutes (footprint-wise) with everything, like the pure `f`
-    /// and `g` calls of Fig. 3, which the `R₂` abstraction buffers
-    /// per-author and erases.
-    Args,
-    /// A fixed footprint set, independent of the event's arguments.
-    Fixed(Vec<Footprint>),
-    /// Everything — the effect cannot be localized.
-    Global,
-}
-
-/// The process-global primitive-footprint registry, plus the bookkeeping
-/// needed to detect *time-sensitive* declarations: POR equivalence is
-/// stamped on contexts at grid-generation time, so a declaration landing
-/// after `name`'s footprint was already consulted cannot retroactively fix
-/// the marks on grids generated under the earlier derivation.
-#[derive(Default)]
-struct PrimFootprintRegistry {
-    map: HashMap<String, PrimFootprint>,
-    /// Names whose effective derivation has been consulted at least once
-    /// (including consultations answered by the undeclared
-    /// [`PrimFootprint::Global`] default).
-    consulted: std::collections::HashSet<String>,
-    /// Names already warned about, so the stderr note fires once per name.
-    warned: std::collections::HashSet<String>,
-}
-
-fn prim_footprint_registry() -> &'static Mutex<PrimFootprintRegistry> {
-    static REG: OnceLock<Mutex<PrimFootprintRegistry>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(PrimFootprintRegistry::default()))
-}
-
-/// Declares how [`EventKind::Prim`] events named `name` derive their
-/// footprint (process-global, like the relation-composition cache:
-/// primitive names identify their objects across the toolkit).
-/// Conflicting redeclarations widen to [`PrimFootprint::Global`] — two
-/// objects disagreeing about a name means neither claim can be trusted.
-/// Redeclaring the same derivation is idempotent.
-///
-/// Declare *before* generating context grids: POR-equivalence marks are
-/// stamped at generation time, so a declaration that changes `name`'s
-/// effective derivation after it has already been consulted leaves
-/// earlier grids carrying marks computed under the old derivation. Such a
-/// declaration still takes effect (later grids see it), but a warning is
-/// printed to stderr once per name so the initialization-order hazard is
-/// visible instead of silently splitting the process into two regimes.
-pub fn declare_prim_footprint(name: &str, fp: PrimFootprint) {
-    let mut reg = prim_footprint_registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let old = reg
-        .map
-        .get(name)
-        .cloned()
-        .unwrap_or(PrimFootprint::Global);
-    let new = match reg.map.get(name) {
-        Some(existing) if *existing != fp => PrimFootprint::Global,
-        _ => fp,
-    };
-    if new != old && reg.consulted.contains(name) && reg.warned.insert(name.to_owned()) {
-        eprintln!(
-            "ccal: footprint of primitive `{name}` redeclared after use; context \
-             grids generated earlier keep POR-equivalence marks computed under \
-             the previous derivation — declare footprints before generating grids"
-        );
-    }
-    reg.map.insert(name.to_owned(), new);
-}
-
-/// The declared footprint derivation for primitive `name`
-/// ([`PrimFootprint::Global`] when undeclared).
-pub fn prim_footprint(name: &str) -> PrimFootprint {
-    let mut reg = prim_footprint_registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    reg.consulted.insert(name.to_owned());
-    reg.map
-        .get(name)
-        .cloned()
-        .unwrap_or(PrimFootprint::Global)
-}
-
 impl EventKind {
     /// Whether this kind is a scheduling transition.
     pub fn is_sched(&self) -> bool {
@@ -219,9 +128,10 @@ impl EventKind {
 
     /// The shared resources this event touches. Conservative: anything
     /// whose effect cannot be pinned to a location or queue reports
-    /// [`Footprint::Global`]. Generic [`EventKind::Prim`] events consult
-    /// the [`declare_prim_footprint`] registry, so object authors can
-    /// localize (or empty) the footprint of their named primitives.
+    /// [`Footprint::Global`]. That includes every [`EventKind::Prim`]: a
+    /// primitive name is not an identity, so only the player emitting the
+    /// event can localize it
+    /// ([`crate::strategy::Strategy::footprints_of_prim`]).
     pub fn footprints(&self) -> Vec<Footprint> {
         use EventKind::*;
         match self {
@@ -231,18 +141,7 @@ impl EventKind {
             EnQ(q, _) | DeQ(q) | Wakeup(q) | CvWait(q) | CvSignal(q) | CvBroadcast(q)
             | IpcSend(q, _) | IpcRecv(q) => vec![Footprint::Queue(*q)],
             Sleep(q, lk) => vec![Footprint::Queue(*q), Footprint::Loc(*lk)],
-            HwSched(_) | Yield => vec![Footprint::Global],
-            Prim(name, args) => match prim_footprint(name) {
-                PrimFootprint::Global => vec![Footprint::Global],
-                PrimFootprint::Fixed(fs) => fs,
-                PrimFootprint::Args => args
-                    .iter()
-                    .filter_map(|v| match v {
-                        Val::Loc(b) => Some(Footprint::Loc(*b)),
-                        _ => None,
-                    })
-                    .collect(),
-            },
+            HwSched(_) | Yield | Prim(..) => vec![Footprint::Global],
         }
     }
 
@@ -278,28 +177,23 @@ impl EventKind {
 
     /// Kind-level independence, ignoring authorship: neither kind is a
     /// scheduling transition, the two are not both lock-ordered, and their
-    /// footprints are disjoint. [`independent`] adds the distinct-author
-    /// requirement.
-    pub fn independent_kinds(a: &EventKind, b: &EventKind) -> bool {
+    /// footprints `fa` and `fb` are disjoint. The footprints are passed in
+    /// because a [`EventKind::Prim`] kind's come from the player emitting
+    /// it; for every other kind they are [`EventKind::footprints`].
+    pub fn independent_kinds(
+        a: &EventKind,
+        fa: &[Footprint],
+        b: &EventKind,
+        fb: &[Footprint],
+    ) -> bool {
         if a.is_sched() || b.is_sched() {
             return false;
         }
         if a.is_lock_ordered() && b.is_lock_ordered() {
             return false;
         }
-        let fa = a.footprints();
-        b.footprints().iter().all(|fb| fa.iter().all(|x| !x.overlaps(fb)))
+        fb.iter().all(|y| fa.iter().all(|x| !x.overlaps(y)))
     }
-}
-
-/// The independence relation over events (the Mazurkiewicz trace alphabet
-/// used by [`crate::por`]): two events commute when they have different
-/// authors, neither is a scheduling transition, they are not both
-/// lock-ordered, and they touch disjoint shared resources. Adjacent
-/// independent events can be swapped in a log without changing any replayed
-/// shared state or any footprint-local strategy's behavior.
-pub fn independent(a: &Event, b: &Event) -> bool {
-    a.pid != b.pid && EventKind::independent_kinds(&a.kind, &b.kind)
 }
 
 /// An observable event: an [`EventKind`] tagged with the participant that
@@ -398,36 +292,52 @@ mod tests {
         assert_eq!(e.to_string(), "p1.FAI_t(b0)");
     }
 
+    /// Independence of two named kinds, each with its own footprints.
+    fn commute(a: &EventKind, b: &EventKind) -> bool {
+        EventKind::independent_kinds(a, &a.footprints(), b, &b.footprints())
+    }
+
     #[test]
-    fn independence_requires_disjoint_footprints_and_distinct_pids() {
-        let pull0 = Event::new(Pid(1), EventKind::Pull(Loc(0)));
-        let pull1 = Event::new(Pid(2), EventKind::Pull(Loc(1)));
-        assert!(independent(&pull0, &pull1), "disjoint locations commute");
-        let push0 = Event::new(Pid(2), EventKind::Push(Loc(0), Val::Int(1)));
-        assert!(!independent(&pull0, &push0), "same location conflicts");
-        let same_pid = Event::new(Pid(1), EventKind::Pull(Loc(1)));
-        assert!(!independent(&pull0, &same_pid), "same author never commutes");
+    fn independence_requires_disjoint_footprints() {
+        let pull0 = EventKind::Pull(Loc(0));
+        assert!(commute(&pull0, &EventKind::Pull(Loc(1))), "disjoint locations commute");
+        let push0 = EventKind::Push(Loc(0), Val::Int(1));
+        assert!(!commute(&pull0, &push0), "same location conflicts");
     }
 
     #[test]
     fn lock_ordered_events_never_commute_with_each_other() {
-        let a = Event::new(Pid(1), EventKind::Acq(Loc(0)));
-        let b = Event::new(Pid(2), EventKind::FaiT(Loc(7)));
+        let a = EventKind::Acq(Loc(0));
         // Different locks, but both participate in lock ordering.
-        assert!(!independent(&a, &b));
+        assert!(!commute(&a, &EventKind::FaiT(Loc(7))));
         // A lock event does commute with a non-lock event elsewhere.
-        let q = Event::new(Pid(2), EventKind::EnQ(crate::id::QId(3), Val::Int(5)));
-        assert!(independent(&a, &q));
+        assert!(commute(&a, &EventKind::EnQ(QId(3), Val::Int(5))));
     }
 
     #[test]
     fn sched_prim_and_yield_conflict_with_everything() {
-        let sched = Event::sched(Pid(1));
-        let prim = Event::prim(Pid(2), "f", vec![]);
-        let pull = Event::new(Pid(3), EventKind::Pull(Loc(9)));
-        assert!(!independent(&sched, &pull));
-        assert!(!independent(&prim, &pull));
+        let pull = EventKind::Pull(Loc(9));
+        assert!(!commute(&EventKind::HwSched(Pid(1)), &pull));
+        assert!(!commute(&EventKind::Prim("f".into(), vec![]), &pull));
+        assert!(!commute(&EventKind::Yield, &pull));
         assert!(Footprint::Global.overlaps(&Footprint::Global));
+    }
+
+    #[test]
+    fn player_declared_footprints_decide_prim_independence() {
+        // What a player declares for its `Prim` kind is what counts: an
+        // empty footprint commutes with anything but the schedule, even a
+        // lock event, since a `Prim` is never lock-ordered.
+        let pure = EventKind::Prim("f".into(), vec![]);
+        let acq = EventKind::Acq(Loc(0));
+        assert!(EventKind::independent_kinds(&pure, &[], &acq, &acq.footprints()));
+        let sched = EventKind::HwSched(Pid(2));
+        assert!(!EventKind::independent_kinds(&pure, &[], &sched, &[]));
+        let take = EventKind::Prim("take".into(), vec![Val::Loc(Loc(0))]);
+        let at0 = [Footprint::Loc(Loc(0))];
+        let pull = |b| EventKind::Pull(Loc(b));
+        assert!(EventKind::independent_kinds(&take, &at0, &pull(1), &pull(1).footprints()));
+        assert!(!EventKind::independent_kinds(&take, &at0, &pull(0), &pull(0).footprints()));
     }
 
     #[test]
@@ -435,69 +345,6 @@ mod tests {
         let fs = EventKind::Sleep(QId(1), Loc(2)).footprints();
         assert!(fs.contains(&Footprint::Loc(Loc(2))));
         assert!(fs.contains(&Footprint::Queue(QId(1))));
-    }
-
-    #[test]
-    fn declared_arg_footprints_localize_prims() {
-        // Names are unique to this test: the registry is process-global.
-        declare_prim_footprint("test_fp_take", PrimFootprint::Args);
-        let take0 = Event::prim(Pid(1), "test_fp_take", vec![Val::Loc(Loc(0))]);
-        let pull1 = Event::new(Pid(2), EventKind::Pull(Loc(1)));
-        let pull0 = Event::new(Pid(2), EventKind::Pull(Loc(0)));
-        assert!(independent(&take0, &pull1), "disjoint locations commute");
-        assert!(!independent(&take0, &pull0), "same location conflicts");
-        assert_eq!(
-            take0.kind.footprints(),
-            vec![Footprint::Loc(Loc(0))],
-            "non-Loc args contribute nothing"
-        );
-    }
-
-    #[test]
-    fn empty_arg_footprints_commute_with_everything_but_sched() {
-        declare_prim_footprint("test_fp_pure", PrimFootprint::Args);
-        let pure = Event::prim(Pid(1), "test_fp_pure", vec![]);
-        assert!(pure.kind.footprints().is_empty());
-        let pull = Event::new(Pid(2), EventKind::Pull(Loc(9)));
-        let acq = Event::new(Pid(2), EventKind::Acq(Loc(0)));
-        assert!(independent(&pure, &pull));
-        assert!(independent(&pure, &acq), "pure prims are not lock-ordered");
-        assert!(!independent(&pure, &Event::sched(Pid(2))));
-    }
-
-    #[test]
-    fn conflicting_declarations_widen_to_global() {
-        declare_prim_footprint("test_fp_conflict", PrimFootprint::Args);
-        declare_prim_footprint(
-            "test_fp_conflict",
-            PrimFootprint::Fixed(vec![Footprint::Loc(Loc(3))]),
-        );
-        assert_eq!(prim_footprint("test_fp_conflict"), PrimFootprint::Global);
-        // Idempotent redeclaration does not widen.
-        declare_prim_footprint("test_fp_stable", PrimFootprint::Args);
-        declare_prim_footprint("test_fp_stable", PrimFootprint::Args);
-        assert_eq!(prim_footprint("test_fp_stable"), PrimFootprint::Args);
-    }
-
-    #[test]
-    fn post_use_declarations_still_take_effect() {
-        // Consulting first answers the undeclared Global default and marks
-        // the name used; a later declaration warns (once, on stderr — the
-        // earlier consultation may have stamped POR marks on a grid) but
-        // still lands for everything generated afterwards.
-        assert_eq!(prim_footprint("test_fp_late"), PrimFootprint::Global);
-        declare_prim_footprint("test_fp_late", PrimFootprint::Args);
-        assert_eq!(prim_footprint("test_fp_late"), PrimFootprint::Args);
-    }
-
-    #[test]
-    fn undeclared_prims_stay_global() {
-        assert_eq!(
-            prim_footprint("test_fp_never_declared"),
-            PrimFootprint::Global
-        );
-        let e = Event::prim(Pid(0), "test_fp_never_declared", vec![]);
-        assert_eq!(e.kind.footprints(), vec![Footprint::Global]);
     }
 
     #[test]

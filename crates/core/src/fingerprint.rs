@@ -1,12 +1,15 @@
 //! Content-addressed fingerprints for certification inputs.
 //!
 //! A certification verdict is a pure function of (module source, layer
-//! interfaces, declared primitive footprints, simulation options, context
-//! grid parameters). The certification service keys its certificate store
-//! by a [`ContentHash`] over exactly those inputs, so a byte-identical
-//! request is answered from the store with **zero** exploration steps, and
-//! editing one layer of a stack dirties only the units whose inputs
-//! actually changed.
+//! interfaces, simulation options, context grid parameters). ClightX
+//! modules are hashed by source text. Other object code — a Rust
+//! primitive's body, a player's moves and the footprints it declares for
+//! its `Prim` events — is hashed only through the names that select it
+//! (interface and primitive names, the context grid's description). The
+//! certification service keys its certificate store by a [`ContentHash`]
+//! over exactly those inputs, so a byte-identical request is answered
+//! from the store with **zero** exploration steps, and editing one layer
+//! of a stack dirties only the units whose inputs actually changed.
 //!
 //! The hash is a streaming FNV-1a over a 128-bit state with explicit
 //! domain separation: every field is framed as `tag • length • payload`,
@@ -18,7 +21,6 @@
 
 use std::fmt;
 
-use crate::event::PrimFootprint;
 use crate::layer::LayerInterface;
 use crate::val::Val;
 
@@ -159,11 +161,10 @@ impl ContentHasher {
         }
     }
 
-    /// A layer interface: its name, its primitive names in canonical
-    /// (sorted) order, and each primitive's *declared footprint
-    /// derivation* from the process-global registry — the POR input that
-    /// changes which context grids are explored. Interfaces with the same
-    /// name but different primitives (or footprints) hash differently.
+    /// A layer interface: its name and its primitive names in canonical
+    /// (sorted) order. Interfaces with the same name but different
+    /// primitives hash differently; the hash reads nothing but the
+    /// interface, so it does not depend on what else the process built.
     pub fn interface(&mut self, tag: &str, iface: &LayerInterface) {
         self.section(tag);
         self.str("iface.name", &iface.name);
@@ -172,25 +173,6 @@ impl ContentHasher {
         self.usize("iface.nprims", names.len());
         for name in names {
             self.str("prim", name);
-            self.prim_footprint("prim.fp", &crate::event::prim_footprint(name));
-        }
-    }
-
-    /// A declared footprint derivation.
-    pub fn prim_footprint(&mut self, tag: &str, fp: &PrimFootprint) {
-        match fp {
-            PrimFootprint::Args => self.str(tag, "args"),
-            PrimFootprint::Global => self.str(tag, "global"),
-            PrimFootprint::Fixed(fps) => {
-                self.frame(tag, fps.len());
-                for f in fps {
-                    match f {
-                        crate::event::Footprint::Loc(l) => self.u64("fp.loc", u64::from(l.0)),
-                        crate::event::Footprint::Queue(q) => self.u64("fp.queue", u64::from(q.0)),
-                        crate::event::Footprint::Global => self.section("fp.global"),
-                    }
-                }
-            }
         }
     }
 
@@ -202,7 +184,7 @@ impl ContentHasher {
 
 /// A **semantic sharing key**: the content identity of one lower-machine
 /// exploration *family*. Two checks with equal `ShareKey`s explore the
-/// same lower machine (same sources, interfaces and footprints) for the
+/// same lower machine (same sources and interfaces) for the
 /// same participant over the same context-grid structure under the same
 /// exploration-relevant options — so their `PrefixMemo` / `SnapshotTrie`
 /// entries describe the same deterministic computations and may safely

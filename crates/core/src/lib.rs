@@ -105,9 +105,7 @@ pub mod prelude {
     pub use crate::conc::{ConcurrentMachine, ConcurrentOutcome, ThreadScript};
     pub use crate::contexts::ContextGen;
     pub use crate::env::EnvContext;
-    pub use crate::event::{
-        declare_prim_footprint, prim_footprint, Event, EventKind, Footprint, PrimFootprint,
-    };
+    pub use crate::event::{Event, EventKind, Footprint};
     pub use crate::explore::{Case, ExploreOptions, Explored, Kernel, RunSnap};
     pub use crate::forensics::{CaptureScope, FailingCase, ShrinkNote};
     pub use crate::id::{Loc, Pid, PidSet, QId};

@@ -3,19 +3,24 @@
 //! The bounded checkers quantify over environment contexts by enumerating
 //! every schedule prefix of a fixed length over the scheduler domain — a
 //! `|D|^len` grid ([`crate::contexts::ContextGen`]). Many of those prefixes
-//! are *Mazurkiewicz-trace equivalent*: when two environment players only
-//! ever emit [`crate::event::independent`] events, scheduling `p` before
-//! `q` or `q` before `p` in adjacent slots yields logs that differ only by
-//! commuting independent events, and every replay-based verdict agrees on
-//! them. This module enumerates exactly one representative prefix per
-//! trace — the one with the **smallest grid index** — using the classic
-//! sleep-set algorithm (Godefroid), so the checkers can skip the rest.
+//! are *Mazurkiewicz-trace equivalent*: when every event one environment
+//! player may emit commutes with every event another may emit, scheduling
+//! `p` before `q` or `q` before `p` in adjacent slots yields logs that
+//! differ only by the order of commuting events, and every replay-based
+//! verdict agrees on them. This module enumerates exactly one
+//! representative prefix per trace — the one with the **smallest grid
+//! index** — using the classic sleep-set algorithm (Godefroid), so the
+//! checkers can skip the rest.
 //!
 //! # Independence
 //!
 //! Independence is lifted from events to players: two pids commute iff both
 //! declare an alphabet via [`Strategy::may_emit`] and every cross pair of
-//! declared kinds is [`EventKind::independent_kinds`]. A player without a
+//! declared kinds is [`EventKind::independent_kinds`]. Each kind's
+//! footprints are its own, except a [`EventKind::Prim`] kind's, which the
+//! declaring player states through [`Strategy::footprints_of_prim`]: a
+//! primitive name is not an identity, so two players' same-named `Prim`
+//! kinds never share a declaration. A player without a
 //! declared alphabet — including the focused pid, which runs the primitive
 //! under test rather than a registered environment strategy — is opaque and
 //! conflicts with everyone, so the reduction degrades gracefully to the
@@ -25,16 +30,16 @@
 //!
 //! Pruning is sound for strategies that are deterministic functions of the
 //! log and *footprint-local* (see the [`Strategy::may_emit`] contract):
-//! swapping adjacent turns of independent players then produces
-//! [`crate::log::Log::trace_equivalent`] logs, on which every replay
+//! swapping adjacent turns of independent players then only reorders
+//! events of distinct authors with disjoint footprints, so every replay
 //! function computes the same object state and every checker the same
-//! verdict. The differential suites (`tests/por_differential.rs`) check
+//! verdict. The engine differential (`tests/por_differential.rs`) checks
 //! this end to end against the unreduced grid.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::event::EventKind;
+use crate::event::{EventKind, Footprint};
 use crate::id::Pid;
 use crate::strategy::Strategy;
 
@@ -77,9 +82,23 @@ impl PidIndependence {
     /// ([`Strategy::may_emit`] returning `None`), is treated as dependent
     /// with every other pid.
     pub fn from_players(domain: &[Pid], players: &BTreeMap<Pid, Arc<dyn Strategy>>) -> Self {
-        let alphabets: BTreeMap<Pid, Option<Vec<EventKind>>> = domain
+        let alphabets: BTreeMap<Pid, Vec<(EventKind, Vec<Footprint>)>> = domain
             .iter()
-            .map(|p| (*p, players.get(p).and_then(|s| s.may_emit())))
+            .filter_map(|p| {
+                let player = players.get(p)?;
+                let kinds = player.may_emit()?;
+                let declared = kinds
+                    .into_iter()
+                    .map(|k| {
+                        let fp = match &k {
+                            EventKind::Prim(name, args) => player.footprints_of_prim(name, args),
+                            _ => k.footprints(),
+                        };
+                        (k, fp)
+                    })
+                    .collect();
+                Some((*p, declared))
+            })
             .collect();
         let mut pairs = BTreeSet::new();
         for (i, &p) in domain.iter().enumerate() {
@@ -87,13 +106,13 @@ impl PidIndependence {
                 if p == q {
                     continue;
                 }
-                let (Some(Some(a)), Some(Some(b))) = (alphabets.get(&p), alphabets.get(&q))
-                else {
+                let (Some(a), Some(b)) = (alphabets.get(&p), alphabets.get(&q)) else {
                     continue;
                 };
-                let commute = a
-                    .iter()
-                    .all(|ka| b.iter().all(|kb| EventKind::independent_kinds(ka, kb)));
+                let commute = a.iter().all(|(ka, fa)| {
+                    b.iter()
+                        .all(|(kb, fb)| EventKind::independent_kinds(ka, fa, kb, fb))
+                });
                 if commute {
                     pairs.insert((p.min(q), p.max(q)));
                 }
@@ -372,5 +391,46 @@ mod tests {
         clash.insert(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(9))));
         let ind = PidIndependence::from_players(&[Pid(1), Pid(2)], &clash);
         assert!(ind.is_trivial());
+    }
+
+    #[test]
+    fn prim_kinds_take_footprints_from_the_declaring_player_only() {
+        use crate::event::Footprint;
+        use crate::id::Loc;
+        use crate::log::Log;
+        use crate::strategy::{ScratchPlayer, StrategyMove};
+        use crate::val::Val;
+
+        /// Emits `op(b)`; localizes it to `b` only when `declares`.
+        struct Op {
+            b: Loc,
+            declares: bool,
+        }
+        impl Strategy for Op {
+            fn next_move(&self, _log: &Log) -> StrategyMove {
+                StrategyMove::idle()
+            }
+            fn may_emit(&self) -> Option<Vec<EventKind>> {
+                Some(vec![EventKind::Prim("op".into(), vec![Val::Loc(self.b)])])
+            }
+            fn footprints_of_prim(&self, name: &str, args: &[Val]) -> Vec<Footprint> {
+                match (name, args) {
+                    ("op", [Val::Loc(b)]) if self.declares => vec![Footprint::Loc(*b)],
+                    _ => vec![Footprint::Global],
+                }
+            }
+        }
+        let domain = [Pid(1), Pid(2), Pid(3)];
+        let mut players: BTreeMap<Pid, Arc<dyn Strategy>> = BTreeMap::new();
+        players.insert(Pid(1), Arc::new(Op { b: Loc(1), declares: true }));
+        players.insert(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(2))));
+        players.insert(Pid(3), Arc::new(Op { b: Loc(3), declares: false }));
+        let ind = PidIndependence::from_players(&domain, &players);
+        assert!(ind.independent(Pid(1), Pid(2)), "declared `op(b1)` is local to b1");
+        assert!(
+            !ind.independent(Pid(3), Pid(2)),
+            "the same-named `op` of a player declaring nothing stays global"
+        );
+        assert!(!ind.independent(Pid(1), Pid(3)));
     }
 }

@@ -15,7 +15,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Footprint};
 use crate::id::Pid;
 use crate::log::Log;
 use crate::val::Val;
@@ -68,16 +68,35 @@ pub trait Strategy: Send + Sync {
     /// # Contract
     ///
     /// Every event the strategy can emit must match one of the returned
-    /// kinds up to payload *values* (same constructor, same
-    /// [`EventKind::footprints`], same [`EventKind::is_lock_ordered`]
-    /// class). Declaring too small an alphabet makes the reduction
-    /// unsound; declaring `None` or too large an alphabet only loses
-    /// pruning. Implementations must also be *footprint-local*: their
-    /// moves may depend only on their own events and on events touching
-    /// their declared footprints (all strategies in this workspace are —
-    /// they replay per-object shared state and count their own events).
+    /// kinds up to payload *values* (same constructor, same footprints,
+    /// same [`EventKind::is_lock_ordered`] class). A named kind's
+    /// footprints are [`EventKind::footprints`]; a [`EventKind::Prim`]
+    /// kind's are what this player declares for it in
+    /// [`Strategy::footprints_of_prim`]. Declaring too small an alphabet or
+    /// too small a footprint makes the reduction unsound; declaring `None`
+    /// or too large an alphabet only loses pruning. Implementations must
+    /// also be *footprint-local*: their moves may depend only on their own
+    /// events and on events touching their declared footprints (all
+    /// strategies in this workspace are — they replay per-object shared
+    /// state and count their own events).
     fn may_emit(&self) -> Option<Vec<EventKind>> {
         None
+    }
+
+    /// The shared resources touched by the [`EventKind::Prim`] event
+    /// `name(args)` when this player emits it — part of the
+    /// [`Strategy::may_emit`] declaration. The default,
+    /// `[Footprint::Global]`, conflicts with everything. A player may
+    /// narrow it for primitives of its own object: it then claims that
+    /// every replay function, invariant and relation consuming the event
+    /// depends only on the returned resources (and on per-author event
+    /// order, which the reduction always keeps). An empty footprint
+    /// commutes with every event but the schedule. The answer holds for
+    /// this player only; another object's primitive of the same name
+    /// keeps its own.
+    fn footprints_of_prim(&self, name: &str, args: &[Val]) -> Vec<Footprint> {
+        let _ = (name, args);
+        vec![Footprint::Global]
     }
 }
 

@@ -312,6 +312,7 @@ pub fn l0_mcs_interface() -> LayerInterface {
             ctx.emit(EventKind::Hold(b));
             Ok(Val::Unit)
         }))
+        // MCS's own `f`/`g`, not ticket's: no ticket player's footprints apply.
         .prim(PrimSpec::atomic("f", |ctx, _| {
             ctx.emit(EventKind::Prim("f".into(), vec![]));
             Ok(Val::Unit)

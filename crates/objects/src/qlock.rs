@@ -17,7 +17,7 @@
 //! follows from holders waking the FIFO front sleeper.
 
 use ccal_core::calculus::{check_fun, CertifiedLayer, CheckOptions, LayerError};
-use ccal_core::event::{declare_prim_footprint, Event, EventKind, PrimFootprint};
+use ccal_core::event::{Event, EventKind, Footprint};
 use ccal_core::id::{Loc, Pid, QId};
 use ccal_core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
 use ccal_core::log::Log;
@@ -78,22 +78,10 @@ fn arg_loc(args: &[Val]) -> Result<Loc, MachineError> {
         .map_err(MachineError::from)
 }
 
-/// Declares the queuing-lock primitives' footprints: `ql_take(l)` and
-/// `ql_pass(l, t)` read and write only the busy value of lock `l` (the
-/// `Val::Loc` argument), so their events carry the footprint `{Loc(l)}`
-/// rather than the conservative global one. The woken-thread argument of
-/// `ql_pass` is an `Int`, not a location — the hand-off it names is a
-/// separate `Wakeup` event with its own queue footprint.
-pub fn declare_qlock_footprints() {
-    declare_prim_footprint("ql_take", PrimFootprint::Args);
-    declare_prim_footprint("ql_pass", PrimFootprint::Args);
-}
-
 /// The queuing lock's underlay: the thread-local scheduler interface
 /// (`acq`/`rel`/`yield`/`sleep`/`wakeup`) plus the `ql_busy` accessors,
 /// which require holding the protecting spinlock.
 pub fn qlock_underlay() -> LayerInterface {
-    declare_qlock_footprints();
     let base = sched_overlay();
     let mut b = LayerInterface::builder("Lql");
     for name in base.prim_names() {
@@ -230,7 +218,6 @@ pub struct QlockEnvPlayer {
 impl QlockEnvPlayer {
     /// Creates a contender on qlock `l`.
     pub fn new(pid: Pid, l: Loc, rounds: u64) -> Self {
-        declare_qlock_footprints();
         Self { pid, l, rounds }
     }
 }
@@ -300,12 +287,12 @@ impl Strategy for QlockEnvPlayer {
     }
 
     fn may_emit(&self) -> Option<Vec<EventKind>> {
-        // With the declared `ql_take`/`ql_pass` footprints
-        // ([`declare_qlock_footprints`]), every kind here is local to lock
-        // `l` and its sleeping queue, so this alphabet licenses reductions
-        // against players touching disjoint state. The decisions above
-        // read only this pid's projection plus the replayed state of `l`
-        // and `QId(l.0)`, as `Strategy::may_emit` requires.
+        // With the `ql_take`/`ql_pass` footprints declared below, every
+        // kind here is local to lock `l` and its sleeping queue, so this
+        // alphabet licenses reductions against players touching disjoint
+        // state. The decisions above read only this pid's projection plus
+        // the replayed state of `l` and `QId(l.0)`, as `Strategy::may_emit`
+        // requires.
         Some(vec![
             EventKind::Acq(self.l),
             EventKind::Rel(self.l),
@@ -314,6 +301,23 @@ impl Strategy for QlockEnvPlayer {
             EventKind::Prim("ql_take".into(), vec![Val::Loc(self.l)]),
             EventKind::Prim("ql_pass".into(), vec![Val::Loc(self.l), Val::Int(0)]),
         ])
+    }
+
+    fn footprints_of_prim(&self, name: &str, args: &[Val]) -> Vec<Footprint> {
+        // `ql_take(l)` and `ql_pass(l, t)` read and write only the busy
+        // value of lock `l`, their `Val::Loc` argument. The woken thread
+        // `t` is an `Int`, not a location: the hand-off it names is a
+        // separate `Wakeup` event with its own queue footprint.
+        match name {
+            "ql_take" | "ql_pass" => args
+                .iter()
+                .filter_map(|v| match v {
+                    Val::Loc(b) => Some(Footprint::Loc(*b)),
+                    _ => None,
+                })
+                .collect(),
+            _ => vec![Footprint::Global],
+        }
     }
 
     fn name(&self) -> &str {

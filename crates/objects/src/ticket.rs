@@ -25,7 +25,7 @@ use ccal_core::calculus::{
     check_fun, check_iface_refinement, vcomp, weaken, CertifiedLayer, CheckOptions,
     IfaceRefinement, LayerError,
 };
-use ccal_core::event::{declare_prim_footprint, Event, EventKind, PrimFootprint};
+use ccal_core::event::{Event, EventKind, Footprint};
 use ccal_core::id::{Loc, Pid};
 use ccal_core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
 use ccal_core::log::Log;
@@ -60,20 +60,7 @@ void foo(int b) {
 }
 "#;
 
-/// Declares the client primitives' footprints. `f`/`g` take no location
-/// arguments and touch no replayed shared state (every replay function
-/// and invariant ignores them; `R2` buffers them per-pid), so under
-/// [`PrimFootprint::Args`] their events carry the *empty* footprint and
-/// commute with everything but the schedule. `foo` acts only on the lock
-/// cell named by its `Val::Loc` argument.
-pub fn declare_client_footprints() {
-    declare_prim_footprint("f", PrimFootprint::Args);
-    declare_prim_footprint("g", PrimFootprint::Args);
-    declare_prim_footprint("foo", PrimFootprint::Args);
-}
-
 fn f_prim() -> PrimSpec {
-    declare_client_footprints();
     PrimSpec::atomic("f", |ctx, _| {
         ctx.emit(EventKind::Prim("f".into(), vec![]));
         Ok(Val::Unit)
@@ -340,7 +327,6 @@ pub fn r1_relation() -> SimRelation {
 /// The top client interface `L2` of Fig. 3: the single atomic primitive
 /// `foo`, producing the event `i.foo`.
 pub fn l2_interface() -> LayerInterface {
-    declare_client_footprints();
     LayerInterface::builder("L2")
         .prim(PrimSpec::strategy("foo", true, |_pid, args| {
             Box::new(PhiFooAtomic {
@@ -551,7 +537,6 @@ pub struct FooEnvPlayer {
 impl FooEnvPlayer {
     /// Creates a `foo`-shaped contender on lock `b`.
     pub fn new(pid: Pid, b: Loc, rounds: u64) -> Self {
-        declare_client_footprints();
         Self { pid, b, rounds }
     }
 }
@@ -575,17 +560,28 @@ impl Strategy for FooEnvPlayer {
     }
 
     fn may_emit(&self) -> Option<Vec<EventKind>> {
-        // With the declared footprints ([`declare_client_footprints`]),
-        // `f`/`g` carry the empty footprint and the whole alphabet is
-        // local to lock `self.b`, so this declaration licenses reductions
-        // against players on disjoint state. The decision above reads only
-        // this pid's projection plus the replayed lock `self.b`.
+        // With `f`/`g` declared empty ([`Strategy::footprints_of_prim`]
+        // below), the whole alphabet is local to lock `self.b`, so this
+        // declaration licenses reductions against players on disjoint
+        // state. The decision above reads only this pid's projection plus
+        // the replayed lock `self.b`.
         Some(vec![
             EventKind::Acq(self.b),
             Event::prim(self.pid, "f", vec![]).kind,
             Event::prim(self.pid, "g", vec![]).kind,
             EventKind::Rel(self.b),
         ])
+    }
+
+    fn footprints_of_prim(&self, name: &str, _args: &[Val]) -> Vec<Footprint> {
+        // This player's `f`/`g` are the client primitives of Fig. 3. They
+        // touch no replayed shared state (every replay function and
+        // invariant ignores them; `R2` buffers them per pid), so they
+        // commute with everything but the schedule.
+        match name {
+            "f" | "g" => Vec::new(),
+            _ => vec![Footprint::Global],
+        }
     }
 
     fn name(&self) -> &str {
@@ -727,25 +723,57 @@ mod tests {
         use ccal_core::por::PidIndependence;
         use ccal_core::strategy::{ScratchPlayer, Strategy};
         use std::collections::BTreeMap;
-        declare_client_footprints();
-        // `f`/`g` carry the empty footprint: independent of a scratch push.
+        let foo = FooEnvPlayer::new(Pid(1), Loc(0), 1);
+        // The contender declares its `f`/`g` empty: independent of a
+        // scratch push.
         let push = EventKind::Push(Loc(100), Val::Int(0));
+        let fp_push = push.footprints();
         let f = Event::prim(Pid(1), "f", vec![]).kind;
-        assert!(EventKind::independent_kinds(&f, &push));
-        // An undeclared prim stays global and dependent.
+        let fp_f = foo.footprints_of_prim("f", &[]);
+        assert!(EventKind::independent_kinds(&f, &fp_f, &push, &fp_push));
+        // A prim the contender does not declare stays global and dependent.
         let alien = EventKind::Prim("test_fp_undeclared_ticket".into(), vec![]);
-        assert!(!EventKind::independent_kinds(&alien, &push));
+        let fp_alien = foo.footprints_of_prim("test_fp_undeclared_ticket", &[]);
+        assert!(!EventKind::independent_kinds(&alien, &fp_alien, &push, &fp_push));
         // At the player level: the foo contender now commutes with the
         // scratch threads, so the sleep-set reduction may prune their
         // interleavings.
         let domain = [Pid(0), Pid(1), Pid(2)];
         let mut players: BTreeMap<Pid, Arc<dyn Strategy>> = BTreeMap::new();
-        players.insert(Pid(1), Arc::new(FooEnvPlayer::new(Pid(1), Loc(0), 1)));
+        players.insert(Pid(1), Arc::new(foo));
         players.insert(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(100))));
         let indep = PidIndependence::from_players(&domain, &players);
         assert!(indep.independent(Pid(1), Pid(2)));
         // The focused pid declares no alphabet and stays dependent.
         assert!(!indep.independent(Pid(0), Pid(1)));
+    }
+
+    #[test]
+    fn another_players_same_named_prim_stays_dependent_on_scratch() {
+        use ccal_core::por::PidIndependence;
+        use ccal_core::strategy::{ScratchPlayer, Strategy, StrategyMove};
+        use std::collections::BTreeMap;
+        // A player with a global-effect primitive that happens to be named
+        // `f`, declaring no footprints for it.
+        struct GlobalF(Pid);
+        impl Strategy for GlobalF {
+            fn next_move(&self, _log: &Log) -> StrategyMove {
+                StrategyMove::Emit(vec![Event::prim(self.0, "f", vec![])])
+            }
+            fn may_emit(&self) -> Option<Vec<EventKind>> {
+                Some(vec![EventKind::Prim("f".into(), vec![])])
+            }
+        }
+        // Ticket's `f` and its contender exist in the same process...
+        let _contender = FooEnvPlayer::new(Pid(3), Loc(0), 1);
+        let _l0 = l0_interface();
+        // ...and lend the other `f` nothing.
+        let domain = [Pid(1), Pid(2)];
+        let mut players: BTreeMap<Pid, Arc<dyn Strategy>> = BTreeMap::new();
+        players.insert(Pid(1), Arc::new(GlobalF(Pid(1))));
+        players.insert(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(100))));
+        let indep = PidIndependence::from_players(&domain, &players);
+        assert!(!indep.independent(Pid(1), Pid(2)));
     }
 
     pub(crate) fn low_contexts(b: Loc) -> Vec<EnvContext> {

@@ -9,7 +9,10 @@
 # checks and debug assertions), the full workspace tests, and
 # criterion-free benchmark smoke runs including the B5 (whole-prefix),
 # B5d (query-point snapshot), B6 (compiled ClightX bytecode VM) and B8
-# (semantic sharing keys) step-ratio gates, and the end-to-end benchmark
+# (semantic sharing keys) step-ratio gates, a check that those gates
+# rewrote BENCH_5/6/8.json with the committed counters (only the host's
+# hardware_threads may differ; a change that really moves a counter
+# commits the new file), and the end-to-end benchmark
 # package's own tests (its traced layer-by-layer pipeline must answer like
 # the checkers' entry points). The engine reads no configuration from the
 # environment besides CCAL_WORKERS, so every stage runs the one shipped
@@ -82,6 +85,9 @@ stage "bench gate (no criterion): bytecode_vm --quick (asserts B6 vm/interp prim
 
 stage "bench gate (no criterion): sharing --quick (asserts B8 semantic/pinned atom-steps <= 0.5 at L=5 + per-unit family hits; writes BENCH_8.json)" \
   cargo bench -p ccal-bench --no-default-features --bench sharing -- --quick
+
+stage "bench gates reproduce the committed counters: BENCH_5/6/8.json unchanged apart from hardware_threads" \
+  git diff --exit-code -I '"hardware_threads"' -- BENCH_5.json BENCH_6.json BENCH_8.json
 
 stage "certd service e2e: sharded grid, zero-step cache hits, SIGKILL recovery, store persistence" \
   scripts/certd_e2e.sh
