@@ -32,9 +32,11 @@ fn main() {
         || std::env::var_os("CCAL_BENCH_QUICK").is_some();
     let lens: &[usize] = if quick { &[3, 5] } else { &[3, 4, 5] };
 
+    // The parallel columns run one worker per hardware thread.
+    let workers = ccal_bench::scaling::host_threads();
     let rows: Vec<_> = lens
         .iter()
-        .map(|&l| ccal_bench::scaling::prefix_row(l))
+        .map(|&l| ccal_bench::scaling::prefix_row_tuned(l, workers))
         .collect();
     println!("{}", ccal_bench::scaling::render_prefix_rows(&rows));
     let deep_rows: Vec<_> = lens
@@ -82,7 +84,6 @@ fn main() {
         dgate.deep_hits
     );
 
-    let workers = ccal_core::par::default_workers();
     let b2 = ccal_bench::scaling::por_row_tuned(5, workers);
     let b2w = ccal_bench::scaling::por_widened_row_tuned(5, workers);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json");

@@ -94,23 +94,14 @@ fn certify_both(schedule_len: usize, workers: usize, dedup: bool) -> (usize, usi
 }
 
 /// Runs the compositional ticket-lock certification at the given schedule
-/// length with the default worker count, reporting the explored-context
-/// accounting and serial/parallel/dedup timings.
+/// length, reporting the explored-context accounting and the serial
+/// timing (1 worker, dedup off) next to `workers`-worker parallel and
+/// parallel+dedup timings.
 ///
 /// # Panics
 ///
 /// Panics if certification fails — the configuration is expected to be
 /// correct.
-pub fn compositional_row(schedule_len: usize) -> ScalingRow {
-    compositional_row_tuned(schedule_len, ccal_core::par::default_workers())
-}
-
-/// [`compositional_row`] with an explicit worker count for the parallel
-/// runs (the serial reference always uses 1 worker, dedup off).
-///
-/// # Panics
-///
-/// Panics if certification fails.
 pub fn compositional_row_tuned(schedule_len: usize, workers: usize) -> ScalingRow {
     let (contexts_used, cases, compositional_time) = certify_both(schedule_len, 1, false);
     let (_, parallel_cases, parallel_time) = certify_both(schedule_len, workers, false);
@@ -136,7 +127,7 @@ pub fn compositional_row_tuned(schedule_len: usize, workers: usize) -> ScalingRo
 /// scaling. The step-counter metrics (atom-steps, primitive steps,
 /// memo hits) are host-independent and remain meaningful.
 pub fn parallelism_caveat() -> Option<String> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = host_threads();
     (threads <= 1).then(|| {
         format!(
             "note: host reports {threads} hardware thread(s) — parallel-vs-serial \
@@ -144,6 +135,13 @@ pub fn parallelism_caveat() -> Option<String> {
              trust the step-counter columns, which are host-independent"
         )
     })
+}
+
+/// The host's hardware threads (1 when unknown): the worker count of the
+/// tables' parallel columns. Exploration itself is serial by default, so
+/// a parallel column is always an explicit reading of the host.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Appends [`parallelism_caveat`] (when it applies) to a rendered table.
@@ -158,7 +156,7 @@ fn push_caveat(out: &mut String) {
 pub fn render_scaling(lens: &[usize]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let workers = ccal_core::par::default_workers();
+    let workers = host_threads();
     let _ = writeln!(
         out,
         "B1 — compositional vs. monolithic exploration, serial vs. parallel engine \
@@ -170,7 +168,7 @@ pub fn render_scaling(lens: &[usize]) -> String {
         "len", "monolithic", "compositional", "cases", "serial", "parallel", "par+dedup", "speedup"
     );
     for &len in lens {
-        let row = compositional_row(len);
+        let row = compositional_row_tuned(len, workers);
         let speedup =
             row.compositional_time.as_secs_f64() / row.parallel_dedup_time.as_secs_f64().max(1e-9);
         let _ = writeln!(
@@ -275,22 +273,13 @@ fn certify_por(
     )
 }
 
-/// Runs the B2 comparison at one schedule length with the default worker
-/// count.
+/// Runs the B2 comparison at one schedule length: serial runs with POR
+/// off and on, then the same two with `workers` workers.
 ///
 /// # Panics
 ///
 /// Panics if certification fails or the POR run diverges from the full
 /// grid in explored-case accounting.
-pub fn por_row(schedule_len: usize) -> PorRow {
-    por_row_tuned(schedule_len, ccal_core::par::default_workers())
-}
-
-/// [`por_row`] with an explicit worker count for the parallel runs.
-///
-/// # Panics
-///
-/// As [`por_row`].
 pub fn por_row_tuned(schedule_len: usize, workers: usize) -> PorRow {
     let (grid, explored, skipped, reduced, serial_por) = certify_por(schedule_len, 1, true);
     let (grid_f, full_cases, full_skipped, zero, serial_full) =
@@ -322,7 +311,7 @@ pub fn por_row_tuned(schedule_len: usize, workers: usize) -> PorRow {
 pub fn render_por(lens: &[usize]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let workers = ccal_core::par::default_workers();
+    let workers = host_threads();
     let _ = writeln!(
         out,
         "B2 — sleep-set partial-order reduction on the ticket-lock grid \
@@ -334,7 +323,7 @@ pub fn render_por(lens: &[usize]) -> String {
         "len", "grid", "explored", "reduced", "shrink", "ser/full", "ser/por", "par/full", "par/por"
     );
     for &len in lens {
-        let row = por_row(len);
+        let row = por_row_tuned(len, workers);
         let _ = writeln!(
             out,
             "{:>4} {:>8} {:>9} {:>8} {:>6.2}x {:>12?} {:>12?} {:>12?} {:>12?}",
@@ -404,20 +393,12 @@ fn certify_client_por(
 }
 
 /// Runs the widened-B2 comparison (client layer, `Prim`-emitting
-/// contender) at one schedule length with the default worker count.
+/// contender) at one schedule length, with `workers` workers for the
+/// parallel runs.
 ///
 /// # Panics
 ///
-/// As [`por_row`].
-pub fn por_widened_row(schedule_len: usize) -> PorRow {
-    por_widened_row_tuned(schedule_len, ccal_core::par::default_workers())
-}
-
-/// [`por_widened_row`] with an explicit worker count.
-///
-/// # Panics
-///
-/// As [`por_row`].
+/// As [`por_row_tuned`].
 pub fn por_widened_row_tuned(schedule_len: usize, workers: usize) -> PorRow {
     let (grid, explored, skipped, reduced, serial_por) = certify_client_por(schedule_len, 1, true);
     let (grid_f, full_cases, full_skipped, zero, serial_full) =
@@ -450,7 +431,7 @@ pub fn por_widened_row_tuned(schedule_len: usize, workers: usize) -> PorRow {
 pub fn render_por_widened(lens: &[usize]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let workers = ccal_core::par::default_workers();
+    let workers = host_threads();
     let _ = writeln!(
         out,
         "B2w — sleep-set reduction with declared `Prim` footprints, client-layer grid \
@@ -462,7 +443,7 @@ pub fn render_por_widened(lens: &[usize]) -> String {
         "len", "grid", "explored", "reduced", "shrink", "ser/full", "ser/por", "par/full", "par/por"
     );
     for &len in lens {
-        let row = por_widened_row(len);
+        let row = por_widened_row_tuned(len, workers);
         let _ = writeln!(
             out,
             "{:>4} {:>8} {:>9} {:>8} {:>6.2}x {:>12?} {:>12?} {:>12?} {:>12?}",
@@ -589,25 +570,15 @@ fn certify_prefix(
     )
 }
 
-/// Runs the B5 comparison at one schedule length with the default worker
-/// count.
-///
-/// # Panics
-///
-/// Panics if certification fails or the shared run diverges from the full
-/// run in discharged cases.
-pub fn prefix_row(schedule_len: usize) -> PrefixRow {
-    prefix_row_tuned(schedule_len, ccal_core::par::default_workers())
-}
-
-/// [`prefix_row`] with an explicit worker count for the parallel runs.
-/// Step counts and memo hits are taken from the serial runs, where they
+/// Runs the B5 comparison at one schedule length, with `workers` workers
+/// for the parallel runs. Step counts and memo hits are taken from the serial runs, where they
 /// are deterministic (parallel workers may race to a prefix before the
 /// first result lands in the trie).
 ///
 /// # Panics
 ///
-/// As [`prefix_row`].
+/// Panics if certification fails or the shared run diverges from the full
+/// run in discharged cases.
 pub fn prefix_row_tuned(schedule_len: usize, workers: usize) -> PrefixRow {
     let grid = 3_usize.pow(schedule_len as u32);
     let (cases, steps_shared, shared_hits, _, serial_shared) =
@@ -642,7 +613,13 @@ pub fn prefix_row_tuned(schedule_len: usize, workers: usize) -> PrefixRow {
 
 /// Renders the B5 table for a family of schedule lengths.
 pub fn render_prefix(lens: &[usize]) -> String {
-    render_prefix_rows(&lens.iter().map(|&l| prefix_row(l)).collect::<Vec<_>>())
+    let workers = host_threads();
+    render_prefix_rows(
+        &lens
+            .iter()
+            .map(|&l| prefix_row_tuned(l, workers))
+            .collect::<Vec<_>>(),
+    )
 }
 
 /// Renders already-computed B5 rows (so callers can also assert on them
@@ -927,8 +904,9 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
     let opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(1)
-        .with_bytecode(bytecode);
+        .with_workers(1);
+    // The tier is process-wide, read when each primitive is instantiated.
+    let _tier = ccal_core::prefix::BytecodeOverride::force(bytecode);
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -1095,12 +1073,12 @@ mod tests {
     #[test]
     fn compositional_space_is_exponentially_smaller() {
         let _counters = crate::counter_lock();
-        let row = compositional_row(3);
+        let row = compositional_row_tuned(3, 2);
         assert_eq!(row.monolithic_contexts, 64);
         assert_eq!(row.compositional_contexts, 16, "2 × 2^3");
         assert!(row.cases > 0);
         // The gap widens with the bound.
-        let row5 = compositional_row(5);
+        let row5 = compositional_row_tuned(5, 2);
         assert!(
             row5.monolithic_contexts / row5.compositional_contexts
                 > row.monolithic_contexts / row.compositional_contexts

@@ -328,10 +328,10 @@ impl Inner {
     }
 
     /// The stack-manifest fast path: if a previous fully-clean run of
-    /// this exact (stack, params) left a manifest, and every unit
-    /// fingerprint in it is stored clean, the whole response is built
-    /// from the store — the registry is never asked to decompose the
-    /// stack (no front-end, no interface construction, no per-unit
+    /// this exact (stack, module sources, params) left a manifest, and
+    /// every unit fingerprint in it is stored clean, the whole response
+    /// is built from the store — the registry is never asked to decompose
+    /// the stack (no front-end, no interface construction, no per-unit
     /// fingerprinting). Any gap — no manifest, a missing unit, a stored
     /// failure — falls back to the normal per-unit flow, which
     /// re-derives everything from scratch.

@@ -6,8 +6,8 @@
 //! ccal-certd shard    --connect ADDR
 //! ccal-certd certify  STACK --connect ADDR [--workers N] [--schedule-len N]
 //!                     [--rounds N] [--chunk-cases N] [--no-cache] [--no-warm]
-//!                     [--no-por] [--no-prefix] [--no-deep] [--no-bytecode]
-//!                     [--no-dedup] [--json]
+//!                     [--no-por] [--no-prefix] [--no-deep] [--no-dedup]
+//!                     [--json]
 //! ccal-certd stacks
 //! ccal-certd ping     --connect ADDR
 //! ccal-certd shutdown --connect ADDR
@@ -222,7 +222,6 @@ fn cmd_certify(mut args: Vec<String>) -> Result<ExitCode, String> {
     req.params.por = !take_flag(&mut args, "--no-por");
     req.params.prefix_share = !take_flag(&mut args, "--no-prefix");
     req.params.deep_share = !take_flag(&mut args, "--no-deep");
-    req.params.bytecode = !take_flag(&mut args, "--no-bytecode");
     req.params.dedup = !take_flag(&mut args, "--no-dedup");
     let mut rest = args.into_iter();
     req.stack = rest.next().ok_or("certify needs a STACK argument")?;

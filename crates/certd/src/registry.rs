@@ -162,14 +162,27 @@ fn front_end(name: &str, src: &str) -> Result<ccal_core::module::Module, String>
         .map_err(|e| format!("{name} front-end: {e:?}"))
 }
 
+/// The ClightX module sources of each stack, `(module name, source)`, in
+/// pipeline order; spec-only stacks have none. [`units`] builds the
+/// stack's modules from this table and [`manifest_key`] hashes it, so an
+/// edited source moves the manifest key as well as the unit fingerprints.
+pub fn stack_sources(stack: &str) -> &'static [(&'static str, &'static str)] {
+    match stack {
+        "ticket" => &[("M1", ticket::M1_SOURCE), ("M2", ticket::M2_SOURCE)],
+        "qlock" => &[("Mql", qlock::QLOCK_SOURCE)],
+        _ => &[],
+    }
+}
+
 /// Resolves a stack into its obligation list, in pipeline order.
-fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
-    let _ = params;
+fn units(stack: &str) -> Result<Vec<Unit>, String> {
+    let sources = stack_sources(stack);
+    let module = |i: usize| front_end(sources[i].0, sources[i].1);
     let mut out = Vec::new();
     match stack {
         "ticket" => {
-            let m1 = front_end("M1", ticket::M1_SOURCE)?;
-            let m2 = front_end("M2", ticket::M2_SOURCE)?;
+            let m1 = module(0)?;
+            let m2 = module(1)?;
             let l0 = ticket::l0_interface();
             let low = ticket::lock_low_interface();
             let lock = ticket::lock_interface();
@@ -195,7 +208,7 @@ fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
                     ctx: CtxSpec::TicketLow,
                     args: workload(prim),
                     setup: Vec::new(),
-                    sources: vec![("M1", ticket::M1_SOURCE)],
+                    sources: vec![sources[0]],
                 });
             }
             // Log-lift: L′1 ≤_R1 L1 (spec-to-spec; no module source).
@@ -224,12 +237,12 @@ fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
                     ctx: CtxSpec::TicketAtomic,
                     args: workload(prim),
                     setup: Vec::new(),
-                    sources: vec![("M2", ticket::M2_SOURCE)],
+                    sources: vec![sources[1]],
                 });
             }
         }
         "qlock" => {
-            let m = front_end("Mql", qlock::QLOCK_SOURCE)?;
+            let m = module(0)?;
             let under = qlock::qlock_underlay();
             let over = qlock::qlock_overlay();
             let ext = m.install(&under).map_err(|e| format!("Mql install: {e:?}"))?;
@@ -249,7 +262,7 @@ fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
                     ctx: CtxSpec::Qlock,
                     args: args.clone(),
                     setup,
-                    sources: vec![("Mql", qlock::QLOCK_SOURCE)],
+                    sources: vec![sources[0]],
                 });
             }
         }
@@ -286,8 +299,7 @@ fn sim_options(
         .with_dedup(params.dedup)
         .with_por(params.por)
         .with_prefix_share(params.prefix_share)
-        .with_deep_share(params.deep_share)
-        .with_bytecode(params.bytecode);
+        .with_deep_share(params.deep_share);
     sim.setup = unit.setup.clone();
     if let Some((lo, hi)) = window {
         sim = sim.with_window(lo, hi);
@@ -341,9 +353,6 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.bool("opt.por", sim.explore.por);
     h.bool("opt.prefix_share", sim.explore.prefix_share);
     h.bool("opt.deep_share", sim.explore.deep_share);
-    h.bool("opt.bytecode", sim.bytecode);
-    h.usize("opt.snapshot_cap", sim.explore.snapshot_cap);
-    h.usize("opt.upper_cache_cap", sim.upper_cache_cap);
     h.finish()
 }
 
@@ -391,18 +400,33 @@ pub fn decompositions_total() -> u64 {
     DECOMPOSITIONS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// The identity of a whole-stack certificate: stack name plus every
-/// verdict-relevant parameter. Keying the manifest by this (rather than
-/// the stack name alone) makes a parameter change a manifest miss, the
-/// same way it dirties every unit fingerprint. A manifest lists unit
+/// The identity of a whole-stack certificate: stack name, the stack's
+/// module sources ([`stack_sources`]) and every verdict-relevant
+/// parameter. Keying the manifest by this (rather than the stack name
+/// alone) makes a parameter change or a source edit a manifest miss, the
+/// same way it dirties the unit fingerprints. A manifest lists unit
 /// fingerprints, so the version tag moves whenever they are computed
 /// differently: a store written under the old scheme then misses its
 /// manifest and re-checks once instead of answering with fingerprints
-/// this build no longer computes.
+/// this build no longer computes. Interfaces and object code are not
+/// hashed here (the manifest fast path answers without building them).
 pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
+    manifest_key_over(stack, stack_sources(stack), params)
+}
+
+fn manifest_key_over(
+    stack: &str,
+    sources: &[(&str, &str)],
+    params: &CertParams,
+) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.section("ccal.cert.manifest.v2");
+    h.section("ccal.cert.manifest.v3");
     h.str("stack", stack);
+    h.usize("sources", sources.len());
+    for (name, src) in sources {
+        h.str("module.name", name);
+        h.str("module.source", src);
+    }
     h.usize("schedule_len", params.schedule_len);
     h.u64("rounds", params.rounds);
     h.usize("workers", params.workers);
@@ -410,7 +434,6 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
     h.bool("por", params.por);
     h.bool("prefix_share", params.prefix_share);
     h.bool("deep_share", params.deep_share);
-    h.bool("bytecode", params.bytecode);
     h.finish()
 }
 
@@ -422,7 +445,7 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
 /// Unknown stacks and ClightX front-end failures.
 pub fn stack_units(stack: &str, params: &CertParams) -> Result<Vec<UnitDef>, String> {
     DECOMPOSITIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    units(stack, params)?
+    units(stack)?
         .iter()
         .map(|u| {
             let ncases = u.ctx.build(params, None).len() * u.args.len();
@@ -453,7 +476,7 @@ pub fn run_unit(
     window: Option<(usize, usize)>,
     warm: Option<&SimWarm>,
 ) -> Result<UnitOutcome, String> {
-    let all = units(stack, params)?;
+    let all = units(stack)?;
     let unit = all
         .iter()
         .find(|u| u.name == unit_name)
@@ -633,33 +656,33 @@ mod tests {
         let _mode = share_mode_lock();
         let params = CertParams::default();
         let manifests = [
-            ("ticket", "302bc85d874a4e8db67e1788f56e43ac"),
-            ("qlock", "a8b09461c1debf2234f4ef204942fd63"),
-            ("scratch", "53ce69406e270b888235ea297ae3048f"),
+            ("ticket", "4798aa3744be691c7d4ce4c417ed04f3"),
+            ("qlock", "999f87a006fed75cb32b607299dac88a"),
+            ("scratch", "e47423b2ee4d7525d75f840d3b4b9ffd"),
         ];
         for (stack, key) in manifests {
             assert_eq!(manifest_key(stack, &params).to_string(), key, "{stack} manifest");
         }
         // One sharing family per lower machine: ticket has 3, qlock 1.
-        let funlift = "943eff2bd8d200dac08bc47db3158e9f";
-        let loglift = "01319f5130592fd43c9c6a1c2ace58fd";
-        let client = "fb28c9d48d22ca927d5b74a060e48b0f";
-        let qlock = "504f97e95c7fc442b02a522257f4a311";
-        let scratch = "a20722e51a53b16c62d8d1b7cec8b152";
+        let funlift = "f7359a5903e90f95530d82de6e841cf8";
+        let loglift = "95923588c2fca0e13cd61b67a418174a";
+        let client = "88727d0c0ef161e7206c758f7f01d7c8";
+        let qlock = "2f3d18190d1cdb8f70fff6a0b48319ae";
+        let scratch = "905db7a17513780bb7d0ffbcaba8306f";
         // (stack, unit, fingerprint, share)
         let pinned = [
-            ("ticket", "funlift/acq", "a34e91afa0236c17e118a817bb8af624", funlift),
-            ("ticket", "funlift/f", "700048938152a6051b096efdd4816eed", funlift),
-            ("ticket", "funlift/g", "e93fc056b0cd25d129a1b4d5da8752e1", funlift),
-            ("ticket", "funlift/rel", "73686e5a0af6b1edc834c3a35777aa18", funlift),
-            ("ticket", "loglift/acq", "58f253043fcfdd2a8df99f6b609907af", loglift),
-            ("ticket", "loglift/f", "3dcf45c31c6e4f91b2bee4b8a139ef32", loglift),
-            ("ticket", "loglift/g", "6728921aff56b01f7306329b00bf7680", loglift),
-            ("ticket", "loglift/rel", "a1fbf7f09a6306c4c7f62e48fb16370b", loglift),
-            ("ticket", "client/foo", "25dcf657357b80acd10ab4a434d0dffe", client),
-            ("qlock", "acq_q", "da34aeb0b38d9c87175c2df77d06b315", qlock),
-            ("qlock", "rel_q", "c404756cf9f914be44eab110fe61e611", qlock),
-            ("scratch", "op", "47f965d8a7732a90effb8c9f2459eef0", scratch),
+            ("ticket", "funlift/acq", "83a6e2691e015ccd5de2997d884a43f2", funlift),
+            ("ticket", "funlift/f", "8789a219b9c418e95c878d8c4d704a89", funlift),
+            ("ticket", "funlift/g", "95870e4713231f828a1a2f777c6e1e95", funlift),
+            ("ticket", "funlift/rel", "6cc4cb4a75b87c79dd280c6f134b677e", funlift),
+            ("ticket", "loglift/acq", "3c2c9d337fa66cc2377650d45b0a8907", loglift),
+            ("ticket", "loglift/f", "d803dda763388c00b8e88aad0fb783ec", loglift),
+            ("ticket", "loglift/g", "e7b15dc9c45256b5d744975e717d4196", loglift),
+            ("ticket", "loglift/rel", "71264db3196b2bb158f8c89141b6425b", loglift),
+            ("ticket", "client/foo", "72150fa7681e8a69440f4d1efa015ad0", client),
+            ("qlock", "acq_q", "cd08e1ea893010e32db0c371760d9a41", qlock),
+            ("qlock", "rel_q", "74ca45811799fa9a24f3e458d74f9d65", qlock),
+            ("scratch", "op", "db231dddc8ddc23f0a335c74c4d95e66", scratch),
         ];
         let mut got = Vec::new();
         for stack in known_stacks() {
@@ -691,6 +714,23 @@ mod tests {
         assert_ne!(manifest_key("qlock", &base), manifest_key("qlock", &longer));
         assert_ne!(manifest_key("qlock", &base), manifest_key("ticket", &base));
         assert_eq!(manifest_key("qlock", &base), manifest_key("qlock", &base));
+    }
+
+    #[test]
+    fn an_edited_module_source_moves_the_manifest_key() {
+        let params = CertParams::default();
+        let sources = stack_sources("ticket");
+        assert_eq!(
+            manifest_key_over("ticket", sources, &params),
+            manifest_key("ticket", &params),
+        );
+        let edited_m1 = sources[0].1.replace("inc_n(b);", "inc_n(b); inc_n(b);");
+        assert_ne!(edited_m1, sources[0].1, "the edit applies");
+        let edited = [(sources[0].0, edited_m1.as_str()), sources[1]];
+        assert_ne!(
+            manifest_key_over("ticket", &edited, &params),
+            manifest_key("ticket", &params),
+        );
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct CertParams {
     pub prefix_share: bool,
     /// Deep query-point snapshot sharing.
     pub deep_share: bool,
-    /// ClightX bytecode VM for module bodies.
-    pub bytecode: bool,
 }
 
 impl Default for CertParams {
@@ -37,7 +35,6 @@ impl Default for CertParams {
             por: true,
             prefix_share: true,
             deep_share: true,
-            bytecode: true,
         }
     }
 }
@@ -211,7 +208,6 @@ impl CertParams {
             ("por", Json::Bool(self.por)),
             ("prefix_share", Json::Bool(self.prefix_share)),
             ("deep_share", Json::Bool(self.deep_share)),
-            ("bytecode", Json::Bool(self.bytecode)),
         ])
     }
 
@@ -227,7 +223,6 @@ impl CertParams {
             por: get_bool(j, "por")?,
             prefix_share: get_bool(j, "prefix_share")?,
             deep_share: get_bool(j, "deep_share")?,
-            bytecode: get_bool(j, "bytecode")?,
         })
     }
 }
@@ -368,7 +363,6 @@ mod tests {
         let mut req = CertRequest::new("ticket");
         req.params.workers = 4;
         req.params.por = false;
-        req.params.bytecode = false;
         req.use_cache = false;
         req.chunk_cases = 7;
         let back = CertRequest::from_json(&req.to_json()).expect("decodes");
@@ -400,6 +394,40 @@ mod tests {
         assert_eq!(
             crate::registry::manifest_key(&legacy.stack, &legacy.params),
             crate::registry::manifest_key(&plain.stack, &plain.params),
+        );
+    }
+
+    #[test]
+    fn requests_carrying_the_retired_bytecode_key_decode_unchanged() {
+        // Clients built while the execution tier was a request parameter
+        // still send `"bytecode": false`; the tier is bit-identical, so the
+        // key is ignored and such a request names the same parameters, the
+        // same manifest and the same unit fingerprints as the default one.
+        let req = CertRequest::new("ticket");
+        let mut legacy = req.to_json();
+        let Json::Obj(fields) = &mut legacy else {
+            panic!("requests encode as an object");
+        };
+        let Some(Json::Obj(params)) = fields.get_mut("params") else {
+            panic!("params encode as an object");
+        };
+        params.insert("bytecode".into(), Json::Bool(false));
+        let text = legacy.to_string();
+        assert!(text.contains("\"bytecode\": false"), "{text}");
+        let legacy = ccal_forensics::json::parse(&text).expect("parses");
+        let legacy = CertRequest::from_json(&legacy).expect("decodes");
+        assert_eq!(legacy, req);
+        let fingerprints = |params: &CertParams| {
+            crate::registry::stack_units("ticket", params)
+                .expect("resolves")
+                .into_iter()
+                .map(|u| (u.name, u.fingerprint))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fingerprints(&legacy.params), fingerprints(&CertParams::default()));
+        assert_eq!(
+            crate::registry::manifest_key("ticket", &legacy.params),
+            crate::registry::manifest_key("ticket", &CertParams::default()),
         );
     }
 

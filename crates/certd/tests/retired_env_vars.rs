@@ -3,7 +3,9 @@
 //! engine (`CCAL_POR`, `CCAL_PREFIX_SHARE`, `CCAL_PREFIX_DEEP`,
 //! `CCAL_BYTECODE`, `CCAL_SHARE_SEMANTIC`) or the certificate store
 //! (`CCAL_CERTD_CACHE`) are inert: set to `0` before anything reads them,
-//! every default stays on and a store lookup still hits.
+//! every default stays on and a store lookup still hits. `CCAL_WORKERS`,
+//! which once chose the default worker count, is inert too: exploration
+//! is serial by default whatever it holds.
 //!
 //! This binary holds a single test, so no other thread reads the
 //! environment while it is modified.
@@ -40,9 +42,14 @@ fn retired_variables_switch_nothing_off() {
     assert!(explore.deep_share, "deep sharing stays on");
     let sim = SimOptions::default();
     assert!(sim.explore.por && sim.explore.prefix_share && sim.explore.deep_share);
-    assert!(sim.bytecode, "the compiled tier stays the default");
     assert!(bytecode_effective(), "no override means the compiled tier");
     assert!(share_semantic_effective(), "semantic sharing keys stay on");
+
+    for value in ["4", "garbage"] {
+        std::env::set_var("CCAL_WORKERS", value);
+        assert_eq!(ExploreOptions::default().workers, 1, "CCAL_WORKERS={value}");
+        assert_eq!(SimOptions::default().explore.workers, 1, "CCAL_WORKERS={value}");
+    }
 
     // Generated grids still carry the partial-order reduction's marks.
     let contexts = ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])

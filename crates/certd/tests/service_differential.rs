@@ -451,12 +451,12 @@ fn clean_recertify_skips_registry_decomposition() {
     // every unit fingerprint.
     let mut dirty = CertRequest::new("qlock");
     dirty.params = p.clone();
-    dirty.params.bytecode = false;
+    dirty.params.dedup = false;
     let third = ccal_certd::certify(&addr, &dirty).expect("daemon answers");
     assert!(!third.manifest_hit, "changed params miss the manifest");
     assert_eq!(third.cache_hits, 0, "changed params miss the unit store too");
     assert!(third.total_steps > 0, "the grid was re-explored");
-    assert!(third.certified, "qlock certifies on the interpreter tier");
+    assert!(third.certified, "qlock certifies without dedup");
 }
 
 /// A request with `use_cache` off (`--no-cache`) skips every store

@@ -386,23 +386,6 @@ impl CheckOptions {
         self
     }
 
-    /// Enables or disables the compiled ClightX bytecode tier (see
-    /// [`crate::prefix::bytecode_effective`]); bit-identical verdicts
-    /// either way.
-    #[must_use]
-    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
-        self.sim.bytecode = bytecode;
-        self
-    }
-
-    /// Bounds the query-point snapshot trie (clamped to at least 1; the
-    /// trie is cleared wholesale when full).
-    #[must_use]
-    pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.sim.explore.snapshot_cap = cap.max(1);
-        self
-    }
-
     fn sim_for(&self, prim: &str) -> SimOptions {
         let mut sim = self.sim.clone();
         if let Some(setup) = self.setups.get(prim) {

@@ -21,9 +21,9 @@
 //! * **POR pruning**: contexts marked trace-equivalent by the generator
 //!   are skipped and counted without invoking the client
 //!   ([`Kernel::explore`]).
-//! * **Work-stealing dispatch** ([`crate::par::run_cases_ordered`]) in
-//!   subtree claim order ([`crate::prefix::subtree_case_order`]), with the
-//!   in-order fold that makes parallel runs bit-identical to serial ones.
+//! * **Grid dispatch** ([`crate::par::run_cases`]): serial by default,
+//!   work-stealing for an explicit `workers > 1`, with the in-order fold
+//!   that makes parallel runs bit-identical to serial ones.
 //! * **Forensics capture** ([`crate::forensics`]): failing cases are
 //!   recorded with their grid index, context index, witness log and reason
 //!   whenever the calling thread holds a capture scope.
@@ -53,16 +53,13 @@ use crate::prefix::{ForkSnapshot, PrefixMemo, ScheduleKey, SnapshotTrie};
 
 /// The exploration knobs every checker shares: the simulation checker
 /// reads them from [`crate::sim::SimOptions::explore`], the verifier
-/// checkers build them from their `_tuned` parameters. A plain value —
-/// nothing read from the process environment changes what is explored
-/// (only the *default* worker count follows `CCAL_WORKERS`, and the worker
-/// count never changes a result).
+/// checkers build them from their `_tuned` parameters. A plain value:
+/// nothing read from the process environment changes how or what is
+/// explored, and no field changes a result.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
-    /// Worker threads exploring the case grid (1 = serial). Defaults to
-    /// [`crate::par::default_workers`] (the `CCAL_WORKERS` environment
-    /// variable, else the machine's available parallelism); any value
-    /// yields bit-identical results.
+    /// Worker threads exploring the case grid. Defaults to 1 (serial);
+    /// any value yields bit-identical results.
     pub workers: usize,
     /// Skip contexts marked [`EnvContext::is_por_equivalent`] by the
     /// partial-order reduction — trace-equivalent to a lower-indexed
@@ -83,10 +80,6 @@ pub struct ExploreOptions {
     /// only when `prefix_share` is on; never changes the verdict or the
     /// evidence; on by default.
     pub deep_share: bool,
-    /// Capacity cap on the query-point snapshot trie (deepest-first
-    /// eviction, see [`crate::prefix::SnapshotTrie`]): snapshots only save
-    /// work, so eviction costs re-execution, never correctness.
-    pub snapshot_cap: usize,
     /// Restrict exploration to the half-open flat-index range
     /// `[lo, hi)` of the `ci·ninner+ii` grid. `None` explores the whole
     /// grid. Per-case classification is a deterministic function of the
@@ -100,20 +93,19 @@ pub struct ExploreOptions {
 
 impl Default for ExploreOptions {
     fn default() -> Self {
-        Self::tuned(crate::par::default_workers(), true, true, true)
+        Self::tuned(1, true, true, true)
     }
 }
 
 impl ExploreOptions {
     /// The options the verifier checkers' `_tuned` variants expose:
-    /// explicit workers/POR/sharing, default snapshot cap, whole grid.
+    /// explicit workers/POR/sharing, whole grid.
     pub fn tuned(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> Self {
         Self {
             workers,
             por,
             prefix_share,
             deep_share,
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
             window: None,
         }
     }
@@ -196,12 +188,15 @@ pub struct Kernel<S, T> {
 
 impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     /// Creates a kernel for one checker invocation, with fresh (cold)
-    /// memo and snapshot state.
+    /// memo and snapshot state. The snapshot trie holds at most
+    /// [`crate::prefix::SNAPSHOT_CAP`] snapshots (deepest-first eviction):
+    /// snapshots only save work, so eviction costs re-execution, never
+    /// correctness.
     pub fn new(opts: &ExploreOptions) -> Self {
         Self::with_state(
             opts,
             std::sync::Arc::new(PrefixMemo::new()),
-            std::sync::Arc::new(SnapshotTrie::new(opts.snapshot_cap)),
+            std::sync::Arc::new(SnapshotTrie::new(crate::prefix::SNAPSHOT_CAP)),
         )
     }
 
@@ -327,8 +322,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     }
 
     /// The exploration loop: dispatches the `(context × sub-case)` grid
-    /// onto the work-stealing queue (in subtree claim order when sharing
-    /// is on and several workers race), prunes POR-equivalent contexts,
+    /// ([`crate::par::run_cases`]), prunes POR-equivalent contexts,
     /// records failing cases into the forensics capture scope the calling
     /// thread opened (if any), and folds the slots in index order — so the
     /// verdict, the accounting and the index-least first failure are
@@ -385,20 +379,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             }
             outcome
         };
-        // With sharing on and several workers, claim the grid in
-        // digit-reversed (subtree) order so each worker's chunk shares
-        // long schedule prefixes — the memo then hits within a chunk
-        // instead of racing across chunks. Subtree order is computed over
-        // the whole grid, so it only applies to whole-grid explorations;
-        // a window run claims in plain index order.
-        let order = if self.share && self.workers > 1 && (lo, hi) == (0, total) {
-            let keys: Vec<Option<&ScheduleKey>> =
-                contexts.iter().map(EnvContext::schedule_key).collect();
-            crate::prefix::subtree_case_order(&keys, ninner)
-        } else {
-            None
-        };
-        let slots = crate::par::run_cases_ordered(span, self.workers, order.as_deref(), run_case, |c| {
+        let slots = crate::par::run_cases(span, self.workers, run_case, |c| {
             matches!(c, Case::Failed(_))
         });
         let mut out = Explored {

@@ -249,9 +249,6 @@ pub fn share_key(
     h.bool("dedup", opts.dedup);
     h.bool("prefix_share", opts.explore.prefix_share);
     h.bool("deep_share", opts.explore.deep_share);
-    h.bool("bytecode", opts.bytecode);
-    h.usize("snapshot_cap", opts.explore.snapshot_cap);
-    h.usize("upper_cache_cap", opts.upper_cache_cap);
     ShareKey(h.finish())
 }
 

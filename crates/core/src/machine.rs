@@ -296,22 +296,7 @@ impl LayerMachine {
     /// [`MachineError::RelyViolated`] if the received events violate the
     /// rely condition.
     pub fn deliver_env(&mut self) -> Result<(), MachineError> {
-        if self.in_critical() {
-            return Ok(());
-        }
-        self.env.extend_until_focused(&self.focused, &mut self.log)?;
-        if let Some(inv) = self
-            .iface
-            .conditions
-            .rely
-            .first_violation(self.pid, &self.log)
-        {
-            return Err(MachineError::RelyViolated {
-                invariant: inv.name().to_owned(),
-                pid: self.pid,
-            });
-        }
-        Ok(())
+        self.deliver_env_each_turn(&mut |_| {})
     }
 
     /// Calls primitive `name` with `args`, driving its run to completion:
@@ -323,34 +308,18 @@ impl LayerMachine {
     /// Any [`MachineError`] arising from the primitive, the environment, or
     /// a guarantee violation.
     pub fn call_prim(&mut self, name: &str, args: &[Val]) -> Result<Val, MachineError> {
-        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec());
-        self.drive(run)
+        self.call_prim_with_snapshots(name, args, &mut |_, _| {})
     }
 
     /// Drives an arbitrary [`PrimRun`] (primitive invocation or module
-    /// function body) to completion on this machine.
+    /// function body) to completion on this machine:
+    /// [`LayerMachine::drive_with_snapshots`] with a no-op hook.
     ///
     /// # Errors
     ///
     /// Any [`MachineError`]; see [`LayerMachine::call_prim`].
-    pub fn drive(&mut self, mut run: Box<dyn PrimRun>) -> Result<Val, MachineError> {
-        loop {
-            self.consume_fuel()?;
-            let step = {
-                let mut ctx = PrimCtx {
-                    pid: self.pid,
-                    abs: &mut self.abs,
-                    log: &mut self.log,
-                    iface: &self.iface,
-                };
-                run.resume(&mut ctx)?
-            };
-            self.check_guarantee()?;
-            match step {
-                PrimStep::Query => self.deliver_env()?,
-                PrimStep::Done(v) => return Ok(v),
-            }
-        }
+    pub fn drive(&mut self, run: Box<dyn PrimRun>) -> Result<Val, MachineError> {
+        self.drive_with_snapshots(run, &mut |_, _| {})
     }
 
     /// Like [`LayerMachine::call_prim`], additionally invoking `hook` at
@@ -404,13 +373,11 @@ impl LayerMachine {
             };
             self.check_guarantee()?;
             match step {
+                // A machine in the critical state does not query (§2).
+                PrimStep::Query if self.in_critical() => {}
                 PrimStep::Query => {
-                    if self.in_critical() {
-                        self.deliver_env()?;
-                    } else {
-                        hook(self, run.as_ref());
-                        self.deliver_env_with_snapshots(run.as_ref(), hook)?;
-                    }
+                    hook(self, run.as_ref());
+                    self.deliver_env_with_snapshots(run.as_ref(), hook)?;
                 }
                 PrimStep::Done(v) => return Ok(v),
             }
@@ -445,12 +412,11 @@ impl LayerMachine {
         self.deliver_env_each_turn(&mut |m| hook(m, run))
     }
 
-    /// The run-free core of [`LayerMachine::deliver_env_with_snapshots`]:
-    /// delivers environment events like [`LayerMachine::deliver_env`],
-    /// invoking `hook` after every delivered turn. Public for callers that
-    /// flush trailing environment events with no in-flight run — the cut
-    /// points there carry the already-computed return value instead of a
-    /// [`PrimRun`] fork.
+    /// The machine's one delivery loop, invoking `hook` after every
+    /// delivered turn ([`LayerMachine::deliver_env`] is this with a no-op
+    /// hook). Public for callers that flush trailing environment events
+    /// with no in-flight run — the cut points there carry the
+    /// already-computed return value instead of a [`PrimRun`] fork.
     ///
     /// # Errors
     ///

@@ -60,11 +60,11 @@ use crate::fxhash::FxHashMap;
 use crate::id::Pid;
 
 /// The process-wide execution tier: `true` — compiled bytecode (the
-/// default), `false` — the tree-walking interpreter. Strategy closures are
-/// built long before any checker decides its options, so the tier must be
-/// read at *instantiation* time; a checker whose
-/// [`crate::sim::SimOptions::bytecode`] is off installs a
-/// [`BytecodeOverride`] for the duration of the check.
+/// default), `false` — the tree-walking interpreter. The two tiers are
+/// bit-identical, so the tier is not a checker option: only a
+/// [`BytecodeOverride`] (differential tests, the B6 tier benchmark)
+/// selects the reference interpreter. Strategy closures read it at
+/// *instantiation* time.
 static BYTECODE: AtomicBool = AtomicBool::new(true);
 
 /// The bytecode-tier choice in effect right now: the innermost live
@@ -271,11 +271,12 @@ impl<T: Clone> Default for PrefixMemo<T> {
     }
 }
 
-/// Default cap on live snapshots in a [`SnapshotTrie`] — the same order of
-/// magnitude as [`crate::sim::SimOptions`]'s upper-run cache cap, chosen
-/// to hold a full branching-factor × depth grid of cut points for the
-/// schedule lengths the checkers explore.
-pub const DEFAULT_SNAPSHOT_CAP: usize = 4096;
+/// Cap on live snapshots in every checker's [`SnapshotTrie`] — the same
+/// as the simulation checker's upper-run cache cap
+/// ([`crate::sim::UPPER_CACHE_CAP`]), chosen to hold a full
+/// branching-factor × depth grid of cut points for the schedule lengths
+/// the checkers explore.
+pub const SNAPSHOT_CAP: usize = 4096;
 
 /// A mid-run machine snapshot that can be forked into an independent copy
 /// per use. The trie stores one *master* per cut point and hands out forks
@@ -553,57 +554,6 @@ pub fn conv_evictions_total() -> u64 {
     0
 }
 
-/// A queue-order permutation for [`crate::par::run_cases_ordered`] that
-/// turns flat chunk claiming into subtree claiming: consecutive queue
-/// positions map to case indices whose schedule scripts share *long*
-/// prefixes (the grid encodes slot 0 as the least significant digit, so
-/// ascending indices share suffixes; digit-reversing the context index
-/// makes a claimed chunk a subtree of the prefix trie). Workers then mostly
-/// extend prefixes they themselves populated, instead of racing all
-/// subtrees at once.
-///
-/// Returns `None` — no reordering — unless every context carries a
-/// [`ScheduleKey`] of one family over one domain whose grid is fully
-/// enumerated in index order (`contexts.len() == n^len`), which is exactly
-/// what [`crate::contexts::ContextGen`] produces for unsampled grids.
-/// `nargs` is the number of per-context sub-cases (case index = `ctx_index
-/// * nargs + sub_index`); sub-cases stay adjacent.
-pub fn subtree_case_order(
-    keys: &[Option<&ScheduleKey>],
-    nargs: usize,
-) -> Option<Vec<usize>> {
-    let first = keys.first().copied().flatten()?;
-    let n = first.domain_len();
-    let len = first.script().len();
-    if n < 2 || nargs == 0 {
-        return None;
-    }
-    let total = n.checked_pow(u32::try_from(len).ok()?)?;
-    if keys.len() != total {
-        return None;
-    }
-    if !keys.iter().all(|k| {
-        k.is_some_and(|k| {
-            k.family() == first.family() && k.domain_len() == n && k.script().len() == len
-        })
-    }) {
-        return None;
-    }
-    let rev = |mut i: usize| -> usize {
-        let mut out = 0;
-        for _ in 0..len {
-            out = out * n + i % n;
-            i /= n;
-        }
-        out
-    };
-    Some(
-        (0..total * nargs)
-            .map(|j| rev(j / nargs) * nargs + j % nargs)
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,24 +632,6 @@ mod tests {
         assert!(steps_total() >= 15);
         assert!(shared_total() >= 1);
         steps_reset();
-    }
-
-    #[test]
-    fn subtree_order_is_a_digit_reversal_permutation() {
-        // 2-pid domain, len 2 grid (4 contexts), 3 args per context.
-        let keys_owned: Vec<ScheduleKey> = (0..4)
-            .map(|i| key(5, &[i % 2, (i / 2) % 2]))
-            .collect();
-        let keys: Vec<Option<&ScheduleKey>> = keys_owned.iter().map(Some).collect();
-        let order = subtree_case_order(&keys, 3).expect("full grid reorders");
-        assert_eq!(order.len(), 12);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>(), "a permutation");
-        // Queue position 1 is context rev(0)=0 arg 1; position 3 is context
-        // rev(1) = 2 (digit reversal of 01 is 10), arg 0.
-        assert_eq!(order[1], 1);
-        assert_eq!(order[3], 2 * 3);
     }
 
     #[derive(Debug, Clone, PartialEq)]
@@ -853,17 +785,5 @@ mod tests {
             Some((2, Snap("tail", true)))
         );
         assert_eq!(trie.lookup_deepest(&key(3, &[0, 0]), 0), None);
-    }
-
-    #[test]
-    fn subtree_order_rejects_partial_or_mixed_grids() {
-        let keys_owned: Vec<ScheduleKey> =
-            (0..3).map(|i| key(5, &[i % 2, (i / 2) % 2])).collect();
-        let keys: Vec<Option<&ScheduleKey>> = keys_owned.iter().map(Some).collect();
-        assert!(subtree_case_order(&keys, 1).is_none(), "sampled grid");
-        let mut mixed: Vec<Option<&ScheduleKey>> = keys_owned.iter().map(Some).collect();
-        mixed.push(None);
-        assert!(subtree_case_order(&mixed, 1).is_none(), "keyless context");
-        assert!(subtree_case_order(&[], 1).is_none(), "empty slice");
     }
 }

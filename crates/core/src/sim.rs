@@ -33,25 +33,27 @@
 //!
 //! The `(context × argument-vector)` grid is explored by the unified
 //! exploration kernel ([`crate::explore::Kernel`]): a shared atomic work
-//! queue over `std::thread::scope` workers ([`SimOptions::workers`],
-//! overridable with `CCAL_WORKERS`), folding outcomes in case order so the
-//! result — the evidence, the probe order, and the *first* failure — is
-//! bit-identical to the serial exploration. Additionally, symmetric
-//! schedules are
-//! checked once: many contexts differ only in environment interleaving
-//! and abstract to the same replayed upper event sequence, so the upper
-//! run is memoized keyed on that sequence plus the argument vector
-//! ([`SimOptions::dedup`]). Cache hits replay the recorded outcome, which
-//! keeps the evidence (case counts, probes) identical to a dedup-free run.
+//! queue over `std::thread::scope` workers when a caller asks for more
+//! than the default one ([`crate::explore::ExploreOptions::workers`]),
+//! folding outcomes in case order so the result — the evidence, the probe
+//! order, and the *first* failure — is bit-identical to the serial
+//! exploration. Additionally, symmetric schedules are checked once: many
+//! contexts differ only in environment interleaving and abstract to the
+//! same replayed upper event sequence, so the upper run is memoized keyed
+//! on that sequence plus the argument vector ([`SimOptions::dedup`], at
+//! most [`UPPER_CACHE_CAP`] entries). Cache hits replay the recorded
+//! outcome, which keeps the evidence (case counts, probes) identical to a
+//! dedup-free run.
 //!
 //! Symmetrically, *lower* runs are shared across contexts whose schedule
 //! scripts agree on the prefix the run actually consumes
-//! ([`SimOptions::prefix_share`], see [`crate::prefix`]): the grid is a
-//! schedule-prefix trie, and each distinct consumed prefix is executed
-//! once. With [`SimOptions::deep_share`] the trie additionally stores a
-//! forked [`LayerMachine`] snapshot at *every* environment query point —
-//! inside the setup phase, at each query of the checked call, and at its
-//! pre-flush return — so a new context resumes from its deepest
+//! ([`crate::explore::ExploreOptions::prefix_share`], see
+//! [`crate::prefix`]): the grid is a schedule-prefix trie, and each
+//! distinct consumed prefix is executed once. With
+//! [`crate::explore::ExploreOptions::deep_share`] the trie additionally
+//! stores a forked [`LayerMachine`] snapshot at *every* environment query
+//! point — inside the setup phase, at each query of the checked call, and
+//! at its pre-flush return — so a new context resumes from its deepest
 //! snapshotted ancestor and executes only the schedule suffix
 //! ([`crate::prefix::SnapshotTrie`]). Sharing never changes the verdict,
 //! the first failure, or the evidence, because every shared outcome is
@@ -331,35 +333,15 @@ pub struct SimOptions {
     /// a preceding `acq`).
     pub setup: Vec<(String, Vec<Val>)>,
     /// The exploration knobs shared with the other checkers: workers, POR,
-    /// prefix and deep sharing, the snapshot-trie cap and the case-grid
-    /// window ([`crate::explore::ExploreOptions`]). None of them changes
-    /// the verdict or the evidence.
+    /// prefix and deep sharing and the case-grid window
+    /// ([`crate::explore::ExploreOptions`]). None of them changes the
+    /// verdict or the evidence.
     pub explore: crate::explore::ExploreOptions,
     /// Memoize upper-machine runs keyed on the replayed abstract event
     /// sequence and argument vector, so symmetric schedules — contexts
     /// whose logs abstract to the same upper environment — are explored
     /// once. Never changes the verdict or the evidence; on by default.
     pub dedup: bool,
-    /// Run ClightX primitives on the compiled bytecode tier
-    /// ([`crate::prefix::bytecode_effective`]): modules are slot-resolved
-    /// and flattened once at lower time, and each instantiation executes
-    /// the flat code instead of walking the statement tree. The tier is
-    /// bit-identical to the interpreter — same events, queries, return
-    /// values, and error strings — so this is purely a performance knob.
-    /// On by default. With the tier off the checker forces the
-    /// interpreter process-wide ([`crate::prefix::BytecodeOverride`]) for
-    /// the duration of the check, so concurrent checks with *conflicting*
-    /// tiers must be serialized by the caller.
-    pub bytecode: bool,
-    /// Capacity cap on the upper-run memo table
-    /// ([`crate::explore::BoundedCache`]). When an insert would exceed the
-    /// cap, the deepest entries — the longest replayed event sequences,
-    /// the least likely to recur — are evicted first, so shallow entries
-    /// that many later cases re-derive survive the squeeze instead of
-    /// being dropped by a whole-table clear. The memory footprint stays
-    /// bounded on huge grids while verdicts and evidence are unchanged —
-    /// a miss merely re-runs the deterministic upper machine.
-    pub upper_cache_cap: usize,
     /// Caller-owned warm state ([`SimWarm`]) shared across checker
     /// invocations: the prefix memo, query-point snapshot trie and
     /// upper-run cache survive the call instead of being dropped with the
@@ -370,10 +352,15 @@ pub struct SimOptions {
     pub warm: Option<SimWarm>,
 }
 
-impl SimOptions {
-    /// Default capacity of the upper-run memo table.
-    pub const DEFAULT_UPPER_CACHE_CAP: usize = 4096;
-}
+/// Capacity of the upper-run memo table
+/// ([`crate::explore::BoundedCache`]). When an insert would exceed the
+/// cap, the deepest entries — the longest replayed event sequences, the
+/// least likely to recur — are evicted first, so shallow entries that many
+/// later cases re-derive survive the squeeze instead of being dropped by a
+/// whole-table clear. The memory footprint stays bounded on huge grids
+/// while verdicts and evidence are unchanged — a miss merely re-runs the
+/// deterministic upper machine.
+pub const UPPER_CACHE_CAP: usize = 4096;
 
 impl Default for SimOptions {
     fn default() -> Self {
@@ -383,8 +370,6 @@ impl Default for SimOptions {
             setup: Vec::new(),
             explore: crate::explore::ExploreOptions::default(),
             dedup: true,
-            bytecode: true,
-            upper_cache_cap: Self::DEFAULT_UPPER_CACHE_CAP,
             warm: None,
         }
     }
@@ -424,27 +409,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_deep_share(mut self, deep_share: bool) -> Self {
         self.explore.deep_share = deep_share;
-        self
-    }
-
-    /// Enables or disables the compiled ClightX bytecode tier.
-    #[must_use]
-    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
-        self.bytecode = bytecode;
-        self
-    }
-
-    /// Caps the query-point snapshot trie (minimum 1 snapshot).
-    #[must_use]
-    pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.explore.snapshot_cap = cap.max(1);
-        self
-    }
-
-    /// Caps the upper-run memo table (minimum 1 entry).
-    #[must_use]
-    pub fn with_upper_cache_cap(mut self, cap: usize) -> Self {
-        self.upper_cache_cap = cap.max(1);
         self
     }
 
@@ -574,11 +538,11 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 /// the same reason. Under a [`crate::prefix::ShareSemanticOverride`]
 /// forcing semantic keys off, the service falls back to pinning one handle
 /// per unit fingerprint.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct SimWarm {
     memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
-    snaps: Arc<std::sync::OnceLock<Arc<crate::prefix::SnapshotTrie<SimSnap>>>>,
-    upper: Arc<std::sync::OnceLock<Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>>>>,
+    snaps: Arc<crate::prefix::SnapshotTrie<SimSnap>>,
+    upper: Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>>,
 }
 
 /// Point-in-time accounting for a [`SimWarm`] handle, surfaced
@@ -602,44 +566,41 @@ pub struct WarmStats {
     pub upper_evictions: u64,
 }
 
+impl Default for SimWarm {
+    fn default() -> Self {
+        Self::with_caps(crate::prefix::SNAPSHOT_CAP, UPPER_CACHE_CAP)
+    }
+}
+
 impl SimWarm {
     /// A fresh, empty warm handle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The snapshot trie, created at `cap` on first use (later calls keep
-    /// the first capacity — one handle serves one check configuration).
-    fn snaps(&self, cap: usize) -> Arc<crate::prefix::SnapshotTrie<SimSnap>> {
-        self.snaps
-            .get_or_init(|| Arc::new(crate::prefix::SnapshotTrie::new(cap)))
-            .clone()
-    }
-
-    /// The upper-run cache, created at `cap` on first use.
-    fn upper(&self, cap: usize) -> Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>> {
-        self.upper
-            .get_or_init(|| Arc::new(crate::explore::BoundedCache::new(cap)))
-            .clone()
+    /// A fresh handle whose snapshot trie and upper-run cache hold at most
+    /// `snapshot_cap` and `upper_cap` entries. Private: every caller gets
+    /// the constant caps, and only this module's tests shrink them to
+    /// force eviction.
+    fn with_caps(snapshot_cap: usize, upper_cap: usize) -> Self {
+        Self {
+            memo: Arc::new(crate::prefix::PrefixMemo::new()),
+            snaps: Arc::new(crate::prefix::SnapshotTrie::new(snapshot_cap)),
+            upper: Arc::new(crate::explore::BoundedCache::new(upper_cap)),
+        }
     }
 
     /// Current accounting for this handle.
     pub fn stats(&self) -> WarmStats {
-        let mut stats = WarmStats {
+        WarmStats {
             memo_entries: self.memo.len(),
-            ..WarmStats::default()
-        };
-        if let Some(snaps) = self.snaps.get() {
-            stats.snapshot_entries = snaps.len();
-            stats.snapshot_hits = snaps.hits();
-            stats.snapshot_evictions = snaps.evictions();
+            snapshot_entries: self.snaps.len(),
+            snapshot_hits: self.snaps.hits(),
+            snapshot_evictions: self.snaps.evictions(),
+            upper_entries: self.upper.len(),
+            upper_hits: self.upper.hits(),
+            upper_evictions: self.upper.evictions(),
         }
-        if let Some(upper) = self.upper.get() {
-            stats.upper_entries = upper.len();
-            stats.upper_hits = upper.hits();
-            stats.upper_evictions = upper.evictions();
-        }
-        stats
     }
 }
 
@@ -672,14 +633,6 @@ pub fn check_prim_refinement(
     arg_vectors: &[Vec<Val>],
     opts: &SimOptions,
 ) -> Result<SimEvidence, Box<SimFailure>> {
-    // Install the execution-tier choice for the duration of the check.
-    // Strategy closures read the tier at instantiation time
-    // ([`crate::prefix::bytecode_effective`]), so a scoped override is the
-    // only way an option chosen *after* layer construction can reach them.
-    // Installed only when the check asks for the interpreter, so checks
-    // under default options never perturb an outer override (e.g. a
-    // differential harness bracketing a whole checker run).
-    let _tier = (!opts.bytecode).then(|| crate::prefix::BytecodeOverride::force(false));
     let fail = |case: String, lower_log: Log, upper_log: Log, reason: String| {
         Box::new(SimFailure {
             lower: format!("{}::{}", lower_iface.name, lower_prim),
@@ -697,8 +650,8 @@ pub fn check_prim_refinement(
     // carries a content signature of everything the upper run depends on
     // besides the replayed sequence.
     let upper_cache: Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>> = match &opts.warm {
-        Some(w) => w.upper(opts.upper_cache_cap),
-        None => Arc::new(crate::explore::BoundedCache::new(opts.upper_cache_cap)),
+        Some(w) => w.upper.clone(),
+        None => Arc::new(crate::explore::BoundedCache::new(UPPER_CACHE_CAP)),
     };
     let upper_sig: Vec<u128> = arg_vectors
         .iter()
@@ -767,11 +720,7 @@ pub fn check_prim_refinement(
     // hits, so it resumes via the raw
     // [`crate::explore::Kernel::lookup_snapshot`] and records itself.
     let kernel: crate::explore::Kernel<SimSnap, LowerRun> = match &opts.warm {
-        Some(w) => crate::explore::Kernel::with_state(
-            &opts.explore,
-            w.memo.clone(),
-            w.snaps(opts.explore.snapshot_cap),
-        ),
+        Some(w) => crate::explore::Kernel::with_state(&opts.explore, w.memo.clone(), w.snaps.clone()),
         None => crate::explore::Kernel::new(&opts.explore),
     };
     let deep = kernel.deep();
@@ -1430,7 +1379,9 @@ mod tests {
         };
         let base = run(SimOptions::default()).unwrap();
         // Cap 1 forces an eviction on every insert after the first.
-        let capped = run(SimOptions::default().with_upper_cache_cap(1)).unwrap();
+        let tiny = SimWarm::with_caps(crate::prefix::SNAPSHOT_CAP, 1);
+        let capped = run(SimOptions::default().with_warm(tiny.clone())).unwrap();
+        assert!(tiny.stats().upper_evictions > 0, "the cap evicts");
         assert_eq!(base.cases_checked, capped.cases_checked);
         assert_eq!(base.cases_skipped, capped.cases_skipped);
         assert_eq!(base.cases_reduced, capped.cases_reduced);
@@ -1453,7 +1404,10 @@ mod tests {
             .unwrap_err()
         };
         let f1 = fail(SimOptions::default());
-        let f2 = fail(SimOptions::default().with_upper_cache_cap(1));
+        let f2 = fail(SimOptions::default().with_warm(SimWarm::with_caps(
+            crate::prefix::SNAPSHOT_CAP,
+            1,
+        )));
         assert_eq!(f1.case, f2.case);
         assert_eq!(f1.reason, f2.reason);
     }
@@ -1487,7 +1441,9 @@ mod tests {
         let base = run(SimOptions::default()).unwrap();
         // Cap 1 forces an eviction on every snapshot insert after the
         // first, so most cases re-execute from scratch.
-        let capped = run(SimOptions::default().with_snapshot_cap(1)).unwrap();
+        let tiny = SimWarm::with_caps(1, UPPER_CACHE_CAP);
+        let capped = run(SimOptions::default().with_warm(tiny.clone())).unwrap();
+        assert!(tiny.stats().snapshot_evictions > 0, "the cap evicts");
         assert_eq!(base.cases_checked, capped.cases_checked);
         assert_eq!(base.cases_skipped, capped.cases_skipped);
         assert_eq!(base.cases_reduced, capped.cases_reduced);
@@ -1513,7 +1469,7 @@ mod tests {
             .unwrap_err()
         };
         let f1 = fail(SimOptions::default());
-        let f2 = fail(SimOptions::default().with_snapshot_cap(1));
+        let f2 = fail(SimOptions::default().with_warm(SimWarm::with_caps(1, UPPER_CACHE_CAP)));
         assert_eq!(f1.case, f2.case);
         assert_eq!(f1.reason, f2.reason);
     }

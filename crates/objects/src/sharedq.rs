@@ -192,7 +192,7 @@ pub fn certify_shared_queue(
     q: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    certify_shared_queue_tuned(pid, q, contexts, ccal_core::par::default_workers(), true)
+    certify_shared_queue_tuned(pid, q, contexts, 1, true)
 }
 
 /// [`certify_shared_queue`] with explicit exploration settings — worker

@@ -622,7 +622,7 @@ pub fn certify_ticket_stack(
         b,
         contexts_low,
         contexts_atomic,
-        ccal_core::par::default_workers(),
+        1,
         true,
     )
 }

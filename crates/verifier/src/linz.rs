@@ -55,7 +55,7 @@ pub fn check_linearizability(
         validate_history,
         contexts,
         fuel,
-        ccal_core::par::default_workers(),
+        1,
         true,
         true,
         true,

@@ -51,7 +51,7 @@ pub fn check_liveness(
         contexts,
         bound,
         fuel,
-        ccal_core::par::default_workers(),
+        1,
         true,
         true,
         true,

@@ -43,7 +43,7 @@ pub fn check_race_freedom(
         programs,
         contexts,
         fuel,
-        ccal_core::par::default_workers(),
+        1,
         true,
         true,
         true,
@@ -135,23 +135,18 @@ pub fn count_racy_interleavings(
     contexts: &[EnvContext],
     fuel: u64,
 ) -> usize {
-    ccal_core::par::run_cases(
-        contexts.len(),
-        ccal_core::par::default_workers(),
-        |ci| {
+    contexts
+        .iter()
+        .filter(|env| {
             let machine =
-                ConcurrentMachine::new(iface.clone(), focused.clone(), contexts[ci].clone())
+                ConcurrentMachine::new(iface.clone(), focused.clone(), (*env).clone())
                     .with_fuel(fuel);
             matches!(
                 machine.run(programs),
                 Err(MachineError::Stuck(_)) | Err(MachineError::Replay(_))
             )
-        },
-        |_| false,
-    )
-    .into_iter()
-    .filter(|racy| *racy == Some(true))
-    .count()
+        })
+        .count()
 }
 
 #[cfg(test)]

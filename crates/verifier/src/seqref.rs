@@ -48,7 +48,7 @@ pub fn check_sequence_refinement(
         contexts,
         scripts,
         fuel,
-        ccal_core::par::default_workers(),
+        1,
         true,
         true,
         true,

@@ -15,8 +15,8 @@
 # commits the new file), and the end-to-end benchmark
 # package's own tests (its traced layer-by-layer pipeline must answer like
 # the checkers' entry points). The engine reads no configuration from the
-# environment besides CCAL_WORKERS, so every stage runs the one shipped
-# engine; the differential suites set the other configurations in code.
+# environment, so every stage runs the one shipped engine (serial by
+# default); the differential suites set the other configurations in code.
 # Everything here works without network access — proptest/criterion
 # resolve to the in-repo shim crates. Each stage reports its own wall time
 # so perf regressions in the harness itself are visible.
@@ -59,7 +59,7 @@ stage "differential: bytecode VM vs interpreter (forensics captures + artifacts)
 stage "differential: semantic sharing keys vs pinned families (all five checkers, both tiers, hostile aliasing)" \
   cargo test -q --test sharing_differential
 
-stage "regression: grid sampling, space_size, workers, cache cap" \
+stage "regression: grid sampling, space_size, index-least first failure" \
   cargo test -q -p ccal-core -- contexts:: par:: por:: sim::
 
 stage "regression: persistent log and kernel hasher unit tests (release build)" \

@@ -36,7 +36,7 @@ use ccal::core::event::EventKind;
 use ccal::core::fingerprint::{share_key, ShareKey};
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimSpec};
-use ccal::core::prefix::{self, ShareSemanticOverride};
+use ccal::core::prefix::{self, BytecodeOverride, ShareSemanticOverride};
 use ccal::core::sim::{
     check_prim_refinement, SimEvidence, SimFailure, SimOptions, SimRelation, SimWarm,
 };
@@ -84,15 +84,16 @@ fn certify_stack(stack: &str, params: &CertParams, semantic: bool) -> Vec<UnitOu
 fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
     let _guard = serial();
     for stack in ["ticket", "qlock", "scratch"] {
-        let mut grid: Vec<CertParams> = Vec::new();
+        // (ClightX tier, params): the tier is process-wide, chosen by a
+        // `BytecodeOverride` around each pair of runs.
+        let mut grid: Vec<(bool, CertParams)> = Vec::new();
         for bytecode in [true, false] {
             for workers in [1, 4] {
                 for por in [true, false] {
                     let mut p = CertParams::default();
-                    p.bytecode = bytecode;
                     p.workers = workers;
                     p.por = por;
-                    grid.push(p);
+                    grid.push((bytecode, p));
                 }
             }
         }
@@ -101,9 +102,10 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
             let mut p = CertParams::default();
             p.prefix_share = prefix_share;
             p.deep_share = deep_share;
-            grid.push(p);
+            grid.push((true, p));
         }
-        for params in &grid {
+        for (bytecode, params) in &grid {
+            let _tier = BytecodeOverride::force(*bytecode);
             let pinned = certify_stack(stack, params, false);
             let shared = certify_stack(stack, params, true);
             assert_eq!(
@@ -111,7 +113,7 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
                 "stack `{stack}` drifted under semantic sharing \
                  (workers={} por={} prefix={} deep={} bytecode={})",
                 params.workers, params.por, params.prefix_share, params.deep_share,
-                params.bytecode
+                bytecode
             );
             // The differential only has teeth if both polarities appear:
             // scratch must fail (with rendered index-least evidence held
@@ -543,6 +545,7 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
     let src_a = op_source(1);
     let src_b = op_source(2);
     for bytecode in [true, false] {
+        let _tier = BytecodeOverride::force(bytecode);
         let machine_a = op_machine(&src_a);
         let machine_b = op_machine(&src_b);
         let spec_a = op_spec("U-op-A");
@@ -550,7 +553,6 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         let base_opts = SimOptions::default()
             .with_prefix_share(true)
             .with_deep_share(true)
-            .with_bytecode(bytecode)
             .with_workers(1)
             .with_por(true);
         let key_of = |src: &str, iface: &LayerInterface| -> ShareKey {
