@@ -148,10 +148,10 @@ mod tests {
         let b = Loc(0);
         let mut m = layered_machine();
         roundtrip(&mut m, b);
-        assert!(m.log.count_by(Pid(0)) >= 3, "events recorded");
+        assert!(m.log().count_by(Pid(0)) >= 3, "events recorded");
         let mut m = direct_machine();
         roundtrip(&mut m, b);
-        assert!(m.log.is_empty(), "no events in the optimized build");
+        assert!(m.log().is_empty(), "no events in the optimized build");
         assert_eq!(m.abs.get_or_undef("t[b0]"), Val::Int(1));
         assert_eq!(m.abs.get_or_undef("n[b0]"), Val::Int(1));
     }

@@ -66,7 +66,7 @@ pub struct UnitDef {
 pub struct UnitOutcome {
     /// Cases explored.
     pub cases_checked: usize,
-    /// Cases skipped by dedup.
+    /// Cases skipped (invalid contexts).
     pub cases_skipped: usize,
     /// Cases pruned by POR.
     pub cases_reduced: usize,
@@ -311,8 +311,9 @@ fn sim_options(
 }
 
 /// Certificate identity: everything the verdict is a function of. The
-/// run-mechanical knobs (`window`, `warm`) are deliberately excluded —
-/// they must not change verdicts, and the differential suite pins that.
+/// run-mechanical knobs (`window`, `warm`, `workers`, `dedup`) are
+/// deliberately excluded — they change neither the verdict, the evidence
+/// nor any stored case count, and the engine differential pins that.
 fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHash {
     let sim = sim_options(params, unit, None, None);
     let mut h = ContentHasher::new();
@@ -348,8 +349,6 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.section("sim_options");
     h.u64("opt.fuel", sim.fuel);
     h.bool("opt.compare_rets", sim.compare_rets);
-    h.usize("opt.workers", sim.explore.workers);
-    h.bool("opt.dedup", sim.dedup);
     h.bool("opt.por", sim.explore.por);
     h.bool("opt.prefix_share", sim.explore.prefix_share);
     h.bool("opt.deep_share", sim.explore.deep_share);
@@ -402,9 +401,10 @@ pub fn decompositions_total() -> u64 {
 
 /// The identity of a whole-stack certificate: stack name, the stack's
 /// module sources ([`stack_sources`]) and every verdict-relevant
-/// parameter. Keying the manifest by this (rather than the stack name
-/// alone) makes a parameter change or a source edit a manifest miss, the
-/// same way it dirties the unit fingerprints. A manifest lists unit
+/// parameter (not `workers` or `dedup`, which change no verdict). Keying
+/// the manifest by this (rather than the stack name alone) makes a
+/// parameter change or a source edit a manifest miss, the same way it
+/// dirties the unit fingerprints. A manifest lists unit
 /// fingerprints, so the version tag moves whenever they are computed
 /// differently: a store written under the old scheme then misses its
 /// manifest and re-checks once instead of answering with fingerprints
@@ -420,7 +420,7 @@ fn manifest_key_over(
     params: &CertParams,
 ) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.section("ccal.cert.manifest.v3");
+    h.section("ccal.cert.manifest.v4");
     h.str("stack", stack);
     h.usize("sources", sources.len());
     for (name, src) in sources {
@@ -429,8 +429,6 @@ fn manifest_key_over(
     }
     h.usize("schedule_len", params.schedule_len);
     h.u64("rounds", params.rounds);
-    h.usize("workers", params.workers);
-    h.bool("dedup", params.dedup);
     h.bool("por", params.por);
     h.bool("prefix_share", params.prefix_share);
     h.bool("deep_share", params.deep_share);
@@ -656,9 +654,9 @@ mod tests {
         let _mode = share_mode_lock();
         let params = CertParams::default();
         let manifests = [
-            ("ticket", "4798aa3744be691c7d4ce4c417ed04f3"),
-            ("qlock", "999f87a006fed75cb32b607299dac88a"),
-            ("scratch", "e47423b2ee4d7525d75f840d3b4b9ffd"),
+            ("ticket", "52619ecf8cbfb98badb6c9ba1b4f5072"),
+            ("qlock", "191ad879d5d73d4358d17be58cf7d849"),
+            ("scratch", "16888544fdbf61c9b034d5751fa8325a"),
         ];
         for (stack, key) in manifests {
             assert_eq!(manifest_key(stack, &params).to_string(), key, "{stack} manifest");
@@ -671,18 +669,18 @@ mod tests {
         let scratch = "905db7a17513780bb7d0ffbcaba8306f";
         // (stack, unit, fingerprint, share)
         let pinned = [
-            ("ticket", "funlift/acq", "83a6e2691e015ccd5de2997d884a43f2", funlift),
-            ("ticket", "funlift/f", "8789a219b9c418e95c878d8c4d704a89", funlift),
-            ("ticket", "funlift/g", "95870e4713231f828a1a2f777c6e1e95", funlift),
-            ("ticket", "funlift/rel", "6cc4cb4a75b87c79dd280c6f134b677e", funlift),
-            ("ticket", "loglift/acq", "3c2c9d337fa66cc2377650d45b0a8907", loglift),
-            ("ticket", "loglift/f", "d803dda763388c00b8e88aad0fb783ec", loglift),
-            ("ticket", "loglift/g", "e7b15dc9c45256b5d744975e717d4196", loglift),
-            ("ticket", "loglift/rel", "71264db3196b2bb158f8c89141b6425b", loglift),
-            ("ticket", "client/foo", "72150fa7681e8a69440f4d1efa015ad0", client),
-            ("qlock", "acq_q", "cd08e1ea893010e32db0c371760d9a41", qlock),
-            ("qlock", "rel_q", "74ca45811799fa9a24f3e458d74f9d65", qlock),
-            ("scratch", "op", "db231dddc8ddc23f0a335c74c4d95e66", scratch),
+            ("ticket", "funlift/acq", "0792ae6b4a59517e153b1cb510dfba54", funlift),
+            ("ticket", "funlift/f", "586eea01f5a92fbe16509f23e619dfad", funlift),
+            ("ticket", "funlift/g", "cce24070e90d0c7d7212542b0ec5f4e9", funlift),
+            ("ticket", "funlift/rel", "465d5a2d4c90b7701c78a94a1e16c080", funlift),
+            ("ticket", "loglift/acq", "2a735d818bd7d9971cb4933a67b46db7", loglift),
+            ("ticket", "loglift/f", "e7acea8c681d7e5b9245a7122d0ba08a", loglift),
+            ("ticket", "loglift/g", "c5a90705f370bc61b117eaac5b9a69d8", loglift),
+            ("ticket", "loglift/rel", "695755ec6866cdf258ebf796e5a196bb", loglift),
+            ("ticket", "client/foo", "0e45ceafe691722a94a2f33ca82b21fe", client),
+            ("qlock", "acq_q", "349ab30b7373c0acc3083c581d8aa5a5", qlock),
+            ("qlock", "rel_q", "143a8b61781e5dc76755c480075ab399", qlock),
+            ("scratch", "op", "976919f5c8969e6237b24f236bb4f6c8", scratch),
         ];
         let mut got = Vec::new();
         for stack in known_stacks() {
@@ -714,6 +712,31 @@ mod tests {
         assert_ne!(manifest_key("qlock", &base), manifest_key("qlock", &longer));
         assert_ne!(manifest_key("qlock", &base), manifest_key("ticket", &base));
         assert_eq!(manifest_key("qlock", &base), manifest_key("qlock", &base));
+    }
+
+    #[test]
+    fn dispatch_knobs_leave_every_key_unchanged() {
+        let base = CertParams::default();
+        for (knob, params) in [
+            ("workers", CertParams { workers: 4, ..base.clone() }),
+            ("dedup", CertParams { dedup: false, ..base.clone() }),
+        ] {
+            for stack in known_stacks() {
+                assert_eq!(
+                    manifest_key(stack, &params),
+                    manifest_key(stack, &base),
+                    "{knob} moved the {stack} manifest key"
+                );
+                let fps = |p: &CertParams| -> Vec<ContentHash> {
+                    stack_units(stack, p)
+                        .expect("resolves")
+                        .iter()
+                        .map(|u| u.fingerprint)
+                        .collect()
+                };
+                assert_eq!(fps(&params), fps(&base), "{knob} moved a {stack} unit fingerprint");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct StoredUnit {
     pub unit: String,
     /// Cases explored.
     pub cases_checked: usize,
-    /// Cases skipped by dedup.
+    /// Cases skipped (invalid contexts).
     pub cases_skipped: usize,
     /// Cases pruned by POR.
     pub cases_reduced: usize,

@@ -451,12 +451,47 @@ fn clean_recertify_skips_registry_decomposition() {
     // every unit fingerprint.
     let mut dirty = CertRequest::new("qlock");
     dirty.params = p.clone();
-    dirty.params.dedup = false;
+    dirty.params.por = false;
     let third = ccal_certd::certify(&addr, &dirty).expect("daemon answers");
     assert!(!third.manifest_hit, "changed params miss the manifest");
     assert_eq!(third.cache_hits, 0, "changed params miss the unit store too");
     assert!(third.total_steps > 0, "the grid was re-explored");
-    assert!(third.certified, "qlock certifies without dedup");
+    assert!(third.certified, "qlock certifies without POR");
+}
+
+/// Keys name only what a verdict depends on: after a fill at the default
+/// parameters, a request that only changes how the grid is dispatched
+/// (`workers`) or whether upper runs are memoized (`dedup`) is answered
+/// from the manifest with zero exploration steps, with the verdict and
+/// per-unit accounting of the fill.
+#[test]
+fn dispatch_knobs_hit_the_manifest() {
+    let _guard = serial();
+    let (_daemon, addr) = fresh_daemon();
+    let mut req = CertRequest::new("qlock");
+    req.params = CertParams::default();
+    let fill = ccal_certd::certify(&addr, &req).expect("daemon answers");
+    assert!(fill.certified && !fill.manifest_hit);
+    for (knob, params) in [
+        ("workers=4", params(4, true, true, true)),
+        ("dedup=false", CertParams { dedup: false, ..CertParams::default() }),
+    ] {
+        let mut knobbed = CertRequest::new("qlock");
+        knobbed.params = params;
+        let steps0 = prefix::steps_total();
+        let hit = ccal_certd::certify(&addr, &knobbed).expect("daemon answers");
+        assert!(hit.manifest_hit, "{knob}: manifest hit");
+        assert_eq!(hit.total_steps, 0, "{knob}: no exploration");
+        assert_eq!(prefix::steps_total(), steps0, "{knob}: no step counted");
+        assert_eq!(hit.cache_hits, hit.units.len(), "{knob}: every unit cached");
+        assert!(hit.certified, "{knob}: verdict");
+        for (a, b) in fill.units.iter().zip(&hit.units) {
+            assert_eq!(a.fingerprint, b.fingerprint, "{knob}: unit {}", b.unit);
+            assert_eq!(a.cases_checked, b.cases_checked, "{knob}: unit {}", b.unit);
+            assert_eq!(a.cases_skipped, b.cases_skipped, "{knob}: unit {}", b.unit);
+            assert_eq!(a.cases_reduced, b.cases_reduced, "{knob}: unit {}", b.unit);
+        }
+    }
 }
 
 /// A request with `use_cache` off (`--no-cache`) skips every store

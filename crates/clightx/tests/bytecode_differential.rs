@@ -136,7 +136,7 @@ fn run_tier(module: &CModule, arg: i64, vm: bool) -> (Result<Val, String>, Strin
     let res = machine
         .call_prim("f", &[Val::Int(arg)])
         .map_err(|e: MachineError| e.to_string());
-    (res, format!("{}", machine.log))
+    (res, format!("{}", machine.log()))
 }
 
 proptest! {
@@ -185,7 +185,7 @@ fn module_from_lowered_obeys_the_override() {
         let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
         let mut machine = LayerMachine::new(extended, Pid(0), env);
         let res = machine.call_prim("f", &[Val::Int(3)]).unwrap();
-        outcomes.push((res, format!("{}", machine.log)));
+        outcomes.push((res, format!("{}", machine.log())));
     }
     assert_eq!(outcomes[0], outcomes[1], "tiers diverged");
     assert_eq!(outcomes[0].0, Val::Int(6), "1 + 2 + 3 ticks");

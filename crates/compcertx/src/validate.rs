@@ -138,17 +138,17 @@ pub fn compile_and_validate(
                                 ),
                             });
                         }
-                        if !relation.holds(&asm_machine.log, &c_machine.log) {
+                        if !relation.holds(asm_machine.log(), c_machine.log()) {
                             return Err(LayerError::Mismatch {
-                                expected: c_machine.log.to_string(),
-                                found: asm_machine.log.to_string(),
+                                expected: c_machine.log().to_string(),
+                                found: asm_machine.log().to_string(),
                                 context: format!(
                                     "translation validation log of `{}`, context #{ci}",
                                     func.name
                                 ),
                             });
                         }
-                        certificate.probes.push(opts.pid, asm_machine.log.clone());
+                        certificate.probes.push(opts.pid, asm_machine.log().clone());
                         cases_checked += 1;
                     }
                     (Err(ce), Err(ae)) => {

@@ -22,6 +22,17 @@
 //! Atomic primitives (one event, return value computed by replay) are the
 //! common case; build them with [`PrimSpec::atomic`] or
 //! [`PrimSpec::atomic_unqueried`].
+//!
+//! # The critical state as a step monitor
+//!
+//! The critical-state predicate ([`Critical`]) is, like the rely and
+//! guarantee invariants of [`crate::rely`], a fold over the log: an
+//! initial state per participant, a filter naming the events it reads, a
+//! step, and a query on the state. [`LayerInterface::join`] disjoins two
+//! predicates ([`Critical::or`]) and an installed module keeps its
+//! underlay's. The layer machine carries the fold state next to its log
+//! and asks it at every query point, reading only the events appended
+//! since it last asked.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,15 +43,206 @@ use crate::event::{Event, EventKind};
 use crate::id::Pid;
 use crate::log::Log;
 use crate::machine::MachineError;
-use crate::rely::RelyGuarantee;
+use crate::rely::{RelyGuarantee, Touches};
 use crate::val::Val;
+
+/// One participant's running fold of a [`Critical`] predicate,
+/// type-erased.
+trait CriticalFold: Send + Sync {
+    fn touches(&self, event: &Event) -> bool;
+
+    /// Folds in one event the fold touches.
+    fn step(&mut self, event: &Event);
+
+    fn is_critical(&self) -> bool;
+
+    fn boxed_clone(&self) -> Box<dyn CriticalFold>;
+}
+
+#[derive(Clone)]
+struct Fold<S> {
+    pid: Pid,
+    touches: Touches,
+    state: S,
+    step: fn(&mut S, &Event),
+    query: fn(&S) -> bool,
+}
+
+impl<S: Clone + Send + Sync + 'static> CriticalFold for Fold<S> {
+    fn touches(&self, event: &Event) -> bool {
+        (self.touches)(self.pid, event)
+    }
+
+    fn step(&mut self, event: &Event) {
+        (self.step)(&mut self.state, event);
+    }
+
+    fn is_critical(&self) -> bool {
+        (self.query)(&self.state)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn CriticalFold> {
+        Box::new(self.clone())
+    }
+}
+
+/// The disjunction of two critical folds ([`Critical::or`]).
+#[derive(Clone)]
+struct Either(Box<dyn CriticalFold>, Box<dyn CriticalFold>);
+
+impl CriticalFold for Either {
+    fn touches(&self, event: &Event) -> bool {
+        self.0.touches(event) || self.1.touches(event)
+    }
+
+    fn step(&mut self, event: &Event) {
+        for fold in [&mut self.0, &mut self.1] {
+            if fold.touches(event) {
+                fold.step(event);
+            }
+        }
+    }
+
+    fn is_critical(&self) -> bool {
+        self.0.is_critical() || self.1.is_critical()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn CriticalFold> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn CriticalFold> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
+}
+
+type CriticalStart = dyn Fn(Pid) -> Box<dyn CriticalFold> + Send + Sync;
 
 /// Whether the machine is in the *critical state* for a participant: "it
 /// then enters a so-called critical state ... to prevent losing the control
 /// until the lock is released. Thus, there is no need to ask `E` in critical
 /// state" (§2). The predicate is computed from the log (by replay), keeping
 /// the machine state a function of the log.
-pub type CriticalFn = dyn Fn(Pid, &Log) -> bool + Send + Sync;
+///
+/// It is written as a step fold: an initial state for a participant, a
+/// step folding in one event, and a query on the state. A
+/// [`CriticalMonitor`] carries that state along a growing log, so a
+/// [`crate::machine::LayerMachine`] reads each event once instead of
+/// replaying the whole log at every query point.
+#[derive(Clone, Default)]
+pub struct Critical {
+    /// `None` for the predicate that never holds (no state to carry).
+    start: Option<Arc<CriticalStart>>,
+}
+
+impl Critical {
+    /// The predicate that never holds: every query point queries `E`.
+    pub fn never() -> Self {
+        Self::default()
+    }
+
+    /// A critical-state predicate as a fold for a participant `pid`:
+    /// `init(pid)` is the state on the empty log, `touches` selects the
+    /// events the fold reads (it skips the rest), `step` folds in one of
+    /// them, and `query` says whether the participant is critical after
+    /// the events folded so far.
+    pub fn fold<S, I>(
+        touches: Touches,
+        init: I,
+        step: fn(&mut S, &Event),
+        query: fn(&S) -> bool,
+    ) -> Self
+    where
+        S: Clone + Send + Sync + 'static,
+        I: Fn(Pid) -> S + Send + Sync + 'static,
+    {
+        Self {
+            start: Some(Arc::new(move |pid| {
+                Box::new(Fold {
+                    pid,
+                    touches,
+                    state: init(pid),
+                    step,
+                    query,
+                })
+            })),
+        }
+    }
+
+    /// The disjunction: critical whenever either predicate is.
+    pub fn or(&self, other: &Critical) -> Critical {
+        match (&self.start, &other.start) {
+            (None, _) => other.clone(),
+            (_, None) => self.clone(),
+            (Some(a), Some(b)) => {
+                let (a, b) = (a.clone(), b.clone());
+                Critical {
+                    start: Some(Arc::new(move |pid| Box::new(Either(a(pid), b(pid))))),
+                }
+            }
+        }
+    }
+
+    /// Starts the monitor of this predicate for `pid`, on the empty log.
+    pub fn monitor(&self, pid: Pid) -> CriticalMonitor {
+        CriticalMonitor(self.start.as_ref().map(|start| start(pid)))
+    }
+
+    /// Evaluates the predicate for `pid` on `log`: the fold run from the
+    /// empty log.
+    pub fn holds(&self, pid: Pid, log: &Log) -> bool {
+        let mut monitor = self.monitor(pid);
+        if monitor.0.is_some() {
+            for e in log {
+                monitor.step(e);
+            }
+        }
+        monitor.is_critical()
+    }
+}
+
+impl fmt::Debug for Critical {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.start {
+            None => f.write_str("Critical(never)"),
+            Some(_) => f.write_str("Critical(fold)"),
+        }
+    }
+}
+
+/// The running state of a [`Critical`] predicate for one participant.
+/// After [`CriticalMonitor::step`] has been called on the events of a log,
+/// [`CriticalMonitor::is_critical`] answers what [`Critical::holds`]
+/// answers on that log. Cloning copies the state.
+#[derive(Clone)]
+pub struct CriticalMonitor(Option<Box<dyn CriticalFold>>);
+
+impl CriticalMonitor {
+    /// Whether folding in `event` could change this monitor.
+    pub fn touches(&self, event: &Event) -> bool {
+        self.0.as_ref().is_some_and(|fold| fold.touches(event))
+    }
+
+    /// Folds in the next event of the log.
+    pub fn step(&mut self, event: &Event) {
+        if let Some(fold) = self.0.as_mut().filter(|fold| fold.touches(event)) {
+            fold.step(event);
+        }
+    }
+
+    /// Whether the participant is critical after the events folded so far.
+    pub fn is_critical(&self) -> bool {
+        self.0.as_ref().is_some_and(|fold| fold.is_critical())
+    }
+}
+
+impl fmt::Debug for CriticalMonitor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "CriticalMonitor({})", self.is_critical())
+    }
+}
 
 /// The visible machine state a primitive invocation operates on: the
 /// caller's id, the abstract state `a`, the global log `l`, and the
@@ -104,7 +306,10 @@ pub enum PrimStep {
 /// Implementations hold whatever internal state the computation needs (a
 /// program counter, an interpreter continuation, a pending sub-call); all
 /// *shared* state must be read from the log via replay, never cached across
-/// query points.
+/// query points. A run may only append to the log through its
+/// [`PrimCtx`]: the machine's rely, guarantee and critical-state monitors
+/// have already folded the events before the run's own, and read only
+/// what was appended since.
 pub trait PrimRun: Send {
     /// Advances the run until its next query point or completion.
     ///
@@ -360,7 +565,7 @@ pub struct LayerInterface {
     prims: Arc<BTreeMap<String, PrimSpec>>,
     /// Rely and guarantee conditions (§3.2).
     pub conditions: RelyGuarantee,
-    critical: Arc<CriticalFn>,
+    critical: Critical,
     /// Initial abstract state of machines over this interface.
     pub init_abs: AbsState,
 }
@@ -372,7 +577,7 @@ impl LayerInterface {
             name: name.to_owned(),
             prims: BTreeMap::new(),
             conditions: RelyGuarantee::none(),
-            critical: Arc::new(|_, _| false),
+            critical: Critical::never(),
             init_abs: AbsState::new(),
         }
     }
@@ -400,8 +605,14 @@ impl LayerInterface {
     }
 
     /// The critical-state predicate.
+    pub fn critical(&self) -> &Critical {
+        &self.critical
+    }
+
+    /// Whether `pid` is in the critical state on `log`, evaluated from the
+    /// empty log.
     pub fn is_critical(&self, pid: Pid, log: &Log) -> bool {
-        (self.critical)(pid, log)
+        self.critical.holds(pid, log)
     }
 
     /// Returns a copy of this interface with different rely/guarantee
@@ -431,8 +642,6 @@ impl LayerInterface {
                 });
             }
         }
-        let c1 = self.critical.clone();
-        let c2 = other.critical.clone();
         Ok(LayerInterface {
             name: format!("{} ⊕ {}", self.name, other.name),
             prims: Arc::new(prims),
@@ -440,7 +649,7 @@ impl LayerInterface {
                 self.conditions.rely.and(&other.conditions.rely),
                 self.conditions.guarantee.and(&other.conditions.guarantee),
             ),
-            critical: Arc::new(move |p, l| c1(p, l) || c2(p, l)),
+            critical: self.critical.or(&other.critical),
             init_abs: self.init_abs.clone().merged_with(&other.init_abs),
         })
     }
@@ -460,7 +669,7 @@ pub struct LayerInterfaceBuilder {
     name: String,
     prims: BTreeMap<String, PrimSpec>,
     conditions: RelyGuarantee,
-    critical: Arc<CriticalFn>,
+    critical: Critical,
     init_abs: AbsState,
 }
 
@@ -479,11 +688,8 @@ impl LayerInterfaceBuilder {
     }
 
     /// Sets the critical-state predicate.
-    pub fn critical<F>(mut self, f: F) -> Self
-    where
-        F: Fn(Pid, &Log) -> bool + Send + Sync + 'static,
-    {
-        self.critical = Arc::new(f);
+    pub fn critical(mut self, critical: Critical) -> Self {
+        self.critical = critical;
         self
     }
 
@@ -509,6 +715,7 @@ impl LayerInterfaceBuilder {
 mod tests {
     use super::*;
     use crate::id::Loc;
+    use crate::rely::{every_event, own_events};
 
     fn counter_iface() -> LayerInterface {
         LayerInterface::builder("L-counter")
@@ -587,6 +794,50 @@ mod tests {
         let joined = a.join(&b).unwrap();
         assert!(joined.has_prim("tick") && joined.has_prim("noop"));
         assert!(a.join(&counter_iface()).is_err());
+    }
+
+    /// Critical after an odd number of the participant's own events.
+    fn odd_own_events() -> Critical {
+        Critical::fold(own_events, |_| 0_usize, |n, _| *n += 1, |n| n % 2 == 1)
+    }
+
+    /// Critical once anyone emitted a `y` event.
+    fn saw_y() -> Critical {
+        Critical::fold(
+            every_event,
+            |_| false,
+            |saw, e| *saw |= matches!(&e.kind, EventKind::Prim(p, _) if p == "y"),
+            |saw| *saw,
+        )
+    }
+
+    #[test]
+    fn critical_disjunction_matches_its_parts() {
+        let either = odd_own_events().or(&saw_y());
+        let events = [
+            Event::prim(Pid(0), "x", vec![]),
+            Event::prim(Pid(0), "x", vec![]),
+            Event::prim(Pid(1), "y", vec![]),
+            Event::prim(Pid(0), "x", vec![]),
+        ];
+        let mut monitor = either.monitor(Pid(0));
+        let mut log = Log::new();
+        for e in events {
+            monitor.step(&e);
+            log.append(e);
+            let want = odd_own_events().holds(Pid(0), &log) || saw_y().holds(Pid(0), &log);
+            assert_eq!(either.holds(Pid(0), &log), want);
+            assert_eq!(monitor.is_critical(), want);
+        }
+        // `never` is the unit of the disjunction and reads no event.
+        let never = Critical::never();
+        assert!(!never.holds(Pid(0), &log));
+        assert!(!never.monitor(Pid(0)).touches(&log[0]));
+        assert_eq!(
+            odd_own_events().or(&never).holds(Pid(0), &log),
+            odd_own_events().holds(Pid(0), &log)
+        );
+        assert!(!odd_own_events().monitor(Pid(0)).touches(&log[2]), "not its own event");
     }
 
     #[test]

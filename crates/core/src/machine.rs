@@ -13,15 +13,24 @@
 //! environment events at query points (unless the participant is in the
 //! critical state), checking the rely condition on received events and the
 //! guarantee condition on every local step.
+//!
+//! The rely, guarantee and critical-state predicates are folds over the log
+//! ([`crate::rely`], [`crate::layer::Critical`]). The machine carries their
+//! fold states next to its log and, at each check, feeds them only the
+//! events appended since the previous check ([`Log::iter_from`]), so a
+//! check costs the new events, not the whole log. Every answer equals the
+//! from-scratch evaluation on the current log; debug builds assert it.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::abs::{AbsError, AbsState};
 use crate::env::{EnvContext, EnvError};
+use crate::event::Event;
 use crate::id::{Pid, PidSet};
-use crate::layer::{LayerInterface, PrimCtx, PrimRun, PrimStep};
+use crate::layer::{CriticalMonitor, LayerInterface, PrimCtx, PrimRun, PrimStep};
 use crate::log::Log;
+use crate::rely::ConditionsMonitor;
 use crate::replay::ReplayError;
 use crate::val::{Val, ValError};
 
@@ -151,14 +160,57 @@ impl From<EnvError> for MachineError {
     }
 }
 
+/// The step monitors a [`LayerMachine`] carries for its participant: the
+/// fold states of the rely, guarantee and critical-state predicates.
+#[derive(Clone, Debug)]
+struct Monitors {
+    rely: ConditionsMonitor,
+    /// `None` when the guarantee holds the very invariants of the rely (as
+    /// for every protocol invariant used as both), so one fold serves both.
+    guarantee: Option<ConditionsMonitor>,
+    critical: CriticalMonitor,
+}
+
+impl Monitors {
+    fn start(iface: &LayerInterface, pid: Pid) -> Self {
+        let conditions = &iface.conditions;
+        Self {
+            rely: conditions.rely.monitor(pid),
+            guarantee: (!conditions.guarantee.same_invariants(&conditions.rely))
+                .then(|| conditions.guarantee.monitor(pid)),
+            critical: iface.critical().monitor(pid),
+        }
+    }
+
+    fn guarantee(&self) -> &ConditionsMonitor {
+        self.guarantee.as_ref().unwrap_or(&self.rely)
+    }
+
+    fn touches(&self, e: &Event) -> bool {
+        self.rely.touches(e)
+            || self.guarantee.as_ref().is_some_and(|g| g.touches(e))
+            || self.critical.touches(e)
+    }
+
+    fn step(&mut self, e: &Event) {
+        self.rely.step(e);
+        if let Some(g) = &mut self.guarantee {
+            g.step(e);
+        }
+        self.critical.step(e);
+    }
+}
+
 /// The layer machine for one focused participant over an interface `L[i]`,
 /// parameterized by an environment context `E`.
 ///
 /// Cloning costs reference-count bumps only: the interface, the focused
-/// set and the environment are `Arc`-shared, the abstract state copies
-/// its field map only on the first write after a fork, and the persistent
-/// log shares all of its events (its next append starts a new generation
-/// instead of copying the shared tail). That is what makes
+/// set, the environment and the monitor states are `Arc`-shared, the
+/// abstract state copies its field map only on the first write after a
+/// fork, and the persistent log shares all of its events (its next append
+/// starts a new generation instead of copying the shared tail). The
+/// monitor states are copied on the first check after a fork that finds a
+/// new event some monitor reads. That is what makes
 /// [`LayerMachine::fork`] a viable snapshot primitive for the
 /// prefix-sharing exploration ([`crate::prefix`]), which forks at every
 /// environment query point.
@@ -171,8 +223,12 @@ pub struct LayerMachine {
     env: EnvContext,
     /// The abstract state `a`.
     pub abs: AbsState,
-    /// The global log `l`.
-    pub log: Log,
+    /// The global log `l`. Private so that it only grows: the monitors
+    /// have folded a prefix of it.
+    log: Log,
+    monitors: Arc<Monitors>,
+    /// How many events of the log the monitors have folded.
+    monitored: usize,
     fuel: u64,
     budget: u64,
 }
@@ -189,6 +245,7 @@ impl LayerMachine {
     pub fn new(iface: impl Into<Arc<LayerInterface>>, pid: Pid, env: EnvContext) -> Self {
         let iface = iface.into();
         let abs = iface.init_abs.clone();
+        let monitors = Arc::new(Monitors::start(&iface, pid));
         Self {
             iface,
             pid,
@@ -196,6 +253,8 @@ impl LayerMachine {
             env,
             abs,
             log: Log::new(),
+            monitors,
+            monitored: 0,
             fuel: Self::DEFAULT_FUEL,
             budget: Self::DEFAULT_FUEL,
         }
@@ -209,10 +268,18 @@ impl LayerMachine {
     }
 
     /// Starts the machine from a given log (e.g. a non-empty initial log
-    /// for simulation checking).
+    /// for simulation checking). The monitors restart from the empty log,
+    /// so the next check folds the whole initial log.
     pub fn with_initial_log(mut self, log: Log) -> Self {
         self.log = log;
+        self.monitors = Arc::new(Monitors::start(&self.iface, self.pid));
+        self.monitored = 0;
         self
+    }
+
+    /// The global log `l`.
+    pub fn log(&self) -> &Log {
+        &self.log
     }
 
     /// The machine's interface.
@@ -232,8 +299,32 @@ impl LayerMachine {
     }
 
     /// Whether the machine is currently in the critical state (§2).
-    pub fn in_critical(&self) -> bool {
-        self.iface.is_critical(self.pid, &self.log)
+    pub fn in_critical(&mut self) -> bool {
+        self.advance_monitors();
+        let critical = self.monitors.critical.is_critical();
+        debug_assert_eq!(
+            critical,
+            self.iface.is_critical(self.pid, &self.log),
+            "critical monitor disagrees with the from-scratch predicate"
+        );
+        critical
+    }
+
+    /// Advances the monitors over the events appended since the previous
+    /// check. Events no monitor reads are skipped; the first advance after
+    /// a fork that reads one copies the shared states.
+    fn advance_monitors(&mut self) {
+        let len = self.log.len();
+        debug_assert!(self.monitored <= len, "the log only grows");
+        let mut fresh = self.log.iter_from(self.monitored);
+        if let Some(first) = fresh.find(|e| self.monitors.touches(e)) {
+            let m = Arc::make_mut(&mut self.monitors);
+            m.step(first);
+            for e in fresh {
+                m.step(e);
+            }
+        }
+        self.monitored = len;
     }
 
     /// Snapshots the machine at a call boundary: reference-count bumps for
@@ -377,7 +468,8 @@ impl LayerMachine {
                 PrimStep::Query if self.in_critical() => {}
                 PrimStep::Query => {
                     hook(self, run.as_ref());
-                    self.deliver_env_with_snapshots(run.as_ref(), hook)?;
+                    // The critical state was just tested on this very log.
+                    self.deliver_turns(&mut |m| hook(m, run.as_ref()))?;
                 }
                 PrimStep::Done(v) => return Ok(v),
             }
@@ -428,6 +520,13 @@ impl LayerMachine {
         if self.in_critical() {
             return Ok(());
         }
+        self.deliver_turns(hook)
+    }
+
+    /// The delivery loop proper, for a machine known to be outside the
+    /// critical state: queries `E` turn by turn until control returns,
+    /// then checks the rely condition.
+    fn deliver_turns(&mut self, hook: &mut dyn FnMut(&Self)) -> Result<(), MachineError> {
         let mut returned = false;
         for _ in 0..self.env.fuel() {
             if self.env.extend_one(&self.focused, &mut self.log)?.is_some() {
@@ -441,18 +540,22 @@ impl LayerMachine {
                 fuel: self.env.fuel(),
             }));
         }
-        if let Some(inv) = self
-            .iface
-            .conditions
-            .rely
-            .first_violation(self.pid, &self.log)
-        {
-            return Err(MachineError::RelyViolated {
+        self.advance_monitors();
+        let rely = &self.iface.conditions.rely;
+        let violated = self.monitors.rely.first_violation(rely);
+        debug_assert_eq!(
+            violated.map(|inv| inv.name()),
+            rely.first_violation(self.pid, &self.log)
+                .map(|inv| inv.name()),
+            "rely monitor disagrees with the from-scratch conditions"
+        );
+        match violated {
+            Some(inv) => Err(MachineError::RelyViolated {
                 invariant: inv.name().to_owned(),
                 pid: self.pid,
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Continues a run captured at a query point by the
@@ -478,20 +581,25 @@ impl LayerMachine {
     /// # Errors
     ///
     /// [`MachineError::GuaranteeViolated`] naming the failed invariant.
-    pub fn check_guarantee(&self) -> Result<(), MachineError> {
-        if let Some(inv) = self
-            .iface
-            .conditions
-            .guarantee
-            .first_violation(self.pid, &self.log)
-        {
-            return Err(MachineError::GuaranteeViolated {
+    pub fn check_guarantee(&mut self) -> Result<(), MachineError> {
+        self.advance_monitors();
+        let guarantee = &self.iface.conditions.guarantee;
+        let violated = self.monitors.guarantee().first_violation(guarantee);
+        debug_assert_eq!(
+            violated.map(|inv| inv.name()),
+            guarantee
+                .first_violation(self.pid, &self.log)
+                .map(|inv| inv.name()),
+            "guarantee monitor disagrees with the from-scratch conditions"
+        );
+        match violated {
+            Some(inv) => Err(MachineError::GuaranteeViolated {
                 invariant: inv.name().to_owned(),
                 pid: self.pid,
                 log_len: self.log.len(),
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -509,8 +617,8 @@ impl fmt::Debug for LayerMachine {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::layer::PrimSpec;
-    use crate::rely::{Conditions, Invariant, RelyGuarantee};
+    use crate::layer::{Critical, PrimSpec};
+    use crate::rely::{every_event, own_events, Conditions, Invariant, RelyGuarantee};
     use crate::strategy::RoundRobinScheduler;
 
     fn tick_iface(conditions: RelyGuarantee) -> LayerInterface {
@@ -541,9 +649,15 @@ mod tests {
     fn guarantee_violation_is_detected() {
         let conditions = RelyGuarantee::new(
             Conditions::none(),
-            Conditions::none().with(Invariant::new("at-most-one-tick", |pid, log| {
-                log.count_by(pid) <= 1
-            })),
+            Conditions::none().with(Invariant::fold(
+                "at-most-one-tick",
+                own_events,
+                |_| 0,
+                |ticks, _| {
+                    *ticks += 1;
+                    *ticks <= 1
+                },
+            )),
         );
         let mut m = LayerMachine::new(tick_iface(conditions), Pid(1), env2());
         m.call_prim("tick", &[]).unwrap();
@@ -555,9 +669,12 @@ mod tests {
     fn rely_violation_marks_context_invalid() {
         use crate::strategy::ScriptPlayer;
         let conditions = RelyGuarantee::new(
-            Conditions::none().with(Invariant::new("env-silent", |pid, log: &Log| {
-                log.iter().all(|e| e.pid == pid || e.is_sched())
-            })),
+            Conditions::none().with(Invariant::fold(
+                "env-silent",
+                every_event,
+                |pid| pid,
+                |pid, e| e.pid == *pid || e.is_sched(),
+            )),
             Conditions::none(),
         );
         let noisy = ScriptPlayer::new(
@@ -596,7 +713,12 @@ mod tests {
                 ctx.emit(EventKind::Prim("tick".into(), vec![]));
                 Ok(Val::Unit)
             }))
-            .critical(|pid, log| log.count_by(pid) % 2 == 1)
+            .critical(Critical::fold(
+                own_events,
+                |_| 0,
+                |events, _| *events += 1,
+                |events| events % 2 == 1,
+            ))
             .build();
         let mut m = LayerMachine::new(iface, Pid(1), env2());
         m.call_prim("tick", &[]).unwrap();
@@ -650,6 +772,37 @@ mod tests {
         assert_eq!(g.log, glog);
         assert_eq!(g.abs.get_int("x").unwrap(), 1);
         assert_eq!(m.abs.get_int("x").unwrap(), 9);
+    }
+
+    #[test]
+    fn forks_copy_monitor_states_only_when_they_fold_an_event() {
+        let own_ticks = Conditions::none().with(Invariant::fold(
+            "at-most-two-ticks",
+            own_events,
+            |_| 0,
+            |ticks, _| {
+                *ticks += 1;
+                *ticks <= 2
+            },
+        ));
+        let conditions = RelyGuarantee::new(own_ticks.clone(), own_ticks);
+        let mut m = LayerMachine::new(tick_iface(conditions), Pid(1), env2());
+        m.call_prim("tick", &[]).unwrap();
+        let mut f = m.fork();
+        assert!(Arc::ptr_eq(&m.monitors, &f.monitors), "a fork shares them");
+        // Scheduling events are read by no monitor: no copy.
+        f.log.append(crate::event::Event::sched(Pid(1)));
+        f.check_guarantee().unwrap();
+        assert!(Arc::ptr_eq(&m.monitors, &f.monitors));
+        // The fork's own tick is: it copies, and the original keeps its
+        // count.
+        f.call_prim("tick", &[]).unwrap();
+        assert!(!Arc::ptr_eq(&m.monitors, &f.monitors));
+        assert!(matches!(
+            f.call_prim("tick", &[]),
+            Err(MachineError::GuaranteeViolated { .. })
+        ));
+        m.call_prim("tick", &[]).unwrap();
     }
 
     #[test]

@@ -166,10 +166,7 @@ impl Module {
         for name in joined.prim_names() {
             builder = builder.prim(joined.prim(name)?.clone());
         }
-        let u = underlay.clone();
-        Ok(builder
-            .critical(move |pid, log| u.is_critical(pid, log))
-            .build())
+        Ok(builder.critical(underlay.critical().clone()).build())
     }
 }
 
@@ -232,7 +229,7 @@ mod tests {
         let mut machine = LayerMachine::new(extended, Pid(1), env);
         let ret = machine.call_prim("wrapper", &[]).unwrap();
         assert_eq!(ret, Val::Int(7));
-        assert_eq!(machine.log.count_by(Pid(1)), 1, "ping event recorded");
+        assert_eq!(machine.log().count_by(Pid(1)), 1, "ping event recorded");
     }
 
     #[test]

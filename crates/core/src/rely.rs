@@ -7,6 +7,21 @@
 //! conditions are simply expressed as **invariants over the global log**"
 //! (§2; Fig. 7: `Inv ∈ Log → Prop`, `R, G ∈ Id ⇀ Inv`).
 //!
+//! # Invariants as step monitors
+//!
+//! An [`Invariant`] is a fold over the log: an initial state for a
+//! participant, a filter naming the events the fold reads ([`Touches`]),
+//! and a step that folds in one of them and reports whether that event
+//! violated the invariant. A violation is sticky: the invariant holds on a
+//! log iff no event of it violated it, so it fails on every extension of a
+//! log it fails on — the per-step reading of guarantees and the stability
+//! of invariants under rely steps in Colvin et al.'s rely/guarantee
+//! proofs. [`Invariant::holds`] and [`Conditions::first_violation`] run the
+//! fold over a whole log; a [`ConditionsMonitor`] keeps the fold states of
+//! one condition set, so a [`crate::machine::LayerMachine`] feeds it only
+//! the events appended since its previous check instead of re-reading the
+//! log at every step, and skips the events no fold reads.
+//!
 //! The `Compat` rule (Fig. 9) requires inclusions `L[B].R(i) ⊆ L[A].G(i)`.
 //! In Coq these are proved; here inclusion is *checked*: structurally (a
 //! named invariant implies itself) and empirically (on a probe suite of
@@ -16,33 +31,111 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::event::Event;
 use crate::id::Pid;
 use crate::log::Log;
 
+/// Which events a step fold reads: `touches(pid, event)` for the
+/// participant `pid` the fold is started for. A fold skips every event its
+/// filter rejects, so a monitor whose folds touch none of the events
+/// appended since its last check has nothing to fold — and nothing to copy
+/// if it is shared with a fork.
+pub type Touches = fn(Pid, &Event) -> bool;
+
+/// The filter of a fold that reads every event.
+pub fn every_event(_: Pid, _: &Event) -> bool {
+    true
+}
+
+/// The filter of a fold that reads only the participant's own
+/// non-scheduling events.
+pub fn own_events(pid: Pid, e: &Event) -> bool {
+    e.pid == pid && !e.is_sched()
+}
+
+/// One participant's running fold of an [`Invariant`], type-erased.
+trait InvariantFold: Send + Sync {
+    fn touches(&self, event: &Event) -> bool;
+
+    /// Folds in one event the fold touches; `false` when the event
+    /// violates the invariant.
+    fn step(&mut self, event: &Event) -> bool;
+
+    fn boxed_clone(&self) -> Box<dyn InvariantFold>;
+}
+
+#[derive(Clone)]
+struct Fold<S> {
+    pid: Pid,
+    touches: Touches,
+    state: S,
+    step: fn(&mut S, &Event) -> bool,
+}
+
+impl<S: Clone + Send + Sync + 'static> InvariantFold for Fold<S> {
+    fn touches(&self, event: &Event) -> bool {
+        (self.touches)(self.pid, event)
+    }
+
+    fn step(&mut self, event: &Event) -> bool {
+        (self.step)(&mut self.state, event)
+    }
+
+    fn boxed_clone(&self) -> Box<dyn InvariantFold> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn InvariantFold> {
+    fn clone(&self) -> Self {
+        self.boxed_clone()
+    }
+}
+
+type StartFn = dyn Fn(Pid) -> Box<dyn InvariantFold> + Send + Sync;
+
 /// A named invariant over the global log, parameterized by the participant
-/// it concerns (Fig. 7: `Inv ∈ Log → Prop`).
+/// it concerns (Fig. 7: `Inv ∈ Log → Prop`), written as a step fold (see
+/// the [module docs](self)).
 #[derive(Clone)]
 pub struct Invariant {
     name: String,
-    #[allow(clippy::type_complexity)]
-    check: Arc<dyn Fn(Pid, &Log) -> bool + Send + Sync>,
+    start: Arc<StartFn>,
 }
 
 impl Invariant {
-    /// Creates a named invariant from a predicate on `(pid, log)`.
-    pub fn new<F>(name: &str, check: F) -> Self
+    /// Creates a named invariant as a fold for a participant `pid`:
+    /// `init(pid)` is the state on the empty log, `touches` selects the
+    /// events the fold reads (it skips the rest), and `step` folds in one
+    /// of them, returning `false` when that event violates the invariant.
+    /// Everything `step` needs beyond the event (the participant, a bound)
+    /// lives in the state.
+    pub fn fold<S, I>(
+        name: &str,
+        touches: Touches,
+        init: I,
+        step: fn(&mut S, &Event) -> bool,
+    ) -> Self
     where
-        F: Fn(Pid, &Log) -> bool + Send + Sync + 'static,
+        S: Clone + Send + Sync + 'static,
+        I: Fn(Pid) -> S + Send + Sync + 'static,
     {
         Self {
             name: name.to_owned(),
-            check: Arc::new(check),
+            start: Arc::new(move |pid| {
+                Box::new(Fold {
+                    pid,
+                    touches,
+                    state: init(pid),
+                    step,
+                })
+            }),
         }
     }
 
-    /// The trivially true invariant.
+    /// The trivially true invariant: it reads no event.
     pub fn trivial() -> Self {
-        Self::new("true", |_, _| true)
+        Self::fold("true", |_, _| false, |_| (), |_, _| true)
     }
 
     /// The invariant's name. Two invariants with the same name are treated
@@ -53,9 +146,11 @@ impl Invariant {
         &self.name
     }
 
-    /// Evaluates the invariant for participant `pid` on `log`.
+    /// Evaluates the invariant for participant `pid` on `log`: the fold
+    /// run from the empty log, stopping at the first violating event.
     pub fn holds(&self, pid: Pid, log: &Log) -> bool {
-        (self.check)(pid, log)
+        let mut fold = (self.start)(pid);
+        log.iter().all(|e| !fold.touches(e) || fold.step(e))
     }
 }
 
@@ -106,6 +201,29 @@ impl Conditions {
         self.invariants.iter().find(|inv| !inv.holds(pid, log))
     }
 
+    /// Starts the step monitors of these conditions for `pid`, on the
+    /// empty log.
+    pub fn monitor(&self, pid: Pid) -> ConditionsMonitor {
+        ConditionsMonitor {
+            folds: self
+                .invariants
+                .iter()
+                .map(|inv| Some((inv.start)(pid)))
+                .collect(),
+        }
+    }
+
+    /// Whether both sets hold the very same invariants (the same
+    /// allocations, in the same order), so one monitor can serve both.
+    pub fn same_invariants(&self, other: &Conditions) -> bool {
+        self.invariants.len() == other.invariants.len()
+            && self
+                .invariants
+                .iter()
+                .zip(&other.invariants)
+                .all(|(a, b)| Arc::ptr_eq(&a.start, &b.start))
+    }
+
     /// Conjunction of two condition sets (used by `Compat` for
     /// `L[A∪B].R = L[A].R ∩ L[B].R` — intersecting the *sets of valid
     /// contexts* conjoins the invariants).
@@ -147,6 +265,58 @@ impl Conditions {
     /// Names of all invariants.
     pub fn names(&self) -> Vec<&str> {
         self.invariants.iter().map(|i| i.name()).collect()
+    }
+}
+
+/// The step monitors of a [`Conditions`] set for one participant: one fold
+/// state per invariant, fed each event of the log once, in order.
+///
+/// After [`ConditionsMonitor::step`] has been called on the events of a
+/// log, [`ConditionsMonitor::first_violation`] answers exactly what
+/// [`Conditions::first_violation`] answers on that log. Cloning copies the
+/// fold states, so a clone taken at a cut point and fed a different
+/// continuation stays independent.
+#[derive(Clone)]
+pub struct ConditionsMonitor {
+    /// One fold per invariant, in order; `None` once that invariant has
+    /// been violated (violations are sticky, so it is never stepped again).
+    folds: Vec<Option<Box<dyn InvariantFold>>>,
+}
+
+impl ConditionsMonitor {
+    /// Whether folding in `event` could change this monitor: some
+    /// invariant not yet violated reads it.
+    pub fn touches(&self, event: &Event) -> bool {
+        self.folds.iter().flatten().any(|fold| fold.touches(event))
+    }
+
+    /// Folds in the next event of the log.
+    pub fn step(&mut self, event: &Event) {
+        for slot in &mut self.folds {
+            if slot
+                .as_mut()
+                .is_some_and(|fold| fold.touches(event) && !fold.step(event))
+            {
+                *slot = None;
+            }
+        }
+    }
+
+    /// The first invariant of `conditions` violated by the events folded so
+    /// far. `conditions` must be the set this monitor was started from.
+    pub fn first_violation<'c>(&self, conditions: &'c Conditions) -> Option<&'c Invariant> {
+        debug_assert_eq!(self.folds.len(), conditions.invariants.len());
+        let at = self.folds.iter().position(Option::is_none)?;
+        Some(&conditions.invariants[at])
+    }
+}
+
+impl fmt::Debug for ConditionsMonitor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let violated: Vec<bool> = self.folds.iter().map(Option::is_none).collect();
+        f.debug_struct("ConditionsMonitor")
+            .field("violated", &violated)
+            .finish()
     }
 }
 
@@ -289,7 +459,15 @@ mod tests {
     use crate::event::Event;
 
     fn ev_count_le(name: &str, n: usize) -> Invariant {
-        Invariant::new(name, move |pid, log: &Log| log.count_by(pid) <= n)
+        Invariant::fold(
+            name,
+            own_events,
+            move |_| (0, n),
+            |(count, n), _| {
+                *count += 1;
+                *count <= *n
+            },
+        )
     }
 
     #[test]
@@ -410,5 +588,41 @@ mod tests {
         let a = Conditions::none().with(ev_count_le("x", 1));
         let b = Conditions::none().with(ev_count_le("x", 1));
         assert_eq!(a.and(&b).invariants().len(), 1);
+    }
+
+    #[test]
+    fn monitor_violations_are_sticky_and_ordered() {
+        let c = Conditions::none()
+            .with(ev_count_le("le3", 3))
+            .with(ev_count_le("le1", 1));
+        let mut m = c.monitor(Pid(0));
+        let mut log = Log::new();
+        let mut seen = Vec::new();
+        for i in 0..5 {
+            let e = Event::prim(Pid(0), "x", vec![]);
+            // Once both invariants are violated, no fold reads anything.
+            assert_eq!(m.touches(&e), i < 4);
+            m.step(&e);
+            log.append(e);
+            let got = m.first_violation(&c).map(Invariant::name);
+            assert_eq!(got, c.first_violation(Pid(0), &log).map(Invariant::name));
+            seen.push(got);
+        }
+        // le1 breaks at the second event and stays broken; once le3 (listed
+        // first) breaks at the fourth, it is the first violation.
+        assert_eq!(seen, [None, Some("le1"), Some("le1"), Some("le3"), Some("le3")]);
+        // Events the folds do not read leave the monitor untouched.
+        let other = Event::prim(Pid(1), "x", vec![]);
+        let fresh = c.monitor(Pid(0));
+        assert!(!fresh.touches(&other) && !fresh.touches(&Event::sched(Pid(0))));
+    }
+
+    #[test]
+    fn same_invariants_means_the_same_allocations() {
+        let c = Conditions::none().with(ev_count_le("x", 1));
+        assert!(c.same_invariants(&c.clone()));
+        let lookalike = Conditions::none().with(ev_count_le("x", 1));
+        assert!(!c.same_invariants(&lookalike), "equal names are not enough");
+        assert!(!c.same_invariants(&Conditions::none()));
     }
 }

@@ -693,7 +693,7 @@ pub fn check_prim_refinement(
                 Err(e) => {
                     return UpperRun::Failed {
                         reason: format!("upper setup `{sname}` failed: {e}"),
-                        upper_log: upper.log.clone(),
+                        upper_log: upper.log().clone(),
                     };
                 }
             }
@@ -702,14 +702,14 @@ pub fn check_prim_refinement(
             Ok(upper_ret) => {
                 let _ = upper.deliver_env();
                 UpperRun::Done {
-                    upper_log: upper.log,
+                    upper_log: upper.log().clone(),
                     upper_ret,
                 }
             }
             Err(e) if e.is_invalid_context() => UpperRun::Skipped,
             Err(e) => UpperRun::Failed {
                 reason: format!("upper run failed: {e}"),
-                upper_log: upper.log,
+                upper_log: upper.log().clone(),
             },
         }
     };
@@ -724,7 +724,7 @@ pub fn check_prim_refinement(
         None => crate::explore::Kernel::new(&opts.explore),
     };
     let deep = kernel.deep();
-    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
+    let sched_consumed = |m: &LayerMachine| m.log().sched_count();
     // Content-derived inner indices. A memo/trie entry's inner
     // identifies the *computation* it belongs to — the completed call
     // history plus (for call-scoped states) the call in flight and its
@@ -833,7 +833,7 @@ pub fn check_prim_refinement(
                 Err(e) if e.is_invalid_context() => return Some(LowerRun::Skipped),
                 Err(e) => {
                     return Some(LowerRun::Failed {
-                        lower_log: m.log.clone(),
+                        lower_log: m.log().clone(),
                         reason: format!("lower setup `{sname}` failed: {e}"),
                     });
                 }
@@ -851,7 +851,7 @@ pub fn check_prim_refinement(
                 Err(e) if e.is_invalid_context() => return Some(LowerRun::Skipped),
                 Err(e) => {
                     return Some(LowerRun::Failed {
-                        lower_log: m.log.clone(),
+                        lower_log: m.log().clone(),
                         reason: format!("lower setup `{sname}` failed: {e}"),
                     });
                 }
@@ -934,13 +934,13 @@ pub fn check_prim_refinement(
                     }
                 }
                 LowerRun::Done {
-                    lower_log: lower.log.clone(),
+                    lower_log: lower.log().clone(),
                     lower_ret,
                 }
             }
             Err(e) if e.is_invalid_context() => LowerRun::Skipped,
             Err(e) => LowerRun::Failed {
-                lower_log: lower.log.clone(),
+                lower_log: lower.log().clone(),
                 reason: format!("lower run failed: {e}"),
             },
         }
@@ -990,10 +990,10 @@ pub fn check_prim_refinement(
                             // suffix work.
                             crate::prefix::record_shared();
                             let mut m = machine.with_env(env.clone());
-                            let pre = m.steps_taken() + m.log.len() as u64;
+                            let pre = m.steps_taken() + m.log().len() as u64;
                             let early = run_setup(&mut m, call + 1, None, key);
                             crate::prefix::record_steps(
-                                m.steps_taken() + m.log.len() as u64 - pre,
+                                m.steps_taken() + m.log().len() as u64 - pre,
                             );
                             match seal_setup(m, early, key) {
                                 Ok(m) => break 'setup m,
@@ -1007,10 +1007,10 @@ pub fn check_prim_refinement(
                             // query point and finish the remaining calls.
                             crate::prefix::record_deep();
                             let mut m = machine.with_env(env.clone());
-                            let pre = m.steps_taken() + m.log.len() as u64;
+                            let pre = m.steps_taken() + m.log().len() as u64;
                             let early = run_setup(&mut m, call, Some(run), key);
                             crate::prefix::record_steps(
-                                m.steps_taken() + m.log.len() as u64 - pre,
+                                m.steps_taken() + m.log().len() as u64 - pre,
                             );
                             match seal_setup(m, early, key) {
                                 Ok(m) => break 'setup m,
@@ -1021,7 +1021,7 @@ pub fn check_prim_refinement(
                 }
                 let mut m = fresh();
                 let early = run_setup(&mut m, 0, None, key);
-                crate::prefix::record_steps(m.steps_taken() + m.log.len() as u64);
+                crate::prefix::record_steps(m.steps_taken() + m.log().len() as u64);
                 match seal_setup(m, early, key) {
                     Ok(m) => m,
                     Err(out) => return out,
@@ -1030,7 +1030,7 @@ pub fn check_prim_refinement(
         };
         // Work executed before this point was already counted (at setup
         // time for a fresh run, by the snapshot's producer for a fork).
-        let pre = lower.steps_taken() + lower.log.len() as u64;
+        let pre = lower.steps_taken() + lower.log().len() as u64;
         let res = match key.filter(|_| deep) {
             Some(k) => {
                 let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| {
@@ -1041,7 +1041,7 @@ pub fn check_prim_refinement(
             None => lower.call_prim(lower_prim, args),
         };
         let outcome = finish_call(&mut lower, res, key, ai);
-        crate::prefix::record_steps(lower.steps_taken() + lower.log.len() as u64 - pre);
+        crate::prefix::record_steps(lower.steps_taken() + lower.log().len() as u64 - pre);
         (outcome, sched_consumed(&lower))
     };
     // 1. Run the lower machine — once per distinct consumed schedule
@@ -1068,7 +1068,7 @@ pub fn check_prim_refinement(
                 {
                     crate::prefix::record_shared();
                     let mut lower = machine.with_env(env.clone());
-                    let pre = lower.steps_taken() + lower.log.len() as u64;
+                    let pre = lower.steps_taken() + lower.log().len() as u64;
                     if deep {
                         let r = ret.clone();
                         let _ = lower.deliver_env_each_turn(&mut |m| {
@@ -1083,11 +1083,11 @@ pub fn check_prim_refinement(
                         let _ = lower.deliver_env();
                     }
                     crate::prefix::record_steps(
-                        lower.steps_taken() + lower.log.len() as u64 - pre,
+                        lower.steps_taken() + lower.log().len() as u64 - pre,
                     );
                     break 'hit Some((
                         LowerRun::Done {
-                            lower_log: lower.log.clone(),
+                            lower_log: lower.log().clone(),
                             lower_ret: ret,
                         },
                         sched_consumed(&lower),
@@ -1099,7 +1099,7 @@ pub fn check_prim_refinement(
             {
                 crate::prefix::record_deep();
                 let mut lower = machine.with_env(env.clone());
-                let pre = lower.steps_taken() + lower.log.len() as u64;
+                let pre = lower.steps_taken() + lower.log().len() as u64;
                 let res = {
                     let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| {
                         snap_call_point(k, ai, mach, run);
@@ -1107,7 +1107,7 @@ pub fn check_prim_refinement(
                     lower.resume_query(run, &mut hook)
                 };
                 let outcome = finish_call(&mut lower, res, Some(k), ai);
-                crate::prefix::record_steps(lower.steps_taken() + lower.log.len() as u64 - pre);
+                crate::prefix::record_steps(lower.steps_taken() + lower.log().len() as u64 - pre);
                 break 'hit Some((outcome, sched_consumed(&lower)));
             }
             None

@@ -79,7 +79,12 @@ fn pcomp_rejects_incompatible_conditions() {
     // Layer A guarantees nothing but relies on an invariant only it
     // names: B's guarantee cannot establish it, and there are no probes
     // proving the implication empirically either.
-    let demanding = Conditions::none().with(Invariant::new("exotic-rely", |_, _| true));
+    let demanding = Conditions::none().with(Invariant::fold(
+        "exotic-rely",
+        |_, _| false,
+        |_| (),
+        |_, _| true,
+    ));
     let iface_a = step_iface("L").with_conditions(RelyGuarantee::new(
         demanding,
         Conditions::none(),
@@ -96,7 +101,12 @@ fn pcomp_rejects_incompatible_conditions() {
 
 #[test]
 fn pcomp_accepts_structurally_shared_conditions() {
-    let shared = Conditions::none().with(Invariant::new("shared-protocol", |_, _| true));
+    let shared = Conditions::none().with(Invariant::fold(
+        "shared-protocol",
+        |_, _| false,
+        |_| (),
+        |_, _| true,
+    ));
     let iface = step_iface("L").with_conditions(RelyGuarantee::new(shared.clone(), shared));
     let a = empty(&iface, PidSet::singleton(Pid(0)));
     let b = empty(&iface, PidSet::singleton(Pid(1)));

@@ -16,11 +16,12 @@
 use std::collections::BTreeSet;
 
 use ccal_core::abs::AbsState;
-use ccal_core::event::EventKind;
+use ccal_core::event::{Event, EventKind};
 use ccal_core::id::{Loc, Pid};
-use ccal_core::layer::{LayerInterface, PrimSpec};
+use ccal_core::layer::{Critical, LayerInterface, PrimSpec};
 use ccal_core::log::Log;
 use ccal_core::machine::MachineError;
+use ccal_core::rely::own_events;
 use ccal_core::replay::{my_ticket, replay_shared, replay_ticket, Ownership};
 use ccal_core::val::Val;
 
@@ -30,47 +31,74 @@ pub fn local_copy_key(pid: Pid, b: Loc) -> String {
     format!("m[{pid}][{b}]")
 }
 
+/// What one CPU holds, replayed from the log: the shared locations it has
+/// pulled and not pushed back, and the ticket locks it has announced with
+/// `hold(b)` and not yet released with its `inc_n(b)`. A step fold, so the
+/// `Lx86` critical-state monitor ([`in_critical_l0`]) carries it along the
+/// log instead of replaying the log at every query point.
+#[derive(Debug, Clone)]
+struct CpuHoldings {
+    pid: Pid,
+    owned: BTreeSet<Loc>,
+    held: BTreeSet<Loc>,
+}
+
+impl CpuHoldings {
+    fn new(pid: Pid) -> Self {
+        Self {
+            pid,
+            owned: BTreeSet::new(),
+            held: BTreeSet::new(),
+        }
+    }
+
+    fn step(&mut self, e: &Event) {
+        if e.pid != self.pid {
+            return;
+        }
+        match e.kind {
+            EventKind::Pull(b) => {
+                self.owned.insert(b);
+            }
+            EventKind::Push(b, _) => {
+                self.owned.remove(&b);
+            }
+            EventKind::Hold(b) => {
+                self.held.insert(b);
+            }
+            EventKind::IncN(b) => {
+                self.held.remove(&b);
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether the CPU owns a pulled location or holds a ticket lock.
+    fn is_critical(&self) -> bool {
+        !self.owned.is_empty() || !self.held.is_empty()
+    }
+}
+
 /// The set of shared locations currently pulled (owned) by `pid`,
 /// reconstructed from the log.
 pub fn owned_locs(log: &Log, pid: Pid) -> BTreeSet<Loc> {
-    let mut owned = BTreeSet::new();
-    for e in log.iter() {
-        match e.kind {
-            EventKind::Pull(b) if e.pid == pid => {
-                owned.insert(b);
-            }
-            EventKind::Push(b, _) if e.pid == pid => {
-                owned.remove(&b);
-            }
-            _ => {}
-        }
+    let mut st = CpuHoldings::new(pid);
+    for e in log {
+        st.step(e);
     }
-    owned
-}
-
-/// The set of ticket locks currently held by `pid`: a `hold(b)` not yet
-/// followed by the holder's `inc_n(b)`.
-pub fn held_ticket_locks(log: &Log, pid: Pid) -> BTreeSet<Loc> {
-    let mut held = BTreeSet::new();
-    for e in log.iter() {
-        match e.kind {
-            EventKind::Hold(b) if e.pid == pid => {
-                held.insert(b);
-            }
-            EventKind::IncN(b) if e.pid == pid => {
-                held.remove(&b);
-            }
-            _ => {}
-        }
-    }
-    held
+    st.owned
 }
 
 /// The critical-state predicate of the `Lx86`-family interfaces: a CPU is
 /// critical while it owns a pulled location or holds a ticket lock —
 /// "there is no need to ask E in critical state" (§2).
-pub fn in_critical_l0(pid: Pid, log: &Log) -> bool {
-    !owned_locs(log, pid).is_empty() || !held_ticket_locks(log, pid).is_empty()
+pub fn in_critical_l0() -> Critical {
+    Critical::fold(
+        own_events,
+        CpuHoldings::new,
+        CpuHoldings::step,
+        CpuHoldings::is_critical,
+    )
 }
 
 fn arg_loc(args: &[Val], i: usize, prim: &str) -> Result<Loc, MachineError> {
@@ -204,7 +232,7 @@ pub fn lx86_interface() -> LayerInterface {
         .prim(get_n_prim())
         .prim(inc_n_prim())
         .prim(hold_prim())
-        .critical(in_critical_l0)
+        .critical(in_critical_l0())
         .init_abs(AbsState::new())
         .build()
 }
@@ -282,6 +310,7 @@ mod tests {
     #[test]
     fn critical_state_tracks_ownership_and_holds() {
         let b = Loc(2);
+        let in_critical_l0 = |pid, log: &Log| in_critical_l0().holds(pid, log);
         let mut log = Log::new();
         assert!(!in_critical_l0(Pid(0), &log));
         log.append(ccal_core::event::Event::new(Pid(0), EventKind::Pull(b)));

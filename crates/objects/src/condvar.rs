@@ -115,7 +115,7 @@ pub fn condvar_underlay() -> LayerInterface {
         ctx.emit(EventKind::CvBroadcast(QId(cv.0)));
         Ok(Val::Unit)
     }))
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 
@@ -188,7 +188,7 @@ pub fn condvar_overlay() -> LayerInterface {
             ctx.emit(EventKind::CvBroadcast(QId(cv.0)));
             Ok(Val::Unit)
         }))
-        .critical(holds_atomic_lock)
+        .critical(holds_atomic_lock())
         .build()
 }
 
@@ -322,6 +322,6 @@ mod tests {
             .call_prim("cv_wait", &[Val::Loc(Loc(cv.0)), Val::Loc(l)])
             .unwrap();
         // After waking we hold the lock again.
-        assert_eq!(replay_atomic_lock(&machine.log, l), Ok(Some(Pid(0))));
+        assert_eq!(replay_atomic_lock(machine.log(), l), Ok(Some(Pid(0))));
     }
 }

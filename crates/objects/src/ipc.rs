@@ -108,7 +108,7 @@ pub fn ipc_underlay() -> LayerInterface {
         require_qlock(ctx, ch)?;
         Ok(Val::Int(replay_channel(ctx.log, QId(ch.0)).len() as i64))
     }))
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 

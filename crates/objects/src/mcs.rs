@@ -17,14 +17,14 @@
 use ccal_core::calculus::{check_fun, CertifiedLayer, CheckOptions, LayerError};
 use ccal_core::event::{Event, EventKind};
 use ccal_core::id::{Loc, Pid};
-use ccal_core::layer::{LayerInterface, PrimSpec};
+use ccal_core::layer::{Critical, LayerInterface, PrimSpec};
 use ccal_core::log::Log;
 use ccal_core::machine::MachineError;
-use ccal_core::rely::{Conditions, Invariant, RelyGuarantee};
+use ccal_core::rely::{own_events, Conditions, Invariant, RelyGuarantee};
 use ccal_core::sim::SimRelation;
 use ccal_core::strategy::{Strategy, StrategyMove};
 use ccal_core::val::Val;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ticket::{lock_interface, M1_SOURCE};
 
@@ -72,80 +72,176 @@ pub struct McsState {
     pub nodes: BTreeMap<Pid, McsNode>,
 }
 
-/// `R_mcs`-style replay: folds the MCS events for lock `b` into the
-/// queue-of-waiters state. Never stuck (the hardware primitives are
-/// total); protocol violations are ruled out by the rely/guarantee
-/// invariant instead.
-pub fn replay_mcs(log: &Log, b: Loc) -> McsState {
-    let mut st = McsState::default();
-    for e in log.iter() {
+impl McsState {
+    /// Folds in one MCS queue event on this lock. The caller routes events
+    /// by location ([`mcs_loc`]); other events leave the state unchanged.
+    pub fn step(&mut self, e: &Event) {
         match e.kind {
-            EventKind::McsSwap(loc) if loc == b => {
-                st.nodes.insert(
+            EventKind::McsSwap(_) => {
+                self.nodes.insert(
                     e.pid,
                     McsNode {
                         next: None,
-                        locked: st.tail.is_some(),
+                        locked: self.tail.is_some(),
                     },
                 );
-                st.tail = Some(e.pid);
+                self.tail = Some(e.pid);
             }
-            EventKind::McsSetNext(loc, pred) if loc == b => {
-                if let Some(n) = st.nodes.get_mut(&pred) {
+            EventKind::McsSetNext(_, pred) => {
+                if let Some(n) = self.nodes.get_mut(&pred) {
                     n.next = Some(e.pid);
                 }
             }
-            EventKind::McsCasTail(loc) if loc == b => {
-                let no_next = st
+            EventKind::McsCasTail(_) => {
+                let no_next = self
                     .nodes
                     .get(&e.pid)
                     .map(|n| n.next.is_none())
                     .unwrap_or(false);
-                if st.tail == Some(e.pid) && no_next {
-                    st.tail = None;
-                    st.nodes.remove(&e.pid);
+                if self.tail == Some(e.pid) && no_next {
+                    self.tail = None;
+                    self.nodes.remove(&e.pid);
                 }
             }
-            EventKind::McsGrant(loc, succ) if loc == b => {
-                if let Some(n) = st.nodes.get_mut(&succ) {
+            EventKind::McsGrant(_, succ) => {
+                if let Some(n) = self.nodes.get_mut(&succ) {
                     n.locked = false;
                 }
-                st.nodes.remove(&e.pid);
+                self.nodes.remove(&e.pid);
             }
             _ => {}
         }
+    }
+}
+
+/// The lock an MCS queue event operates on; `None` for every other event
+/// (including the read-only `McsGetLocked`), which changes no queue.
+pub fn mcs_loc(kind: &EventKind) -> Option<Loc> {
+    match *kind {
+        EventKind::McsSwap(b)
+        | EventKind::McsSetNext(b, _)
+        | EventKind::McsCasTail(b)
+        | EventKind::McsGrant(b, _) => Some(b),
+        _ => None,
+    }
+}
+
+/// `R_mcs`-style replay: folds the MCS events for lock `b` into the
+/// queue-of-waiters state ([`McsState::step`]). Never stuck (the hardware
+/// primitives are total); protocol violations are ruled out by the
+/// rely/guarantee invariant instead.
+pub fn replay_mcs(log: &Log, b: Loc) -> McsState {
+    let mut st = McsState::default();
+    for e in log.iter().filter(|e| mcs_loc(&e.kind) == Some(b)) {
+        st.step(e);
     }
     st
 }
 
-/// Whether `pid` currently holds the MCS lock at `b` (announced with
-/// `hold`, released by a successful CAS or a grant). Used as the critical
-/// predicate of the MCS bottom interface.
-pub fn holds_mcs(pid: Pid, log: &Log) -> bool {
-    let mut held: std::collections::BTreeSet<Loc> = std::collections::BTreeSet::new();
-    for (at, e) in log.iter().enumerate() {
-        if e.pid != pid {
-            continue;
+/// The events the MCS monitors read: the participant's own events and
+/// every MCS queue event.
+fn mcs_touches(pid: Pid, e: &Event) -> bool {
+    own_events(pid, e) || mcs_loc(&e.kind).is_some()
+}
+
+/// The queues of every MCS lock, folded in one pass over the log.
+#[derive(Debug, Clone, Default)]
+struct McsQueues(BTreeMap<Loc, McsState>);
+
+impl McsQueues {
+    /// Folds in one event. An emptied queue is dropped, so a state with no
+    /// lock in use is empty (and free to copy).
+    fn step(&mut self, e: &Event) {
+        if let Some(b) = mcs_loc(&e.kind) {
+            let st = self.0.entry(b).or_default();
+            st.step(e);
+            if *st == McsState::default() {
+                self.0.remove(&b);
+            }
+        }
+    }
+
+    /// The queue at `b`, or `None` while it is empty.
+    fn lock(&self, b: Loc) -> Option<&McsState> {
+        self.0.get(&b)
+    }
+
+    /// Whether `pid` has a node in the queue at `b`. Right after folding in
+    /// `pid`'s `McsCasTail(b)`, `false` means the CAS released the lock.
+    fn enqueued(&self, b: Loc, pid: Pid) -> bool {
+        self.lock(b).is_some_and(|st| st.nodes.contains_key(&pid))
+    }
+}
+
+/// One participant's view of the MCS locks, folded in one pass: every
+/// queue, the locks it holds (announced with `hold`, released by a
+/// successful CAS or a grant) and every lock it has ever announced. The
+/// state of the MCS critical-state monitor ([`in_critical_mcs`]).
+#[derive(Debug, Clone)]
+struct McsView {
+    pid: Pid,
+    queues: McsQueues,
+    held: BTreeSet<Loc>,
+    announced: BTreeSet<Loc>,
+}
+
+impl McsView {
+    fn new(pid: Pid) -> Self {
+        Self {
+            pid,
+            queues: McsQueues::default(),
+            held: BTreeSet::new(),
+            announced: BTreeSet::new(),
+        }
+    }
+
+    fn step(&mut self, e: &Event) {
+        self.queues.step(e);
+        if e.pid != self.pid {
+            return;
         }
         match e.kind {
             EventKind::Hold(b) => {
-                held.insert(b);
+                self.held.insert(b);
+                self.announced.insert(b);
             }
             EventKind::McsGrant(b, _) => {
-                held.remove(&b);
+                self.held.remove(&b);
             }
-            EventKind::McsCasTail(b) => {
-                // Successful iff the replay of the prefix (incl. this
-                // event) removed our node.
-                let prefix = Log::from_events(log.iter().take(at + 1).cloned());
-                if !replay_mcs(&prefix, b).nodes.contains_key(&pid) {
-                    held.remove(&b);
-                }
+            EventKind::McsCasTail(b) if !self.queues.enqueued(b, self.pid) => {
+                self.held.remove(&b);
             }
             _ => {}
         }
     }
-    !held.is_empty()
+
+    fn holds(&self) -> bool {
+        !self.held.is_empty()
+    }
+
+    /// Holding a lock, and not waiting for a successor's link on any lock
+    /// ever announced.
+    fn is_critical(&self) -> bool {
+        self.holds()
+            && self.announced.iter().all(|&b| {
+                let Some(st) = self.queues.lock(b) else {
+                    return true;
+                };
+                !st.nodes
+                    .get(&self.pid)
+                    .is_some_and(|node| node.next.is_none() && st.tail != Some(self.pid))
+            })
+    }
+}
+
+/// Whether `pid` currently holds an MCS lock (announced with `hold`,
+/// released by a successful CAS or a grant), in one pass over the log.
+pub fn holds_mcs(pid: Pid, log: &Log) -> bool {
+    let mut view = McsView::new(pid);
+    for e in log {
+        view.step(e);
+    }
+    view.holds()
 }
 
 /// The MCS critical-state predicate: the holder keeps control *except*
@@ -154,29 +250,13 @@ pub fn holds_mcs(pid: Pid, log: &Log) -> bool {
 /// loop genuinely depends on the successor's move, so the machine must
 /// keep querying the environment (this is the subtle liveness hand-off
 /// Kim et al. \[24\] verify).
-pub fn in_critical_mcs(pid: Pid, log: &Log) -> bool {
-    if !holds_mcs(pid, log) {
-        return false;
-    }
-    // Which lock(s) do we hold? Check the wait window on each.
-    let mut locks: std::collections::BTreeSet<Loc> = std::collections::BTreeSet::new();
-    for e in log.iter() {
-        if e.pid == pid {
-            if let EventKind::Hold(b) = e.kind {
-                locks.insert(b);
-            }
-        }
-    }
-    for b in locks {
-        let st = replay_mcs(log, b);
-        if let Some(node) = st.nodes.get(&pid) {
-            if node.next.is_none() && st.tail != Some(pid) {
-                // Waiting for the successor's link: not critical.
-                return false;
-            }
-        }
-    }
-    true
+pub fn in_critical_mcs() -> Critical {
+    Critical::fold(
+        mcs_touches,
+        McsView::new,
+        McsView::step,
+        McsView::is_critical,
+    )
 }
 
 fn arg_loc(args: &[Val]) -> Result<Loc, MachineError> {
@@ -190,57 +270,80 @@ fn arg_loc(args: &[Val]) -> Result<Loc, MachineError> {
 /// participant, events follow swap → (set_next → get_locked*)? → hold →
 /// (cas | grant).
 pub fn mcs_protocol_invariant() -> Invariant {
-    Invariant::new("mcs-protocol", |pid: Pid, log: &Log| {
-        // A participant may not hold before being unlocked, nor grant
-        // without a successor; we check the cheap structural part: hold
-        // only after swap, grant/cas only after hold.
-        let mut swapped = false;
-        let mut holding = false;
-        for (at, e) in log.iter().enumerate() {
-            if e.pid != pid {
-                continue;
+    Invariant::fold(
+        "mcs-protocol",
+        mcs_touches,
+        McsProtocol::new,
+        McsProtocol::step,
+    )
+}
+
+/// The fold state of [`mcs_protocol_invariant`]. A participant may not
+/// hold before being unlocked, nor grant without a successor; it checks
+/// the cheap structural part: hold only after swap (and at the head of
+/// the queue), grant/cas only after hold.
+#[derive(Debug, Clone)]
+struct McsProtocol {
+    pid: Pid,
+    queues: McsQueues,
+    swapped: bool,
+    holding: bool,
+}
+
+impl McsProtocol {
+    fn new(pid: Pid) -> Self {
+        Self {
+            pid,
+            queues: McsQueues::default(),
+            swapped: false,
+            holding: false,
+        }
+    }
+
+    /// Folds in one event; `false` if it breaks the protocol.
+    fn step(&mut self, e: &Event) -> bool {
+        self.queues.step(e);
+        if e.pid != self.pid {
+            return true;
+        }
+        match e.kind {
+            EventKind::McsSwap(_) => {
+                if self.swapped || self.holding {
+                    return false;
+                }
+                self.swapped = true;
             }
-            match e.kind {
-                EventKind::McsSwap(_) => {
-                    if swapped || holding {
-                        return false;
-                    }
-                    swapped = true;
+            EventKind::Hold(b) => {
+                // Must actually be at the head: our node unlocked.
+                let unlocked = self
+                    .queues
+                    .lock(b)
+                    .and_then(|st| st.nodes.get(&self.pid))
+                    .is_some_and(|n| !n.locked);
+                if !self.swapped || !unlocked {
+                    return false;
                 }
-                EventKind::Hold(b) => {
-                    if !swapped {
-                        return false;
-                    }
-                    // Must actually be at the head: our node unlocked.
-                    let prefix = Log::from_events(log.iter().take(at).cloned());
-                    let st = replay_mcs(&prefix, b);
-                    match st.nodes.get(&pid) {
-                        Some(n) if !n.locked => {}
-                        _ => return false,
-                    }
-                    swapped = false;
-                    holding = true;
-                }
-                EventKind::McsGrant(_, _) => {
-                    if !holding {
-                        return false;
-                    }
-                    holding = false;
-                }
-                EventKind::McsCasTail(b) => {
-                    if !holding {
-                        return false;
-                    }
-                    let prefix = Log::from_events(log.iter().take(at + 1).cloned());
-                    if !replay_mcs(&prefix, b).nodes.contains_key(&pid) {
-                        holding = false;
-                    }
-                }
-                _ => {}
+                self.swapped = false;
+                self.holding = true;
             }
+            EventKind::McsGrant(_, _) => {
+                if !self.holding {
+                    return false;
+                }
+                self.holding = false;
+            }
+            EventKind::McsCasTail(b) => {
+                if !self.holding {
+                    return false;
+                }
+                if !self.queues.enqueued(b, self.pid) {
+                    self.holding = false;
+                }
+            }
+            _ => {}
         }
         true
-    })
+    }
 }
 
 /// The MCS bottom interface: hardware swap/CAS/link/grant primitives plus
@@ -321,7 +424,7 @@ pub fn l0_mcs_interface() -> LayerInterface {
             ctx.emit(EventKind::Prim("g".into(), vec![]));
             Ok(Val::Unit)
         }))
-        .critical(in_critical_mcs)
+        .critical(in_critical_mcs())
         .conditions(conditions)
         .build()
 }
@@ -334,13 +437,14 @@ pub fn l0_mcs_interface() -> LayerInterface {
 pub fn r_mcs_relation() -> SimRelation {
     SimRelation::whole_log("Rmcs", |log: &Log| {
         let mut out = Log::new();
-        for (at, e) in log.iter().enumerate() {
+        let mut queues = McsQueues::default();
+        for e in log {
+            queues.step(e);
             match e.kind {
                 EventKind::Hold(b) => out.append(Event::new(e.pid, EventKind::Acq(b))),
                 EventKind::McsGrant(b, _) => out.append(Event::new(e.pid, EventKind::Rel(b))),
                 EventKind::McsCasTail(b) => {
-                    let prefix = Log::from_events(log.iter().take(at + 1).cloned());
-                    if !replay_mcs(&prefix, b).nodes.contains_key(&e.pid) {
+                    if !queues.enqueued(b, e.pid) {
                         out.append(Event::new(e.pid, EventKind::Rel(b)));
                     }
                 }
@@ -374,9 +478,17 @@ impl McsEnvPlayer {
 
 impl Strategy for McsEnvPlayer {
     fn next_move(&self, log: &Log) -> StrategyMove {
-        let st = replay_mcs(log, self.b);
-        let holding = holds_mcs(self.pid, log);
-        if holding {
+        let mut view = McsView::new(self.pid);
+        let mut my_swaps = 0_u64;
+        for e in log {
+            view.step(e);
+            if e.pid == self.pid && matches!(e.kind, EventKind::McsSwap(b) if b == self.b) {
+                my_swaps += 1;
+            }
+        }
+        let empty = McsState::default();
+        let st = view.queues.lock(self.b).unwrap_or(&empty);
+        if view.holds() {
             // Release: grant if a successor is linked, otherwise CAS; if
             // the CAS would fail (successor swapped but not yet linked),
             // wait for the link.
@@ -399,13 +511,6 @@ impl Strategy for McsEnvPlayer {
             }
             Some(_) => StrategyMove::idle(), // spinning locally
             None => {
-                let my_swaps = log
-                    .iter()
-                    .filter(|e| {
-                        e.pid == self.pid
-                            && matches!(e.kind, EventKind::McsSwap(b) if b == self.b)
-                    })
-                    .count() as u64;
                 if my_swaps >= self.rounds {
                     return StrategyMove::idle();
                 }

@@ -120,7 +120,7 @@ pub fn qlock_underlay() -> LayerInterface {
         ctx.emit(EventKind::Prim("ql_pass".into(), vec![Val::Loc(l), t]));
         Ok(Val::Unit)
     }))
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 
@@ -172,7 +172,7 @@ pub fn qlock_overlay() -> LayerInterface {
             ctx.emit(EventKind::RelQ(l));
             Ok(Val::Unit)
         }))
-        .critical(holds_atomic_lock)
+        .critical(holds_atomic_lock())
         .build()
 }
 

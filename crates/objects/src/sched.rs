@@ -238,7 +238,7 @@ pub fn sched_underlay() -> LayerInterface {
         ctx.emit(EventKind::Wakeup(QId(q.0)));
         Ok(front.map_or(Val::Int(-1), |p| Val::Int(i64::from(p.0))))
     }))
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 
@@ -315,7 +315,7 @@ pub fn sched_overlay() -> LayerInterface {
         ctx.emit(EventKind::Wakeup(QId(q.0)));
         Ok(front.map_or(Val::Int(-1), |p| Val::Int(i64::from(p.0))))
     }))
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 

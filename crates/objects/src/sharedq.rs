@@ -90,7 +90,7 @@ pub fn sharedq_underlay() -> LayerInterface {
         Ok(deq_result(ctx.log, ctx.log.len() - 1))
     }))
     .conditions(base.conditions.clone())
-    .critical(holds_atomic_lock)
+    .critical(holds_atomic_lock())
     .build()
 }
 

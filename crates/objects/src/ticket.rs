@@ -27,16 +27,17 @@ use ccal_core::calculus::{
 };
 use ccal_core::event::{Event, EventKind, Footprint};
 use ccal_core::id::{Loc, Pid};
-use ccal_core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
+use ccal_core::layer::{Critical, LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
 use ccal_core::log::Log;
 use ccal_core::machine::MachineError;
 use ccal_core::module::Module;
-use ccal_core::rely::{Conditions, Invariant, RelyGuarantee};
+use ccal_core::rely::{own_events, Conditions, Invariant, RelyGuarantee};
 use ccal_core::replay::{my_ticket, replay_atomic_lock, replay_ticket};
 use ccal_core::sim::SimRelation;
 use ccal_core::strategy::{Strategy, StrategyMove};
 use ccal_core::val::Val;
 use ccal_machine::lx86::{in_critical_l0, lx86_interface};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The ClightX source of module `M1` — the ticket lock of Figs. 3 and 10.
 pub const M1_SOURCE: &str = r#"
@@ -82,63 +83,79 @@ fn g_prim() -> PrimSpec {
 /// Used as both rely and guarantee so that parallel composition's
 /// compatibility is discharged structurally.
 pub fn ticket_protocol_invariant() -> Invariant {
-    Invariant::new("ticket-protocol", |pid: Pid, log: &Log| {
-        use std::collections::BTreeMap;
-        #[derive(PartialEq, Clone, Copy)]
-        enum St {
-            Idle,
-            Ticketed,
-            Held,
+    Invariant::fold(
+        "ticket-protocol",
+        own_events,
+        TicketProtocol::new,
+        TicketProtocol::step,
+    )
+}
+
+/// Where one participant stands in the ticket protocol on a lock.
+#[derive(PartialEq, Clone, Copy)]
+enum TicketPhase {
+    Idle,
+    Ticketed,
+    Held,
+}
+
+/// The fold state of [`ticket_protocol_invariant`] over the participant's
+/// own events: its phase per lock location, idle where absent.
+#[derive(Clone)]
+struct TicketProtocol {
+    phase: BTreeMap<Loc, TicketPhase>,
+}
+
+impl TicketProtocol {
+    fn new(_: Pid) -> Self {
+        Self {
+            phase: BTreeMap::new(),
         }
-        let mut st: BTreeMap<Loc, St> = BTreeMap::new();
-        for e in log.iter().filter(|e| e.pid == pid) {
-            match e.kind {
-                EventKind::FaiT(b) => {
-                    if *st.get(&b).unwrap_or(&St::Idle) != St::Idle {
-                        return false;
-                    }
-                    st.insert(b, St::Ticketed);
+    }
+
+    /// Folds in one of the participant's events; `false` if it breaks the
+    /// protocol.
+    fn step(&mut self, e: &Event) -> bool {
+        let phase = |b: Loc| *self.phase.get(&b).unwrap_or(&TicketPhase::Idle);
+        match e.kind {
+            EventKind::FaiT(b) => {
+                if phase(b) != TicketPhase::Idle {
+                    return false;
                 }
-                EventKind::GetN(b)
-                    if *st.get(&b).unwrap_or(&St::Idle) != St::Ticketed => {
-                        return false;
-                    }
-                EventKind::Hold(b) => {
-                    if *st.get(&b).unwrap_or(&St::Idle) != St::Ticketed {
-                        return false;
-                    }
-                    st.insert(b, St::Held);
-                }
-                EventKind::IncN(b) => {
-                    st.insert(b, St::Idle);
-                }
-                _ => {}
+                self.phase.insert(b, TicketPhase::Ticketed);
             }
+            EventKind::GetN(b) => return phase(b) == TicketPhase::Ticketed,
+            EventKind::Hold(b) => {
+                if phase(b) != TicketPhase::Ticketed {
+                    return false;
+                }
+                self.phase.insert(b, TicketPhase::Held);
+            }
+            EventKind::IncN(b) => {
+                self.phase.remove(&b);
+            }
+            _ => {}
         }
         true
-    })
+    }
 }
 
 /// The atomic lock protocol invariant: each participant's `acq`/`rel`
 /// events are well-bracketed per location.
 pub fn atomic_lock_protocol_invariant() -> Invariant {
-    Invariant::new("atomic-lock-protocol", |pid: Pid, log: &Log| {
-        use std::collections::BTreeSet;
-        let mut held: BTreeSet<Loc> = BTreeSet::new();
-        for e in log.iter().filter(|e| e.pid == pid) {
-            match e.kind {
-                EventKind::Acq(b)
-                    if !held.insert(b) => {
-                        return false;
-                    }
-                EventKind::Rel(b) => {
-                    held.remove(&b);
-                }
-                _ => {}
+    Invariant::fold(
+        "atomic-lock-protocol",
+        own_events,
+        |_| BTreeSet::new(),
+        |held, e: &Event| match e.kind {
+            EventKind::Acq(b) => held.insert(b),
+            EventKind::Rel(b) => {
+                held.remove(&b);
+                true
             }
-        }
-        true
-    })
+            _ => true,
+        },
+    )
 }
 
 fn ticket_conditions() -> RelyGuarantee {
@@ -163,7 +180,7 @@ pub fn l0_interface() -> LayerInterface {
     b.prim(f_prim())
         .prim(g_prim())
         .conditions(ticket_conditions())
-        .critical(in_critical_l0)
+        .critical(in_critical_l0())
         .build()
 }
 
@@ -239,16 +256,18 @@ pub fn lock_low_interface() -> LayerInterface {
         .prim(f_prim())
         .prim(g_prim())
         .conditions(ticket_conditions())
-        .critical(in_critical_l0)
+        .critical(in_critical_l0())
         .build()
 }
 
-/// Which atomic locks `pid` currently holds, per the `acq`/`rel` events.
-pub fn holds_atomic_lock(pid: Pid, log: &Log) -> bool {
-    use std::collections::BTreeSet;
-    let mut held: BTreeSet<Loc> = BTreeSet::new();
-    for e in log.iter().filter(|e| e.pid == pid) {
-        match e.kind {
+/// Whether `pid` holds an atomic lock, per its `acq`/`rel` (and queuing
+/// `acq_q`/`rel_q`) events: the critical-state predicate of the atomic
+/// lock interfaces. The fold state is the set of locks held.
+pub fn holds_atomic_lock() -> Critical {
+    Critical::fold(
+        own_events,
+        |_| BTreeSet::new(),
+        |held, e: &Event| match e.kind {
             EventKind::Acq(b) | EventKind::AcqQ(b) => {
                 held.insert(b);
             }
@@ -256,9 +275,9 @@ pub fn holds_atomic_lock(pid: Pid, log: &Log) -> bool {
                 held.remove(&b);
             }
             _ => {}
-        }
-    }
-    !held.is_empty()
+        },
+        |held| !held.is_empty(),
+    )
 }
 
 /// The `φ_acq` strategy of the atomic interface `L1`: query the
@@ -309,7 +328,7 @@ pub fn lock_interface() -> LayerInterface {
         .prim(f_prim())
         .prim(g_prim())
         .conditions(atomic_conditions())
-        .critical(holds_atomic_lock)
+        .critical(holds_atomic_lock())
         .build()
 }
 

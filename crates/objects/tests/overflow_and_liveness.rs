@@ -61,7 +61,7 @@ fn wrapped_ticket_interface(m: i64) -> LayerInterface {
             ctx.emit(EventKind::Hold(b));
             Ok(Val::Unit)
         }))
-        .critical(ccal_machine::lx86::in_critical_l0)
+        .critical(ccal_machine::lx86::in_critical_l0())
         .build()
 }
 

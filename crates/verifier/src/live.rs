@@ -96,7 +96,7 @@ pub fn check_liveness_tuned(
     let kernel: Kernel<LiveSnap, LowerRun> =
         Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
     let iface = std::sync::Arc::new(iface.clone());
-    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
+    let sched_consumed = |m: &LayerMachine| m.log().sched_count();
     let snap_point = |k: &ccal_core::prefix::ScheduleKey,
                       mach: &LayerMachine,
                       run: &dyn ccal_core::layer::PrimRun| {
@@ -116,16 +116,16 @@ pub fn check_liveness_tuned(
                 // already forked it) and execute only the schedule
                 // suffix, counting only the suffix work.
                 let mut machine = machine.with_env(env.clone());
-                let pre = machine.steps_taken() + machine.log.len() as u64;
+                let pre = machine.steps_taken() + machine.log().len() as u64;
                 let mut hook = |mach: &LayerMachine, run: &dyn ccal_core::layer::PrimRun| {
                     snap_point(k, mach, run);
                 };
                 let res = machine.resume_query(run, &mut hook).map(|_| ());
                 ccal_core::prefix::record_steps(
-                    machine.steps_taken() + machine.log.len() as u64 - pre,
+                    machine.steps_taken() + machine.log().len() as u64 - pre,
                 );
                 let consumed = sched_consumed(&machine);
-                return ((res, machine.log), consumed);
+                return ((res, machine.log().clone()), consumed);
             }
         }
         let mut machine = LayerMachine::new(iface.clone(), pid, env.clone()).with_fuel(fuel);
@@ -137,9 +137,9 @@ pub fn check_liveness_tuned(
         } else {
             machine.call_prim(prim, args).map(|_| ())
         };
-        ccal_core::prefix::record_steps(machine.steps_taken() + machine.log.len() as u64);
+        ccal_core::prefix::record_steps(machine.steps_taken() + machine.log().len() as u64);
         let consumed = sched_consumed(&machine);
-        ((res, machine.log), consumed)
+        ((res, machine.log().clone()), consumed)
     };
     let explored = kernel.explore("live", contexts, 1, |ci, _| {
         let env = &contexts[ci];

@@ -113,7 +113,7 @@ pub fn check_sequence_refinement_tuned(
     // Every impl and spec machine shares one `Arc` of its interface.
     let impl_shared = std::sync::Arc::new(impl_iface.clone());
     let spec_shared = std::sync::Arc::new(spec_iface.clone());
-    let sched_consumed = |m: &LayerMachine| m.log.sched_count();
+    let sched_consumed = |m: &LayerMachine| m.log().sched_count();
     // Runs script `si` on `m` from call index `first` (finishing `inflight`
     // first when resuming a snapshot), capturing a snapshot at every query
     // point when deep sharing is on. Returns the completed return values,
@@ -144,7 +144,7 @@ pub fn check_sequence_refinement_tuned(
                 Err(e) if e.is_invalid_context() => return Err(ImplRun::Skipped),
                 Err(e) => {
                     return Err(ImplRun::Failed {
-                        log: m.log.clone(),
+                        log: m.log().clone(),
                         err: e,
                     });
                 }
@@ -173,7 +173,7 @@ pub fn check_sequence_refinement_tuned(
                 Err(e) if e.is_invalid_context() => return Err(ImplRun::Skipped),
                 Err(e) => {
                     return Err(ImplRun::Failed {
-                        log: m.log.clone(),
+                        log: m.log().clone(),
                         err: e,
                     });
                 }
@@ -191,15 +191,15 @@ pub fn check_sequence_refinement_tuned(
                 // already forked it) and execute only the schedule
                 // suffix, counting only the suffix work.
                 let mut m = machine.with_env(env.clone());
-                let pre = m.steps_taken() + m.log.len() as u64;
+                let pre = m.steps_taken() + m.log().len() as u64;
                 let outcome = match run_script(&mut m, si, call, Some(run), rets, Some(k)) {
                     Ok(rets) => ImplRun::Done {
-                        log: m.log.clone(),
+                        log: m.log().clone(),
                         rets,
                     },
                     Err(aborted) => aborted,
                 };
-                ccal_core::prefix::record_steps(m.steps_taken() + m.log.len() as u64 - pre);
+                ccal_core::prefix::record_steps(m.steps_taken() + m.log().len() as u64 - pre);
                 return (outcome, sched_consumed(&m));
             }
         }
@@ -207,13 +207,13 @@ pub fn check_sequence_refinement_tuned(
             LayerMachine::new(impl_shared.clone(), pid, env.clone()).with_fuel(fuel);
         let outcome = match run_script(&mut impl_machine, si, 0, None, Vec::new(), key) {
             Ok(rets) => ImplRun::Done {
-                log: impl_machine.log.clone(),
+                log: impl_machine.log().clone(),
                 rets,
             },
             Err(aborted) => aborted,
         };
         ccal_core::prefix::record_steps(
-            impl_machine.steps_taken() + impl_machine.log.len() as u64,
+            impl_machine.steps_taken() + impl_machine.log().len() as u64,
         );
         (outcome, sched_consumed(&impl_machine))
     };
@@ -268,12 +268,12 @@ pub fn check_sequence_refinement_tuned(
         }
         // `expected` already is the abstraction of the impl log, so
         // R(impl, spec) reduces to one comparison (no re-abstraction).
-        if expected != spec_machine.log.without_sched() {
+        if expected != spec_machine.log().without_sched() {
             return fail(
                 "final logs diverge through the relation".to_owned(),
                 &impl_log,
                 LayerError::Mismatch {
-                    expected: spec_machine.log.to_string(),
+                    expected: spec_machine.log().to_string(),
                     found: impl_log.to_string(),
                     context: format!("sequence refinement logs, context #{ci}, script #{si}"),
                 },

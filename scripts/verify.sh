@@ -6,7 +6,10 @@
 # semantic-sharing differential suites, the engine regression tests, the
 # persistent-log and kernel hasher unit tests once more as a release build
 # (the hasher is wrapping arithmetic, and release builds drop overflow
-# checks and debug assertions), the full workspace tests, and
+# checks and debug assertions), the step-monitor differential as a release
+# build (release builds also drop the layer machine's debug cross-check of
+# every monitor answer against the from-scratch predicate, which the debug
+# suites run on every log the checkers reach), the full workspace tests, and
 # criterion-free benchmark smoke runs including the B5 (whole-prefix),
 # B5d (query-point snapshot), B6 (compiled ClightX bytecode VM) and B8
 # (semantic sharing keys) step-ratio gates, a check that those gates
@@ -64,6 +67,9 @@ stage "regression: grid sampling, space_size, index-least first failure" \
 
 stage "regression: persistent log and kernel hasher unit tests (release build)" \
   cargo test -q --release -p ccal-core --lib -- log:: fxhash::
+
+stage "differential: rely/guarantee and critical-state step monitors vs whole-log oracles (random logs, forks at random cuts; release build)" \
+  cargo test -q --release --test monitor_differential
 
 stage "workspace tests" \
   cargo test --workspace -q

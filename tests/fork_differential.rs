@@ -57,7 +57,12 @@ fn step_wait_iface(rounds: usize) -> LayerInterface {
 
 /// The full observable outcome of one lower run, for equality checks.
 fn outcome(res: Result<Val, MachineError>, m: &LayerMachine) -> String {
-    format!("{res:?} | log={:?} | abs={:?} | steps={}", m.log, m.abs, m.steps_taken())
+    format!(
+        "{res:?} | log={:?} | abs={:?} | steps={}",
+        m.log(),
+        m.abs,
+        m.steps_taken()
+    )
 }
 
 /// Runs `work` fresh on a machine over `env`, capturing a fork of the
@@ -92,7 +97,7 @@ fn resume_snapshot(snap: &(LayerMachine, Box<dyn PrimRun>), env: &EnvContext) ->
 /// Sched events consumed by the snapshot — the depth at which its context
 /// and a resuming context must agree.
 fn consumed(m: &LayerMachine) -> usize {
-    m.log.iter().filter(|e| e.is_sched()).count()
+    m.log().iter().filter(|e| e.is_sched()).count()
 }
 
 fn grid(len: usize, choices: [u8; 3]) -> Vec<EnvContext> {

@@ -18,7 +18,6 @@ use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
 use ccal::core::id::{Loc, Pid, PidSet};
 use ccal::core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
-use ccal::core::log::Log;
 use ccal::core::machine::MachineError;
 use ccal::core::rely::{Conditions, Invariant, RelyGuarantee};
 use ccal::core::sim::SimRelation;
@@ -84,11 +83,17 @@ fn gated_lower_iface() -> LayerInterface {
             Ok(args[0].clone())
         }))
         .conditions(RelyGuarantee::new(
-            Conditions::none().with(Invariant::new("pid2-not-first", |_, log: &Log| {
-                log.iter()
-                    .find(|e| !e.is_sched())
-                    .is_none_or(|e| e.pid != Pid(2))
-            })),
+            // Reads non-scheduling events; decided by the first one.
+            Conditions::none().with(Invariant::fold(
+                "pid2-not-first",
+                |_, e| !e.is_sched(),
+                |_| false,
+                |seen_first, e| {
+                    let first = !*seen_first;
+                    *seen_first = true;
+                    !first || e.pid != Pid(2)
+                },
+            )),
             Conditions::none(),
         ))
         .build()
