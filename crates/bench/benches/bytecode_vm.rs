@@ -8,8 +8,9 @@
 //! Works with or without the `criterion` feature — the metric is the
 //! engine's primitive-step counters plus plain wall-clock timing.
 //!
-//! This binary owns its process, so the process-global step counters are
-//! exact; it doubles as the acceptance gate for the compile tier: at
+//! Each certification runs under a fresh engine of the tier it measures,
+//! so its step counters are exact; the binary doubles as the acceptance
+//! gate for the compile tier: at
 //! `L = 5` the VM's primitive steps (retired instructions) must be at
 //! most 0.6 of the interpreter's (popped work items) on the same
 //! certification — a counter ratio, not a wall-clock one, so the gate

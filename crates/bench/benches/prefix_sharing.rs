@@ -12,8 +12,8 @@
 //! Works with or without the `criterion` feature — it uses the engine's
 //! atom-step counters plus plain wall-clock timing either way.
 //!
-//! This binary owns its process, so the process-global step counters are
-//! exact; it doubles as the acceptance gate for both optimisations: at
+//! Each certification runs under a fresh engine, so its step counters are
+//! exact; the binary doubles as the acceptance gate for both optimisations: at
 //! `L = 5` the atom-steps with boundary sharing on must be at most half
 //! of the memo-free steps (B5), and the atom-steps with deep sharing on
 //! must be at most 0.7 of the boundary-shared steps on the *interpreted*

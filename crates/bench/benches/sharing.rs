@@ -12,8 +12,8 @@
 //! certifications of the nine-unit ticket stack — at each schedule
 //! length:
 //!
-//! * **pinned** — semantic keys forced off (`ShareSemanticOverride`),
-//!   with no warm state:
+//! * **pinned** — an engine built without semantic sharing keys, with no
+//!   warm state:
 //!   the prefix-memo family is the unit fingerprint and every unit of
 //!   every request rebuilds its exploration state from zero (the
 //!   engine's pre-ShareKey per-request behaviour);
@@ -33,8 +33,9 @@
 //! states the `acq_q` unit's checked runs stored — and is measured by a
 //! second, first-request-only qlock table.
 //!
-//! This binary owns its process, so the process-global step counters are
-//! exact; it doubles as the acceptance gate for semantic sharing: at
+//! Each arm runs under an engine of its sharing mode, and `run_lease`
+//! reports the step deltas of each unit's run; the binary doubles as the
+//! acceptance gate for semantic sharing: at
 //! `L = 5` the semantic session's lower-machine atom-steps must be at
 //! most 0.5 of the pinned session's — a counter ratio, not a wall-clock
 //! one, so the gate holds on single-core and noisy hosts. Both arms must
@@ -52,7 +53,7 @@ use std::fmt::Write as _;
 use ccal_certd::proto::Lease;
 use ccal_certd::registry::{run_lease, stack_units, WarmMap};
 use ccal_certd::CertParams;
-use ccal_core::prefix::ShareSemanticOverride;
+use ccal_core::engine::{Engine, Settings};
 
 /// One unit's accounting within one request.
 struct UnitRow {
@@ -63,10 +64,14 @@ struct UnitRow {
 }
 
 /// One certification of a full stack. `semantic` selects the sharing
-/// mode (scoped override, not the environment flag); `warm` is the
-/// daemon-style warm map the semantic arms thread through.
+/// mode of the engine it runs under; `warm` is the daemon-style warm map
+/// the semantic arms thread through.
 fn certify_stack(stack: &str, len: usize, semantic: bool, warm: Option<&WarmMap>) -> Vec<UnitRow> {
-    let _mode = ShareSemanticOverride::force(semantic);
+    let _entered = Engine::new(Settings {
+        share_semantic: semantic,
+        ..Settings::default()
+    })
+    .enter();
     let params = CertParams {
         schedule_len: len,
         ..CertParams::default()

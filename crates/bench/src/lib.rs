@@ -20,12 +20,3 @@
 pub mod latency;
 pub mod scaling;
 pub mod tables;
-
-/// Serializes the in-crate tests that run checkers. The engine's step and
-/// hit counters are process-global, and some tests assert exact counter
-/// deltas, which a concurrently running check would perturb.
-#[cfg(test)]
-pub(crate) fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 
 use ccal_core::calculus::{check_fun, pcomp, CheckOptions};
 use ccal_core::contexts::ContextGen;
+use ccal_core::engine::{Engine, Settings};
 use ccal_core::id::{Loc, Pid};
 use ccal_core::sim::SimRelation;
 use ccal_objects::ticket::{
@@ -522,13 +523,8 @@ impl PrefixRow {
 /// section suppresses query points (§2), so a run consumes only the
 /// schedule slots up to its lock acquisition — against a `foo`-shaped
 /// contender and one scratch thread over a 3-pid scheduler domain),
-/// returning the discharged cases, the atom-steps and memo hits recorded
-/// by the engine's process-global counters, and the wall time.
-///
-/// The counters are process-global, so callers that want meaningful step
-/// counts must not run other checks concurrently (the bench binary and
-/// the serial rows here are fine; unit tests assert only
-/// monotone/structural facts).
+/// returning the discharged cases, the atom-steps and memo hits counted
+/// by a fresh engine the run enters, and the wall time.
 fn certify_prefix(
     schedule_len: usize,
     workers: usize,
@@ -544,7 +540,8 @@ fn certify_prefix(
         .with_schedule_len(schedule_len)
         .with_max_contexts(3_usize.pow(schedule_len as u32))
         .contexts();
-    ccal_core::prefix::steps_reset();
+    let engine = Engine::default();
+    let _entered = engine.enter();
     let start = Instant::now();
     let opts = CheckOptions::new(contexts)
         .with_workload("foo", vec![vec![ccal_core::val::Val::Loc(b)]])
@@ -561,11 +558,12 @@ fn certify_prefix(
     )
     .expect("B5 certification succeeds");
     let elapsed = start.elapsed();
+    let totals = engine.totals();
     (
         layer.certificate.total_cases(),
-        ccal_core::prefix::steps_total(),
-        ccal_core::prefix::shared_total(),
-        ccal_core::prefix::deep_total(),
+        totals.steps,
+        totals.shared,
+        totals.deep,
         elapsed,
     )
 }
@@ -723,7 +721,7 @@ impl DeepRow {
 /// One serial interpreted-ticket certification (`L0 ⊢ M1 : L1`, `acq` +
 /// `rel` workloads, ticket contender + scratch thread over a 3-pid
 /// domain) with the sharing tiers set explicitly, returning discharged
-/// cases, the process-global step/reuse counters, and wall time.
+/// cases, the step/reuse counters of a fresh engine, and wall time.
 fn certify_ticket_prefix(
     schedule_len: usize,
     share: bool,
@@ -738,7 +736,8 @@ fn certify_ticket_prefix(
         .with_schedule_len(schedule_len)
         .with_max_contexts(3_usize.pow(schedule_len as u32))
         .contexts();
-    ccal_core::prefix::steps_reset();
+    let engine = Engine::default();
+    let _entered = engine.enter();
     let start = Instant::now();
     let opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
@@ -756,11 +755,12 @@ fn certify_ticket_prefix(
     )
     .expect("B5d certification succeeds");
     let elapsed = start.elapsed();
+    let totals = engine.totals();
     (
         layer.certificate.total_cases(),
-        ccal_core::prefix::steps_total(),
-        ccal_core::prefix::shared_total(),
-        ccal_core::prefix::deep_total(),
+        totals.steps,
+        totals.shared,
+        totals.deep,
         elapsed,
     )
 }
@@ -899,14 +899,17 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
         .with_schedule_len(schedule_len)
         .with_max_contexts(3_usize.pow(schedule_len as u32))
         .contexts();
-    ccal_core::prefix::steps_reset();
+    // The tier is the engine's, read when each primitive is instantiated.
+    let engine = Engine::new(Settings {
+        bytecode,
+        ..Settings::default()
+    });
+    let _entered = engine.enter();
     let start = Instant::now();
     let opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(1);
-    // The tier is process-wide, read when each primitive is instantiated.
-    let _tier = ccal_core::prefix::BytecodeOverride::force(bytecode);
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -917,10 +920,11 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
     )
     .expect("B6 certification succeeds");
     let elapsed = start.elapsed();
+    let totals = engine.totals();
     (
         layer.certificate.total_cases(),
-        ccal_core::prefix::prim_steps_total(),
-        ccal_core::prefix::steps_total(),
+        totals.prim_steps,
+        totals.steps,
         elapsed,
     )
 }
@@ -932,8 +936,7 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
 ///
 /// Panics if certification fails or the tiers disagree on the discharged
 /// cases. Atom-step equality (the runs are bit-identical at the machine
-/// level) is asserted by the bench binary, which owns the process-global
-/// counters; unit tests sharing the process assert only structural facts.
+/// level) is asserted by the bench binary's gate.
 pub fn bytecode_row(schedule_len: usize) -> BytecodeRow {
     let grid = 3_usize.pow(schedule_len as u32);
     let (cases, prim_steps_vm, atom_steps_vm, serial_vm) =
@@ -992,7 +995,6 @@ mod tests {
 
     #[test]
     fn por_shrinks_the_kernel_stack_grid_at_least_twofold() {
-        let _counters = crate::counter_lock();
         let row = por_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(row.reduced > 0, "independent players must license pruning");
@@ -1005,7 +1007,6 @@ mod tests {
 
     #[test]
     fn declared_f_g_footprints_widen_the_client_layer_reduction() {
-        let _counters = crate::counter_lock();
         let row = por_widened_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(
@@ -1022,12 +1023,9 @@ mod tests {
 
     #[test]
     fn prefix_sharing_reuses_lower_runs_and_preserves_evidence() {
-        let _counters = crate::counter_lock();
         // Case counts and the zero-hit sharing-off baseline are asserted
-        // inside `prefix_row_tuned`; the step counters are process-global,
-        // so every checker-running test in this crate holds
-        // `counter_lock`. The hard ≤50 % step-ratio acceptance lives in
-        // the `prefix_sharing` bench binary, which owns its process.
+        // inside `prefix_row_tuned`; the hard ≤50 % step-ratio acceptance
+        // lives in the `prefix_sharing` bench binary at L=5.
         let row = prefix_row_tuned(4, 2);
         assert_eq!(row.grid, 81);
         assert!(row.cases > 0);
@@ -1039,10 +1037,8 @@ mod tests {
 
     #[test]
     fn query_point_snapshots_cut_into_the_ticket_spin() {
-        let _counters = crate::counter_lock();
-        // As above: only structural facts here (the step counters are
-        // process-global); the hard ≤0.7 deep/share gate lives in the
-        // `prefix_sharing` bench binary.
+        // As above: the hard ≤0.7 deep/share gate lives in the
+        // `prefix_sharing` bench binary at L=5.
         let row = deep_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);
@@ -1054,10 +1050,8 @@ mod tests {
 
     #[test]
     fn the_bytecode_tier_retires_fewer_primitive_steps() {
-        let _counters = crate::counter_lock();
-        // As with the sharing rows: only monotone/structural facts here
-        // (the step counters are process-global); the hard ≤0.6 prim-step
-        // gate lives in the `bytecode_vm` bench binary.
+        // As with the sharing rows: the hard ≤0.6 prim-step gate lives in
+        // the `bytecode_vm` bench binary at L=5.
         let row = bytecode_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);
@@ -1068,11 +1062,14 @@ mod tests {
             row.prim_steps_vm,
             row.prim_steps_interp
         );
+        assert_eq!(
+            row.atom_steps_vm, row.atom_steps_interp,
+            "the tiers are bit-identical above the primitive boundary"
+        );
     }
 
     #[test]
     fn compositional_space_is_exponentially_smaller() {
-        let _counters = crate::counter_lock();
         let row = compositional_row_tuned(3, 2);
         assert_eq!(row.monolithic_contexts, 64);
         assert_eq!(row.compositional_contexts, 16, "2 × 2^3");

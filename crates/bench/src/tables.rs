@@ -393,7 +393,6 @@ mod tests {
 
     #[test]
     fn table2_certifies_all_objects_and_renders() {
-        let _counters = crate::counter_lock();
         let s = render_table2();
         assert!(s.contains("Ticket lock"));
         assert!(s.contains("Queuing lock"));
@@ -401,7 +400,6 @@ mod tests {
 
     #[test]
     fn table2_shape_matches_paper() {
-        let _counters = crate::counter_lock();
         // The compositionality claim of §6: building the shared queue on
         // the certified lock is far cheaper than the locks themselves —
         // in the paper by proof lines, here by implementation size.

@@ -30,6 +30,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
+use ccal_core::engine::Engine;
+
 use crate::proto::{read_msg, write_msg, Addr, ChunkReport, Conn, Lease, Msg, VERSION};
 use crate::registry::{self, UnitDef, WarmMap};
 use crate::spec::{CertRequest, CertResponse, UnitReport};
@@ -107,6 +109,9 @@ impl WorkState {
 
 struct Inner {
     opts: DaemonOptions,
+    /// The engine every connection thread runs under: the daemon's tier
+    /// and sharing mode, and the counters its local runs add to.
+    engine: Engine,
     /// Serializes certification requests (one grid in flight at a time;
     /// parallelism lives inside it, via shards and workers).
     certify_gate: Mutex<()>,
@@ -534,6 +539,7 @@ fn handle_shard(inner: &Arc<Inner>, conn: &mut Conn) {
 }
 
 fn handle_conn(inner: Arc<Inner>, mut conn: Conn) {
+    let _entered = inner.engine.enter();
     let role = match read_msg(&mut conn) {
         Ok(Msg::Hello { role, version }) if version == VERSION => role,
         Ok(Msg::Hello { version, .. }) => {
@@ -589,6 +595,7 @@ impl Daemon {
         }
         let inner = Arc::new(Inner {
             opts,
+            engine: Engine::default(),
             certify_gate: Mutex::new(()),
             work: Mutex::new(None),
             cond: Condvar::new(),
@@ -674,6 +681,13 @@ impl Daemon {
     /// protocol `shutdown` message).
     pub fn stopped(&self) -> bool {
         self.inner.stopping.load(Ordering::SeqCst)
+    }
+
+    /// The engine the daemon's connection threads run under; its
+    /// [`Engine::totals`] count the work of the daemon's local runs (not
+    /// of shards, which report theirs in each `ChunkReport`).
+    pub fn engine(&self) -> &Engine {
+        &self.inner.engine
     }
 
     /// Connected shard count (diagnostic).

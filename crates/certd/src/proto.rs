@@ -44,8 +44,8 @@ pub struct Lease {
     /// The unit's semantic sharing key — the warm-state key on the
     /// shard. Units of one stack whose lower machines are content-equal
     /// carry the same key and share one warm exploration state; equal to
-    /// `fingerprint` when semantic sharing is forced off
-    /// (`ccal_core::prefix::ShareSemanticOverride`).
+    /// `fingerprint` under an engine built without semantic sharing
+    /// (`ccal_core::engine::Settings::share_semantic`).
     pub share: String,
     /// Exploration parameters.
     pub params: CertParams,

@@ -17,11 +17,11 @@
 use std::sync::{Arc, Mutex};
 
 use ccal_core::contexts::ContextGen;
+use ccal_core::engine::{self, Counter};
 use ccal_core::env::EnvContext;
 use ccal_core::fingerprint::{share_key, ContentHash, ContentHasher, ShareKey};
 use ccal_core::id::{Loc, Pid};
 use ccal_core::layer::LayerInterface;
-use ccal_core::prefix;
 use ccal_core::sim::{check_prim_refinement, SimOptions, SimRelation, SimWarm};
 use ccal_core::strategy::ScratchPlayer;
 use ccal_core::val::Val;
@@ -54,7 +54,8 @@ pub struct UnitDef {
     /// Semantic sharing key (32 hex digits): the content identity of the
     /// unit's lower-machine exploration family. Units with equal keys
     /// share one warm exploration state; equals the fingerprint rendering
-    /// when semantic sharing is forced off ([`prefix::ShareSemanticOverride`]).
+    /// under an engine built without semantic sharing
+    /// ([`ccal_core::engine::Settings::share_semantic`]).
     pub share: String,
     /// Flat grid size (`contexts × argument vectors`), the leaseable
     /// index space.
@@ -311,9 +312,10 @@ fn sim_options(
 }
 
 /// Certificate identity: everything the verdict is a function of. The
-/// run-mechanical knobs (`window`, `warm`, `workers`, `dedup`) are
-/// deliberately excluded — they change neither the verdict, the evidence
-/// nor any stored case count, and the engine differential pins that.
+/// run-mechanical knobs (`window`, `warm`, `workers`, `dedup`,
+/// `prefix_share`, `deep_share`) are deliberately excluded — they change
+/// neither the verdict, the evidence nor any stored case count, and the
+/// engine differential pins that.
 fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHash {
     let sim = sim_options(params, unit, None, None);
     let mut h = ContentHasher::new();
@@ -350,8 +352,6 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.u64("opt.fuel", sim.fuel);
     h.bool("opt.compare_rets", sim.compare_rets);
     h.bool("opt.por", sim.explore.por);
-    h.bool("opt.prefix_share", sim.explore.prefix_share);
-    h.bool("opt.deep_share", sim.explore.deep_share);
     h.finish()
 }
 
@@ -378,34 +378,33 @@ fn unit_share_key(unit: &Unit, params: &CertParams) -> ShareKey {
 }
 
 /// The warm-state key `run_unit` pins the exploration family to: the
-/// semantic sharing key, or the certificate fingerprint when semantic
-/// sharing is disabled (restoring strictly per-unit reuse).
+/// semantic sharing key, or the certificate fingerprint when the engine
+/// runs without semantic sharing (restoring strictly per-unit reuse).
 fn unit_share_string(stack: &str, unit: &Unit, params: &CertParams) -> String {
-    if prefix::share_semantic_effective() {
+    if engine::settings().share_semantic {
         unit_share_key(unit, params).to_string()
     } else {
         unit_fingerprint(stack, unit, params).to_string()
     }
 }
 
-/// Process-global count of full stack decompositions (front-end runs,
-/// interface construction, per-unit fingerprinting). The manifest fast
-/// path is asserted against this: a fully-clean recertify must answer
-/// without bumping it.
-static DECOMPOSITIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total stack decompositions performed by this process.
+/// Full stack decompositions (front-end runs, interface construction,
+/// per-unit fingerprinting) counted by the calling thread's engine
+/// ([`Counter::Decompositions`]). The manifest fast path is asserted
+/// against this: a fully-clean recertify must answer without bumping it.
 pub fn decompositions_total() -> u64 {
-    DECOMPOSITIONS.load(std::sync::atomic::Ordering::Relaxed)
+    engine::totals().decompositions
 }
 
 /// The identity of a whole-stack certificate: stack name, the stack's
-/// module sources ([`stack_sources`]) and every verdict-relevant
-/// parameter (not `workers` or `dedup`, which change no verdict). Keying
-/// the manifest by this (rather than the stack name alone) makes a
-/// parameter change or a source edit a manifest miss, the same way it
-/// dirties the unit fingerprints. A manifest lists unit
-/// fingerprints, so the version tag moves whenever they are computed
+/// module sources ([`stack_sources`]) and every parameter a verdict or a
+/// stored count depends on: the bounds and `por`, which changes
+/// `cases_reduced` (not `workers`, `dedup`, `prefix_share` or
+/// `deep_share`, which change neither). Keying the manifest by this
+/// (rather than the stack name alone) makes a parameter change or a
+/// source edit a manifest miss, the same way it dirties the unit
+/// fingerprints. A manifest lists unit fingerprints, so the version tag
+/// moves whenever they are computed
 /// differently: a store written under the old scheme then misses its
 /// manifest and re-checks once instead of answering with fingerprints
 /// this build no longer computes. Interfaces and object code are not
@@ -420,7 +419,7 @@ fn manifest_key_over(
     params: &CertParams,
 ) -> ContentHash {
     let mut h = ContentHasher::new();
-    h.section("ccal.cert.manifest.v4");
+    h.section("ccal.cert.manifest.v5");
     h.str("stack", stack);
     h.usize("sources", sources.len());
     for (name, src) in sources {
@@ -430,8 +429,6 @@ fn manifest_key_over(
     h.usize("schedule_len", params.schedule_len);
     h.u64("rounds", params.rounds);
     h.bool("por", params.por);
-    h.bool("prefix_share", params.prefix_share);
-    h.bool("deep_share", params.deep_share);
     h.finish()
 }
 
@@ -442,7 +439,7 @@ fn manifest_key_over(
 ///
 /// Unknown stacks and ClightX front-end failures.
 pub fn stack_units(stack: &str, params: &CertParams) -> Result<Vec<UnitDef>, String> {
-    DECOMPOSITIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    engine::record(Counter::Decompositions, 1);
     units(stack)?
         .iter()
         .map(|u| {
@@ -484,7 +481,7 @@ pub fn run_unit(
     // across requests through the warm map) address one memo/snapshot
     // key space; with semantic sharing disabled, fall back to the unit
     // fingerprint — strictly per-unit reuse, as before.
-    let family = if prefix::share_semantic_effective() {
+    let family = if engine::settings().share_semantic {
         unit_share_key(unit, params).family()
     } else {
         unit_fingerprint(stack, unit, params).low64()
@@ -521,8 +518,9 @@ pub fn run_unit(
 /// explored over one context-grid structure, so every entry a lookup can
 /// hit describes the identical deterministic computation — whether the
 /// hitter is a re-run of the same unit, a different unit of the same
-/// family, or a later request. (With semantic sharing forced off the key
-/// degenerates to the unit fingerprint and reuse is strictly per-unit.)
+/// family, or a later request. (Under an engine without semantic sharing
+/// the key degenerates to the unit fingerprint and reuse is strictly
+/// per-unit.)
 #[derive(Debug, Default)]
 pub struct WarmMap {
     map: Mutex<std::collections::HashMap<String, SimWarm>>,
@@ -549,13 +547,10 @@ impl WarmMap {
 
 /// Executes one lease and packages the accounting a shard (or the
 /// coordinator's local runner) reports back: kernel case counts, the
-/// process-global step-counter deltas, and — when warm — the warm-state
+/// deltas of the calling thread's engine counters, and — when warm — the warm-state
 /// hit/evict deltas.
 pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
-    let steps0 = prefix::steps_total();
-    let shared0 = prefix::shared_total();
-    let deep0 = prefix::deep_total();
-    let prim0 = prefix::prim_steps_total();
+    let before = engine::totals();
     let warm0 = warm.map(SimWarm::stats);
     let mut report = ChunkReport::default();
     match run_unit(
@@ -573,10 +568,11 @@ pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
         }
         Err(e) => report.error = Some(e),
     }
-    report.steps = prefix::steps_total().saturating_sub(steps0);
-    report.shared = prefix::shared_total().saturating_sub(shared0);
-    report.deep = prefix::deep_total().saturating_sub(deep0);
-    report.prim_steps = prefix::prim_steps_total().saturating_sub(prim0);
+    let after = engine::totals();
+    report.steps = after.steps - before.steps;
+    report.shared = after.shared - before.shared;
+    report.deep = after.deep - before.deep;
+    report.prim_steps = after.prim_steps - before.prim_steps;
     if let (Some(w), Some(w0)) = (warm, warm0) {
         let ws = w.stats();
         report.memo_entries = ws.memo_entries;
@@ -602,18 +598,10 @@ pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests whose results depend on the process-global
-    /// semantic-sharing mode (a unit's `share` string follows it), so a
-    /// test forcing the mode cannot flip it under another.
-    fn share_mode_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use ccal_core::prefix;
 
     #[test]
     fn stacks_resolve_with_distinct_stable_fingerprints() {
-        let _mode = share_mode_lock();
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("ticket resolves");
         let names: Vec<&str> = ticket.iter().map(|u| u.name.as_str()).collect();
@@ -651,36 +639,35 @@ mod tests {
     /// in the CHANGELOG).
     #[test]
     fn service_keys_are_pinned_at_default_params() {
-        let _mode = share_mode_lock();
         let params = CertParams::default();
         let manifests = [
-            ("ticket", "52619ecf8cbfb98badb6c9ba1b4f5072"),
-            ("qlock", "191ad879d5d73d4358d17be58cf7d849"),
-            ("scratch", "16888544fdbf61c9b034d5751fa8325a"),
+            ("ticket", "8cabbcf1953bec015481b9c0a478a2d5"),
+            ("qlock", "4b3986b037e19015b619e2dc66068986"),
+            ("scratch", "382b600570e8c250a0fb066852b2f133"),
         ];
         for (stack, key) in manifests {
             assert_eq!(manifest_key(stack, &params).to_string(), key, "{stack} manifest");
         }
         // One sharing family per lower machine: ticket has 3, qlock 1.
-        let funlift = "f7359a5903e90f95530d82de6e841cf8";
-        let loglift = "95923588c2fca0e13cd61b67a418174a";
-        let client = "88727d0c0ef161e7206c758f7f01d7c8";
-        let qlock = "2f3d18190d1cdb8f70fff6a0b48319ae";
-        let scratch = "905db7a17513780bb7d0ffbcaba8306f";
+        let funlift = "410c95b29b95a82f3c7790bdc2a8387a";
+        let loglift = "8a171a6e2f17df20c3fbf9c2a345ea20";
+        let client = "d11e8824367c983742f524b70482c17a";
+        let qlock = "9b23ebf492447fa7f3b22317da5f67da";
+        let scratch = "b2b3c8e30ab939f0eeddd5c64b41c965";
         // (stack, unit, fingerprint, share)
         let pinned = [
-            ("ticket", "funlift/acq", "0792ae6b4a59517e153b1cb510dfba54", funlift),
-            ("ticket", "funlift/f", "586eea01f5a92fbe16509f23e619dfad", funlift),
-            ("ticket", "funlift/g", "cce24070e90d0c7d7212542b0ec5f4e9", funlift),
-            ("ticket", "funlift/rel", "465d5a2d4c90b7701c78a94a1e16c080", funlift),
-            ("ticket", "loglift/acq", "2a735d818bd7d9971cb4933a67b46db7", loglift),
-            ("ticket", "loglift/f", "e7acea8c681d7e5b9245a7122d0ba08a", loglift),
-            ("ticket", "loglift/g", "c5a90705f370bc61b117eaac5b9a69d8", loglift),
-            ("ticket", "loglift/rel", "695755ec6866cdf258ebf796e5a196bb", loglift),
-            ("ticket", "client/foo", "0e45ceafe691722a94a2f33ca82b21fe", client),
-            ("qlock", "acq_q", "349ab30b7373c0acc3083c581d8aa5a5", qlock),
-            ("qlock", "rel_q", "143a8b61781e5dc76755c480075ab399", qlock),
-            ("scratch", "op", "976919f5c8969e6237b24f236bb4f6c8", scratch),
+            ("ticket", "funlift/acq", "7f3aeaa548993137141e098d22973b72", funlift),
+            ("ticket", "funlift/f", "de915c1e19baf074e9a6b4a5a76568f7", funlift),
+            ("ticket", "funlift/g", "6789b0dc59d613ec5d398ea5f7881f1b", funlift),
+            ("ticket", "funlift/rel", "19c0749f230cdf9543da7551d6b83546", funlift),
+            ("ticket", "loglift/acq", "2392efdf45592f731869d9eb2a88a3b1", loglift),
+            ("ticket", "loglift/f", "9ec75db0ef45b062d7606ddd381c5760", loglift),
+            ("ticket", "loglift/g", "677c267f4cb2d6449ff46d3051cacfde", loglift),
+            ("ticket", "loglift/rel", "5e4e415ee23bcf7193498fb75a5743fd", loglift),
+            ("ticket", "client/foo", "36066a9174a1ba27a0f69d31b60e871c", client),
+            ("qlock", "acq_q", "ed64bdc066c87c5e6e15a4d0a7e2642f", qlock),
+            ("qlock", "rel_q", "e6ddade8bbe60454278cf26431c3a6cb", qlock),
+            ("scratch", "op", "dad1bbe58f816109ffb18839a629f88e", scratch),
         ];
         let mut got = Vec::new();
         for stack in known_stacks() {
@@ -720,6 +707,8 @@ mod tests {
         for (knob, params) in [
             ("workers", CertParams { workers: 4, ..base.clone() }),
             ("dedup", CertParams { dedup: false, ..base.clone() }),
+            ("prefix_share", CertParams { prefix_share: false, ..base.clone() }),
+            ("deep_share", CertParams { deep_share: false, ..base.clone() }),
         ] {
             for stack in known_stacks() {
                 assert_eq!(
@@ -727,14 +716,18 @@ mod tests {
                     manifest_key(stack, &base),
                     "{knob} moved the {stack} manifest key"
                 );
-                let fps = |p: &CertParams| -> Vec<ContentHash> {
+                let keys = |p: &CertParams| -> Vec<(ContentHash, String)> {
                     stack_units(stack, p)
                         .expect("resolves")
-                        .iter()
-                        .map(|u| u.fingerprint)
+                        .into_iter()
+                        .map(|u| (u.fingerprint, u.share))
                         .collect()
                 };
-                assert_eq!(fps(&params), fps(&base), "{knob} moved a {stack} unit fingerprint");
+                assert_eq!(
+                    keys(&params),
+                    keys(&base),
+                    "{knob} moved a {stack} unit fingerprint or sharing key"
+                );
             }
         }
     }
@@ -758,7 +751,6 @@ mod tests {
 
     #[test]
     fn semantic_share_keys_group_units_into_families() {
-        let _mode = share_mode_lock();
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("resolves");
         let share = |name: &str| {
@@ -797,12 +789,35 @@ mod tests {
 
     #[test]
     fn disabling_semantic_sharing_restores_per_unit_keys() {
-        let _mode = share_mode_lock();
-        let _off = prefix::ShareSemanticOverride::force(false);
+        let _pinned = engine::Engine::new(engine::Settings {
+            share_semantic: false,
+            ..engine::Settings::default()
+        })
+        .enter();
         let params = CertParams::default();
         for u in stack_units("ticket", &params).expect("resolves") {
             assert_eq!(u.share, u.fingerprint.to_string(), "{}", u.name);
         }
+    }
+
+    #[test]
+    fn work_on_another_thread_leaves_this_threads_counters() {
+        let params = CertParams::default();
+        let work = move || {
+            let defs = stack_units("qlock", &params).expect("resolves");
+            let out = run_unit("qlock", &defs[0].name, &params, None, None).expect("runs");
+            assert!(out.failure.is_none());
+        };
+        let before = (prefix::steps_total(), decompositions_total());
+        std::thread::spawn(work.clone()).join().expect("worker thread");
+        assert_eq!(
+            (prefix::steps_total(), decompositions_total()),
+            before,
+            "another thread's certification is not this thread's"
+        );
+        work();
+        assert!(prefix::steps_total() > before.0, "this thread's own run counts");
+        assert_eq!(decompositions_total(), before.1 + 1);
     }
 
     #[test]

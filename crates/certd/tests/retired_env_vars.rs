@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 use ccal_certd::store::{CertStore, StoredUnit};
 use ccal_core::contexts::ContextGen;
+use ccal_core::engine::{self, Settings};
 use ccal_core::explore::ExploreOptions;
 use ccal_core::fingerprint::ContentHash;
 use ccal_core::id::{Loc, Pid};
-use ccal_core::prefix::{bytecode_effective, share_semantic_effective};
 use ccal_core::sim::SimOptions;
 use ccal_core::strategy::ScratchPlayer;
 
@@ -42,8 +42,12 @@ fn retired_variables_switch_nothing_off() {
     assert!(explore.deep_share, "deep sharing stays on");
     let sim = SimOptions::default();
     assert!(sim.explore.por && sim.explore.prefix_share && sim.explore.deep_share);
-    assert!(bytecode_effective(), "no override means the compiled tier");
-    assert!(share_semantic_effective(), "semantic sharing keys stay on");
+    assert_eq!(
+        engine::settings(),
+        Settings::default(),
+        "a default engine runs the compiled tier with semantic sharing keys"
+    );
+    assert!(Settings::default().bytecode && Settings::default().share_semantic);
 
     for value in ["4", "garbage"] {
         std::env::set_var("CCAL_WORKERS", value);

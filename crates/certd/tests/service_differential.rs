@@ -15,12 +15,9 @@
 //! 3. **Fault injection** — shards dying mid-lease (the in-process
 //!    stand-in for `kill -9`) change retries accounting only, never the
 //!    verdict or the index-least evidence; cache hits answer with zero
-//!    exploration steps (counter-asserted).
-//!
-//! Every test takes the `SERIAL` lock: prefix step counters are
-//! process-global, and the daemon serializes certification anyway.
+//!    exploration steps (counter-asserted on the daemon's own engine).
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -31,15 +28,9 @@ use ccal_certd::shard::{run_shard, ShardExit, ShardOptions};
 use ccal_certd::spec::{CertParams, CertRequest, CertResponse};
 use ccal_certd::store::CertStore;
 use ccal_core::contexts::ContextGen;
+use ccal_core::engine;
 use ccal_core::id::{Loc, Pid};
-use ccal_core::prefix;
 use ccal_objects::{qlock, ticket};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn fresh_daemon() -> (Daemon, Addr) {
     let opts = DaemonOptions {
@@ -87,8 +78,8 @@ fn cold_request(stack: &str, params: &CertParams) -> CertRequest {
     req
 }
 
-/// One unit's in-process baseline: the registry outcome plus the
-/// bracketed process-global counter deltas.
+/// One unit's in-process baseline: the registry outcome plus the deltas
+/// of the test thread's engine counters.
 struct BaselineUnit {
     name: String,
     outcome: UnitOutcome,
@@ -102,16 +93,16 @@ fn baseline(stack: &str, params: &CertParams) -> Vec<BaselineUnit> {
     let defs = registry::stack_units(stack, params).expect("stack resolves");
     let mut out = Vec::new();
     for def in &defs {
-        let steps0 = prefix::steps_total();
-        let prim0 = prefix::prim_steps_total();
+        let before = engine::totals();
         let outcome =
             registry::run_unit(stack, &def.name, params, None, None).expect("unit runs");
+        let after = engine::totals();
         let failed = outcome.failure.is_some();
         out.push(BaselineUnit {
             name: def.name.clone(),
             outcome,
-            steps: prefix::steps_total().saturating_sub(steps0),
-            prim_steps: prefix::prim_steps_total().saturating_sub(prim0),
+            steps: after.steps - before.steps,
+            prim_steps: after.prim_steps - before.prim_steps,
         });
         if failed {
             break;
@@ -158,7 +149,6 @@ fn assert_matches_baseline(
 /// engine configs, on the passing ticket and qlock stacks.
 #[test]
 fn daemon_matches_in_process_runs_across_configs() {
-    let _guard = serial();
     // (workers, por, prefix_share, deep_share)
     let configs = [
         (1, true, true, true),
@@ -188,7 +178,6 @@ fn daemon_matches_in_process_runs_across_configs() {
 /// per-obligation accounting of the in-process certification pipelines.
 #[test]
 fn registry_decomposition_matches_certified_pipelines() {
-    let _guard = serial();
     let p = CertParams::default();
 
     // Ticket: fun-lift (4 obligations) ++ log-lift (4) ++ client (1),
@@ -258,7 +247,6 @@ fn registry_decomposition_matches_certified_pipelines() {
 /// really did run remotely.
 #[test]
 fn sharded_chunked_ticket_run_is_bit_identical() {
-    let _guard = serial();
     let p = CertParams::default();
     let base = baseline("ticket", &p);
     let (daemon, addr) = fresh_daemon();
@@ -288,7 +276,6 @@ fn sharded_chunked_ticket_run_is_bit_identical() {
 /// failing stack (index-least evidence) and a passing one.
 #[test]
 fn killed_shards_change_retries_but_not_the_verdict() {
-    let _guard = serial();
     let p = CertParams::default();
     for stack in ["scratch", "qlock"] {
         let base = baseline(stack, &p);
@@ -326,7 +313,6 @@ fn killed_shards_change_retries_but_not_the_verdict() {
 /// single-case chunks fail exactly where the whole-grid kernel fails.
 #[test]
 fn chunked_failure_evidence_is_index_least() {
-    let _guard = serial();
     let p = CertParams::default();
     let whole = registry::run_unit("scratch", "op", &p, None, None).expect("runs");
     let whole_failure = whole.failure.expect("scratch fails");
@@ -341,13 +327,11 @@ fn chunked_failure_evidence_is_index_least() {
 
 /// Acceptance: recertifying an unchanged stack is answered from the
 /// content-addressed store with ZERO exploration steps — counter
-/// asserted on the process-global step counters, which the daemon's
-/// local runner shares with this test.
+/// asserted on the daemon's engine, which its local runner counts into.
 #[test]
 fn recertifying_an_unchanged_stack_costs_zero_steps() {
-    let _guard = serial();
     let p = CertParams::default();
-    let (_daemon, addr) = fresh_daemon();
+    let (daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
     req.params = p.clone();
 
@@ -355,12 +339,13 @@ fn recertifying_an_unchanged_stack_costs_zero_steps() {
     assert!(first.certified);
     assert_eq!(first.cache_hits, 0);
     assert!(first.total_steps > 0, "first run explores");
+    let filled = daemon.engine().totals();
+    assert_eq!(filled.steps, first.total_steps, "the daemon counted the fill");
 
-    let steps0 = prefix::steps_total();
-    let prim0 = prefix::prim_steps_total();
     let second = ccal_certd::certify(&addr, &req).expect("daemon answers");
-    assert_eq!(prefix::steps_total(), steps0, "no lower-machine steps ran");
-    assert_eq!(prefix::prim_steps_total(), prim0, "no primitive steps ran");
+    let after = daemon.engine().totals();
+    assert_eq!(after.steps, filled.steps, "no lower-machine steps ran");
+    assert_eq!(after.prim_steps, filled.prim_steps, "no primitive steps ran");
     assert!(second.certified);
     assert_eq!(second.cache_hits, second.units.len(), "every unit cached");
     assert_eq!(second.total_steps, 0, "cache hits report zero steps");
@@ -391,17 +376,40 @@ fn recertifying_an_unchanged_stack_costs_zero_steps() {
     assert!(third.total_steps > 0);
 }
 
+/// Each daemon counts into its own engine: a second in-process daemon's
+/// run, and a run on the test thread, leave the first daemon's counters
+/// where they were.
+#[test]
+fn a_second_daemon_does_not_move_the_first_daemons_counters() {
+    let (first, first_addr) = fresh_daemon();
+    let (second, second_addr) = fresh_daemon();
+    let req = cold_request("qlock", &CertParams::default());
+    let a = ccal_certd::certify(&first_addr, &req).expect("first daemon answers");
+    let filled = first.engine().totals();
+    assert_eq!(filled.steps, a.total_steps, "the first daemon counted its run");
+    assert_eq!(filled.decompositions, 1);
+
+    let b = ccal_certd::certify(&second_addr, &req).expect("second daemon answers");
+    assert_eq!(b.total_steps, a.total_steps, "identical serial runs");
+    assert_eq!(second.engine().totals(), filled, "the second daemon counts the same");
+    assert_eq!(first.engine().totals(), filled, "...into its own engine only");
+
+    let here = registry::run_unit("qlock", "acq_q", &CertParams::default(), None, None)
+        .expect("unit runs");
+    assert!(here.failure.is_none());
+    assert_eq!(first.engine().totals(), filled, "test-thread work is not the daemon's");
+    assert_eq!(second.engine().totals(), filled);
+}
+
 /// The stack-manifest fast path: recertifying a fully-clean stack is
 /// answered from the per-stack manifest without asking the registry to
-/// decompose the stack at all — counter-asserted on the process-global
-/// decomposition counter, which the daemon's local runner shares with
-/// this test. Failing stacks never earn a manifest, and a parameter
-/// change misses it.
+/// decompose the stack at all — counter-asserted on the daemon engine's
+/// decomposition counter. Failing stacks never earn a manifest, and a
+/// parameter change misses it.
 #[test]
 fn clean_recertify_skips_registry_decomposition() {
-    let _guard = serial();
     let p = CertParams::default();
-    let (_daemon, addr) = fresh_daemon();
+    let (daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
     req.params = p.clone();
 
@@ -409,16 +417,15 @@ fn clean_recertify_skips_registry_decomposition() {
     assert!(first.certified);
     assert!(!first.manifest_hit, "a cold run cannot hit the manifest");
 
-    let dec0 = registry::decompositions_total();
-    let steps0 = prefix::steps_total();
+    let filled = daemon.engine().totals();
+    assert_eq!(filled.decompositions, 1, "the fill decomposed the stack once");
     let second = ccal_certd::certify(&addr, &req).expect("daemon answers");
     assert!(second.manifest_hit, "fully-clean stack answers from the manifest");
     assert_eq!(
-        registry::decompositions_total(),
-        dec0,
-        "the registry never decomposed the stack"
+        daemon.engine().totals(),
+        filled,
+        "the registry never decomposed the stack and no exploration ran"
     );
-    assert_eq!(prefix::steps_total(), steps0, "no exploration ran");
     assert!(second.certified);
     assert_eq!(second.cache_hits, second.units.len(), "every unit cached");
     assert_eq!(second.total_steps, 0);
@@ -437,12 +444,13 @@ fn clean_recertify_skips_registry_decomposition() {
     let mut scratch = CertRequest::new("scratch");
     scratch.params = p.clone();
     let f1 = ccal_certd::certify(&addr, &scratch).expect("daemon answers");
-    let dec1 = registry::decompositions_total();
+    let dec1 = daemon.engine().totals().decompositions;
     let f2 = ccal_certd::certify(&addr, &scratch).expect("daemon answers");
     assert!(!f1.certified && !f2.certified);
     assert!(!f2.manifest_hit, "failing stacks have no manifest");
-    assert!(
-        registry::decompositions_total() > dec1,
+    assert_eq!(
+        daemon.engine().totals().decompositions,
+        dec1 + 1,
         "the failing stack was decomposed again"
     );
     assert_eq!(f1.failure, f2.failure, "evidence unchanged by the fast path");
@@ -461,13 +469,12 @@ fn clean_recertify_skips_registry_decomposition() {
 
 /// Keys name only what a verdict depends on: after a fill at the default
 /// parameters, a request that only changes how the grid is dispatched
-/// (`workers`) or whether upper runs are memoized (`dedup`) is answered
-/// from the manifest with zero exploration steps, with the verdict and
-/// per-unit accounting of the fill.
+/// (`workers`) or whether runs are memoized (`dedup`, `prefix_share`,
+/// `deep_share`) is answered from the manifest with zero exploration
+/// steps, with the verdict and per-unit accounting of the fill.
 #[test]
 fn dispatch_knobs_hit_the_manifest() {
-    let _guard = serial();
-    let (_daemon, addr) = fresh_daemon();
+    let (daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
     req.params = CertParams::default();
     let fill = ccal_certd::certify(&addr, &req).expect("daemon answers");
@@ -475,14 +482,17 @@ fn dispatch_knobs_hit_the_manifest() {
     for (knob, params) in [
         ("workers=4", params(4, true, true, true)),
         ("dedup=false", CertParams { dedup: false, ..CertParams::default() }),
+        ("prefix_share=false", params(1, true, false, false)),
+        ("deep_share=false", params(1, true, true, false)),
     ] {
         let mut knobbed = CertRequest::new("qlock");
         knobbed.params = params;
-        let steps0 = prefix::steps_total();
+        let before = daemon.engine().totals();
+        assert!(before.steps > 0, "the fill counted into the daemon's engine");
         let hit = ccal_certd::certify(&addr, &knobbed).expect("daemon answers");
         assert!(hit.manifest_hit, "{knob}: manifest hit");
         assert_eq!(hit.total_steps, 0, "{knob}: no exploration");
-        assert_eq!(prefix::steps_total(), steps0, "{knob}: no step counted");
+        assert_eq!(daemon.engine().totals(), before, "{knob}: nothing counted");
         assert_eq!(hit.cache_hits, hit.units.len(), "{knob}: every unit cached");
         assert!(hit.certified, "{knob}: verdict");
         for (a, b) in fill.units.iter().zip(&hit.units) {
@@ -498,7 +508,6 @@ fn dispatch_knobs_hit_the_manifest() {
 /// lookup, forcing recertification, and still writes its results.
 #[test]
 fn cache_kill_switch_forces_recertification() {
-    let _guard = serial();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
     req.params = CertParams::default();
@@ -529,7 +538,6 @@ fn cache_kill_switch_forces_recertification() {
 /// accounting.
 #[test]
 fn warm_state_is_reused_across_requests() {
-    let _guard = serial();
     let p = CertParams::default();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
@@ -579,7 +587,6 @@ fn warm_state_is_reused_across_requests() {
 /// `shared_family_hits` counter makes the reuse observable end to end.
 #[test]
 fn ticket_units_share_family_state_within_and_across_requests() {
-    let _guard = serial();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("ticket");
     req.params = CertParams::default();

@@ -9,7 +9,8 @@
 //!
 //! The interpreter is the *reference tier*: [`module_from_lowered`] also
 //! compiles each module to flat bytecode ([`crate::compile`]) and, when
-//! [`ccal_core::prefix::bytecode_effective`] says so, instantiates the
+//! the instantiating thread's engine says so
+//! ([`ccal_core::engine::Settings::bytecode`]), instantiates the
 //! [`crate::vm::VmRun`] VM instead. Both tiers share the value semantics
 //! in this module ([`truthy`], [`apply_unop`], [`apply_binop`]) so their
 //! verdicts, logs, and error strings are bit-identical.
@@ -17,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ccal_core::engine::{self, Counter};
 use ccal_core::layer::{PrimCtx, PrimRun, PrimStep, SubCall};
 use ccal_core::machine::MachineError;
 use ccal_core::module::{Lang, Module};
@@ -368,7 +370,7 @@ impl PrimRun for CRun {
         let r = self.resume_inner(ctx);
         let spent = self.reported - self.budget;
         if spent > 0 {
-            ccal_core::prefix::record_prim_steps(spent);
+            engine::record(Counter::PrimSteps, spent);
             self.reported = self.budget;
         }
         r
@@ -429,7 +431,8 @@ pub fn clightx_module(name: &str, src: &str) -> Result<Module, crate::CError> {
 ///
 /// The module is compiled to flat bytecode once, whole-module-or-nothing
 /// ([`crate::compile::compile_module`]); each instantiation then picks the
-/// execution tier via [`ccal_core::prefix::bytecode_effective`]. Modules
+/// execution tier from the instantiating thread's engine
+/// ([`ccal_core::engine::Settings::bytecode`]). Modules
 /// the compiler rejects (undeclared variables, stray `break`s — code the
 /// static checker would refuse anyway) always run on the interpreter, so
 /// their runtime error strings are unchanged.
@@ -448,7 +451,7 @@ pub fn module_from_lowered(name: &str, lowered: &CModule) -> Module {
                 &f.name,
                 true,
                 move |_pid, args| match &vm_target {
-                    Some((cm, fid)) if ccal_core::prefix::bytecode_effective() => {
+                    Some((cm, fid)) if engine::settings().bytecode => {
                         Box::new(crate::vm::VmRun::new(cm.clone(), *fid, args))
                     }
                     _ => Box::new(CRun::new(module.clone(), func.clone(), args)),
@@ -588,10 +591,14 @@ mod tests {
 
     #[test]
     fn interpreter_tier_matches_results_when_forced() {
-        // The same sources with the bytecode tier forced off must produce
+        // The same sources under an interpreter-tier engine must produce
         // the same values (the full differential matrix lives in the
         // `bytecode_differential` integration suite).
-        let _off = ccal_core::prefix::BytecodeOverride::force(false);
+        let _interp = engine::Engine::new(engine::Settings {
+            bytecode: false,
+            ..engine::Settings::default()
+        })
+        .enter();
         assert_eq!(
             run("int f(int x) { return x * 3 - 1; }", "f", &[Val::Int(4)]).unwrap(),
             Val::Int(11)

@@ -12,8 +12,9 @@
 //! → execution. Execution has two bit-identical tiers: the tree-walking
 //! interpreter [`interp`] and the compiled tier ([`compile`] slot-resolves
 //! to [`bytecode`], run by the [`vm`]), selected per instantiation via
-//! `ccal_core::prefix::bytecode_effective` (the compiled tier unless a
-//! `BytecodeOverride` — a test hook — forces the interpreter).
+//! the instantiating thread's engine (`ccal_core::engine::Settings::bytecode`:
+//! the compiled tier unless a test runs under an engine built with the
+//! interpreter).
 //!
 //! The one-call entry point is [`clightx_module`], which yields a core
 //! `Module` ready for `install`/`check_fun`:

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use ccal_core::engine::{self, Counter};
 use ccal_core::layer::{PrimCtx, PrimRun, PrimStep, SubCall};
 use ccal_core::machine::MachineError;
 use ccal_core::val::Val;
@@ -259,7 +260,7 @@ impl PrimRun for VmRun {
         let r = self.resume_inner(ctx);
         let spent = self.reported - self.budget;
         if spent > 0 {
-            ccal_core::prefix::record_prim_steps(spent);
+            engine::record(Counter::PrimSteps, spent);
             self.reported = self.budget;
         }
         r

@@ -15,6 +15,7 @@ use ccal_clightx::compile::compile_module;
 use ccal_clightx::interp::CRun;
 use ccal_clightx::lower::lower_module;
 use ccal_clightx::vm::VmRun;
+use ccal_core::engine::{Engine, Settings};
 use ccal_core::env::EnvContext;
 use ccal_core::event::EventKind;
 use ccal_core::id::Pid;
@@ -179,7 +180,11 @@ fn module_from_lowered_obeys_the_override() {
     "#;
     let mut outcomes = Vec::new();
     for on in [true, false] {
-        let _tier = ccal_core::prefix::BytecodeOverride::force(on);
+        let _tier = Engine::new(Settings {
+            bytecode: on,
+            ..Settings::default()
+        })
+        .enter();
         let m = ccal_clightx::clightx_module("M", src).unwrap();
         let extended = m.install(&tick_interface()).unwrap();
         let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::conc::{ConcurrentMachine, ConcurrentOutcome, GameState, ThreadScript};
+use crate::engine::{self, Counter};
 use crate::env::EnvContext;
 use crate::fxhash::FxHashMap;
 use crate::id::PidSet;
@@ -262,7 +263,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     pub fn cached(&self, key: &ScheduleKey, inner: usize) -> Option<T> {
         let hit = self.memo.lookup(key, inner);
         if hit.is_some() {
-            crate::prefix::record_shared();
+            engine::record(Counter::Shared, 1);
         }
         hit
     }
@@ -299,7 +300,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     pub fn resume_deepest(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, S)> {
         let hit = self.snapshots.lookup_deepest(key, inner);
         if hit.is_some() {
-            crate::prefix::record_deep();
+            engine::record(Counter::Deep, 1);
         }
         hit
     }
@@ -324,9 +325,9 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     /// The exploration loop: dispatches the `(context × sub-case)` grid
     /// ([`crate::par::run_cases`]), prunes POR-equivalent contexts,
     /// records failing cases into the forensics capture scope the calling
-    /// thread opened (if any), and folds the slots in index order — so the
-    /// verdict, the accounting and the index-least first failure are
-    /// bit-identical to a serial, unshared exploration.
+    /// thread's engine carries (if any), and folds the slots in index
+    /// order — so the verdict, the accounting and the index-least first
+    /// failure are bit-identical to a serial, unshared exploration.
     ///
     /// `run` is called with `(context index, sub-case index)`; the flat
     /// grid index is `ci * ninner + inner`. `checker` names the client in
@@ -352,10 +353,6 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             None => (0, total),
         };
         let span = hi - lo;
-        // Sampled once on the calling thread: workers record failures only
-        // for a capture scope their caller opened, never for one another
-        // thread holds.
-        let capture = crate::forensics::capturing();
         let run_case = |widx: usize| -> Case<D, E> {
             let idx = lo + widx;
             let (ci, inner) = (idx / ninner, idx % ninner);
@@ -365,8 +362,8 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
                 return Case::Reduced;
             }
             let outcome = run(ci, inner);
-            if capture {
-                if let Case::Failed(f) = &outcome {
+            if let Case::Failed(f) = &outcome {
+                if crate::forensics::capturing() {
                     crate::forensics::record(crate::forensics::FailingCase {
                         checker,
                         case_index: idx,
@@ -455,7 +452,7 @@ impl Kernel<GameState, GameRun> {
                     (res, log, 0)
                 }
             };
-            crate::prefix::record_steps(log.len() as u64 - pre);
+            engine::record(Counter::Steps, log.len() as u64 - pre);
             let consumed = log.sched_count();
             ((res, log), consumed)
         })

@@ -196,8 +196,10 @@ impl ContentHasher {
 /// primitive and its arguments, the setup calls, the upper interface and
 /// the relation (all of which vary across the units of one stack and are
 /// carried by the inner index or the upper-cache signature instead), and
-/// pure dispatch knobs (`workers`, `window`, `warm`) that cannot change
-/// what any shared entry means.
+/// the engine knobs that only decide whether a store is consulted or how
+/// the grid is dispatched (`workers`, `window`, `warm`, `dedup`,
+/// `prefix_share`, `deep_share`): none of them changes what a stored
+/// entry means, so one warm store serves every setting of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShareKey(pub ContentHash);
 
@@ -233,7 +235,7 @@ pub fn share_key(
     opts: &crate::sim::SimOptions,
 ) -> ShareKey {
     let mut h = ContentHasher::new();
-    h.section("ccal.share-key.v1");
+    h.section("ccal.share-key.v2");
     h.usize("nsources", sources.len());
     for (name, src) in sources {
         h.str("source.name", name);
@@ -246,9 +248,6 @@ pub fn share_key(
     h.section("sim_options");
     h.u64("fuel", opts.fuel);
     h.bool("compare_rets", opts.compare_rets);
-    h.bool("dedup", opts.dedup);
-    h.bool("prefix_share", opts.explore.prefix_share);
-    h.bool("deep_share", opts.explore.deep_share);
     ShareKey(h.finish())
 }
 

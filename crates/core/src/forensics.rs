@@ -8,31 +8,31 @@
 //! 1-minimal counterexample, and replays it deterministically. This module
 //! holds the core-side half of that pipeline:
 //!
-//! * a thread-affine **capture scope**: while a [`CaptureScope`] is alive,
-//!   every checker *called on the thread that opened it* records its
-//!   failing cases (grid index, context index, the concrete machine log at
-//!   the failure, and the reason) via [`record`]. The exploration kernel
-//!   samples [`capturing`] once on its calling thread before dispatching
-//!   the grid, so its worker threads record exactly for the scope their
-//!   caller opened, and checks running on other threads (e.g. parallel
-//!   tests) never leak failures into it. Outside a scope, [`capturing`]
-//!   is a thread-local read — ordinary verification runs pay nothing.
+//! * a **capture scope**: while a [`CaptureScope`] is alive, every checker
+//!   run under the engine the scope opened ([`crate::engine`]) records its
+//!   failing cases (grid index, context index, the concrete machine log
+//!   at the failure, and the reason) via [`record`]. The scope enters a
+//!   copy of the calling thread's engine that carries its own capture
+//!   sink, so the exploration kernel's workers, which enter their
+//!   caller's engine, record into it, while checks on other threads —
+//!   even ones holding scopes of their own — never leak failures into
+//!   it. Outside a scope, [`capturing`] is a thread-local read —
+//!   ordinary verification runs pay nothing.
 //! * [`ShrinkNote`] — the shrink-accounting record (original vs. minimized
 //!   steps, oracle iterations) that [`crate::calculus::Certificate`] and
 //!   the verifier's report rendering carry alongside ordinary obligations.
 //!
-//! The capture scope is exclusive: scopes serialize on a process-global
-//! lock so that concurrently running checks (e.g. parallel tests) cannot
-//! interleave their captures. The checkers themselves may still run their
-//! case grids on many workers inside one scope; captures are indexed by
-//! grid case index and sorted on [`CaptureScope::take`], so the
-//! *index-least* capture is the same first failure the checker reported.
+//! Scopes do not serialize: any number of threads may hold one at once,
+//! each collecting only its own failures. The checkers themselves may
+//! still run their case grids on many workers inside one scope; captures
+//! are indexed by grid case index and sorted on [`CaptureScope::take`],
+//! so the *index-least* capture is the same first failure the checker
+//! reported.
 
-use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, PoisonError};
 
+use crate::engine::{self, Engine, Entered, Sink};
 use crate::log::Log;
 
 /// One captured failing case: everything the forensics pipeline needs to
@@ -57,94 +57,49 @@ pub struct FailingCase {
     pub reason: String,
 }
 
-fn active() -> &'static AtomicBool {
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    &ACTIVE
-}
-
-thread_local! {
-    /// Whether this thread opened the live capture scope.
-    static OWNS_SCOPE: Cell<bool> = const { Cell::new(false) };
-}
-
-fn captured() -> &'static Mutex<Vec<FailingCase>> {
-    static CAPTURED: OnceLock<Mutex<Vec<FailingCase>>> = OnceLock::new();
-    CAPTURED.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn gate() -> &'static Mutex<()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-}
-
-/// Whether the calling thread opened the currently active capture scope.
-/// Checkers sample this on the thread that starts an exploration and guard
+/// Whether the calling thread runs under a capture scope. Checkers guard
 /// the (log clone) cost of building a [`FailingCase`] behind it.
 pub fn capturing() -> bool {
-    OWNS_SCOPE.with(Cell::get)
+    engine::with_current(|e| e.capture.is_some())
 }
 
-/// Records a failing case into the active capture scope; a no-op when no
-/// scope is active. Callable from any thread — the exploration kernel's
-/// workers record on behalf of a caller whose [`capturing`] sample was
-/// true — so it does not re-check thread ownership.
+/// Records a failing case into the capture scope the calling thread runs
+/// under; a no-op outside a scope.
 pub fn record(case: FailingCase) {
-    if !active().load(Ordering::Relaxed) {
-        return;
-    }
-    captured()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(case);
+    engine::with_current(|e| {
+        if let Some(sink) = &e.capture {
+            sink.lock().unwrap_or_else(PoisonError::into_inner).push(case);
+        }
+    });
 }
 
-/// An exclusive failure-capture scope. While alive, failures of checkers
-/// called on the opening thread are recorded; dropping (or
-/// [`CaptureScope::take`]) ends the scope and clears the buffer. The scope
-/// is not `Send` (it holds a mutex guard), so it ends on the thread that
-/// opened it.
+/// A failure-capture scope. While alive, failures of checkers run on the
+/// opening thread (and on the workers it dispatches to) are recorded;
+/// [`CaptureScope::take`] ends the scope and returns them, dropping it
+/// discards them. The scope is not `Send`, so it ends on the thread that
+/// opened it. Scopes nest: an inner scope collects until it ends, then
+/// the outer one resumes.
 pub struct CaptureScope {
-    _gate: MutexGuard<'static, ()>,
+    sink: Sink,
+    _entered: Entered,
 }
 
 impl CaptureScope {
-    /// Opens a capture scope owned by the calling thread, waiting for any
-    /// concurrently active scope to finish first.
+    /// Opens a capture scope on the calling thread.
     pub fn begin() -> Self {
-        let guard = gate().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        captured()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        active().store(true, Ordering::Relaxed);
-        OWNS_SCOPE.with(|owns| owns.set(true));
-        Self { _gate: guard }
+        let sink = Sink::default();
+        let _entered = Engine::current().with_capture(Arc::clone(&sink)).enter();
+        Self { sink, _entered }
     }
 
     /// Ends the scope and returns every captured failing case, sorted by
     /// grid case index (the first element, if any, is the checker's
     /// deterministic first failure).
     pub fn take(self) -> Vec<FailingCase> {
-        let mut cases = std::mem::take(
-            &mut *captured()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
+        let mut cases =
+            std::mem::take(&mut *self.sink.lock().unwrap_or_else(PoisonError::into_inner));
         cases.sort_by_key(|c| c.case_index);
         cases
-        // `self` drops here, releasing the gate and clearing `active` and
-        // the thread's ownership.
-    }
-}
-
-impl Drop for CaptureScope {
-    fn drop(&mut self) {
-        active().store(false, Ordering::Relaxed);
-        OWNS_SCOPE.with(|owns| owns.set(false));
-        captured()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
     }
 }
 
@@ -239,6 +194,59 @@ mod tests {
         assert!(!elsewhere, "another thread does not own the scope");
         drop(scope);
         assert!(!capturing());
+    }
+
+    #[test]
+    fn concurrent_scopes_each_capture_only_their_own_failure() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let wait = Duration::from_secs(10);
+        let (opened_tx, opened) = mpsc::channel();
+        let threads: Vec<_> = [1, 2]
+            .map(|i| {
+                let opened_tx = opened_tx.clone();
+                let (go_tx, go) = mpsc::channel::<()>();
+                let handle = std::thread::spawn(move || {
+                    let scope = CaptureScope::begin();
+                    opened_tx.send(()).expect("the test is listening");
+                    // Record only once both scopes are open at once.
+                    go.recv_timeout(wait).expect("both scopes opened");
+                    record(case(i));
+                    scope.take()
+                });
+                (i, go_tx, handle)
+            })
+            .into();
+        for _ in &threads {
+            opened
+                .recv_timeout(wait)
+                .expect("a scope opens while another thread holds one");
+        }
+        for (_, go_tx, _) in &threads {
+            go_tx.send(()).expect("the scope's thread waits");
+        }
+        for (i, _, handle) in threads {
+            let got = handle.join().expect("capturing thread");
+            assert_eq!(
+                got.iter().map(|c| c.case_index).collect::<Vec<_>>(),
+                vec![i],
+                "thread {i} captured exactly its own failure"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_scopes_capture_into_the_innermost() {
+        let outer = CaptureScope::begin();
+        record(case(1));
+        let inner = CaptureScope::begin();
+        record(case(2));
+        assert_eq!(inner.take().len(), 1);
+        record(case(3));
+        assert_eq!(
+            outer.take().iter().map(|c| c.case_index).collect::<Vec<_>>(),
+            vec![1, 3]
+        );
     }
 
     #[test]

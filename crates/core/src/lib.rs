@@ -74,6 +74,7 @@ pub mod abs;
 pub mod calculus;
 pub mod conc;
 pub mod contexts;
+pub mod engine;
 pub mod env;
 pub mod event;
 pub mod explore;

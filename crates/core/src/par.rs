@@ -17,7 +17,9 @@
 //! worker, and no environment variable changes that. On the grids the
 //! checkers explore (tens of contexts), handing cases to a second worker
 //! cost more than it saved; the work-stealing path below runs only for an
-//! explicit `workers > 1`.
+//! explicit `workers > 1`. Workers run under their caller's engine
+//! ([`crate::engine`]): its tier and sharing mode, its counters and its
+//! capture scope.
 //!
 //! # Determinism contract
 //!
@@ -37,6 +39,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use crate::engine::Engine;
 
 /// Case indices handed out per `fetch_add` on the shared work queue.
 /// Sub-microsecond cases (tiny machines on tiny grids) were bottlenecked
@@ -73,31 +77,36 @@ where
         slots.resize_with(total, || None);
         return slots;
     }
+    let engine = Engine::current();
     let next = AtomicUsize::new(0);
     let min_terminal = AtomicUsize::new(usize::MAX);
     let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| 'claim: loop {
-                let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= total {
-                    break;
-                }
-                for i in start..(start + CHUNK).min(total) {
-                    if i > min_terminal.load(Ordering::Relaxed) {
-                        // An index past the terminal minimum abandons the
-                        // whole worker: every index it could still claim
-                        // is even larger (chunk items ascend and chunk
-                        // starts only grow), so nothing below the final
-                        // terminal minimum is ever skipped.
-                        break 'claim;
+            scope.spawn(|| {
+                let _entered = engine.enter();
+                'claim: loop {
+                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+                    if start >= total {
+                        break;
                     }
-                    let outcome = run(i);
-                    if is_terminal(&outcome) {
-                        min_terminal.fetch_min(i, Ordering::Relaxed);
+                    for i in start..(start + CHUNK).min(total) {
+                        if i > min_terminal.load(Ordering::Relaxed) {
+                            // An index past the terminal minimum abandons
+                            // the whole worker: every index it could still
+                            // claim is even larger (chunk items ascend and
+                            // chunk starts only grow), so nothing below the
+                            // final terminal minimum is ever skipped.
+                            break 'claim;
+                        }
+                        let outcome = run(i);
+                        if is_terminal(&outcome) {
+                            min_terminal.fetch_min(i, Ordering::Relaxed);
+                        }
+                        *slots[i]
+                            .lock()
+                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
                     }
-                    *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                        Some(outcome);
                 }
             });
         }

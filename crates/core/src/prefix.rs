@@ -53,97 +53,19 @@
 //!
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::engine;
 use crate::fxhash::FxHashMap;
 use crate::id::Pid;
-
-/// The process-wide execution tier: `true` — compiled bytecode (the
-/// default), `false` — the tree-walking interpreter. The two tiers are
-/// bit-identical, so the tier is not a checker option: only a
-/// [`BytecodeOverride`] (differential tests, the B6 tier benchmark)
-/// selects the reference interpreter. Strategy closures read it at
-/// *instantiation* time.
-static BYTECODE: AtomicBool = AtomicBool::new(true);
-
-/// The bytecode-tier choice in effect right now: the innermost live
-/// [`BytecodeOverride`], else the compiled tier. Strategy instantiation
-/// sites (notably `ccal_clightx::module_from_lowered`'s closures) consult
-/// this on every call, so one compiled module serves both tiers.
-pub fn bytecode_effective() -> bool {
-    BYTECODE.load(Ordering::Relaxed)
-}
-
-/// RAII guard forcing the bytecode tier on or off process-wide until
-/// dropped. Overrides do not nest meaningfully — the guard restores the
-/// value it displaced, and concurrent checker runs with *different* tier
-/// choices would race (the benchmarks and differential tests that toggle
-/// the tier run checks serially).
-pub struct BytecodeOverride {
-    prev: bool,
-}
-
-impl BytecodeOverride {
-    /// Forces the tier to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        Self {
-            prev: BYTECODE.swap(on, Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for BytecodeOverride {
-    fn drop(&mut self) {
-        BYTECODE.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Whether **semantic sharing keys** are in effect: warm exploration state
-/// keyed by the content identity of the lower-machine family
-/// ([`crate::fingerprint::ShareKey`]) instead of being pinned to each
-/// certification unit's whole-input fingerprint, so units of one stack and
-/// successive requests over the same underlay share one
-/// `PrefixMemo`/`SnapshotTrie` store. On unless a [`ShareSemanticOverride`]
-/// is live; the B8 benchmark measures both sides of its ratio in one
-/// process, and the sharing differential pins bit-identity across the two
-/// modes.
-static SHARE_SEMANTIC: AtomicBool = AtomicBool::new(true);
-
-/// The semantic-sharing choice in effect right now: the innermost live
-/// [`ShareSemanticOverride`], else semantic keys.
-pub fn share_semantic_effective() -> bool {
-    SHARE_SEMANTIC.load(Ordering::Relaxed)
-}
-
-/// RAII guard forcing semantic sharing keys on or off process-wide until
-/// dropped, with the same (non-)nesting discipline as
-/// [`BytecodeOverride`]: the guard restores the value it displaced, and
-/// concurrent runs wanting different choices would race.
-pub struct ShareSemanticOverride {
-    prev: bool,
-}
-
-impl ShareSemanticOverride {
-    /// Forces semantic sharing keys to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        Self {
-            prev: SHARE_SEMANTIC.swap(on, Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for ShareSemanticOverride {
-    fn drop(&mut self) {
-        SHARE_SEMANTIC.store(self.prev, Ordering::Relaxed);
-    }
-}
 
 /// Hands out a fresh family id for a [`crate::contexts::ContextGen`]
 /// instance. Keys from different generators never collide in a
 /// [`PrefixMemo`], so a checker handed a mixed slice of contexts (different
 /// players, domains, or fuel) stays correct — sharing simply does not cross
-/// the family boundary.
+/// the family boundary. Process-wide rather than per engine: family ids
+/// must stay unique across every engine that shares a warm store.
 pub fn next_family() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -458,86 +380,28 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
     }
 }
 
-fn steps_counter() -> &'static AtomicU64 {
-    static STEPS: AtomicU64 = AtomicU64::new(0);
-    &STEPS
-}
-
-fn shared_counter() -> &'static AtomicU64 {
-    static SHARED: AtomicU64 = AtomicU64::new(0);
-    &SHARED
-}
-
-fn deep_counter() -> &'static AtomicU64 {
-    static DEEP: AtomicU64 = AtomicU64::new(0);
-    &DEEP
-}
-
-fn prim_steps_counter() -> &'static AtomicU64 {
-    static PRIM: AtomicU64 = AtomicU64::new(0);
-    &PRIM
-}
-
-/// Resets the process-wide lower-run work accounting (all counters).
-/// Benchmarks bracket a checker run with [`steps_reset`] / [`steps_total`]
-/// to measure executed atom-steps; the counters are only meaningful when
-/// the bracketed run is not concurrent with other checker runs.
-pub fn steps_reset() {
-    steps_counter().store(0, Ordering::Relaxed);
-    shared_counter().store(0, Ordering::Relaxed);
-    deep_counter().store(0, Ordering::Relaxed);
-    prim_steps_counter().store(0, Ordering::Relaxed);
-}
-
-/// Total lower-machine atom-steps executed since the last [`steps_reset`].
+/// Lower-machine atom-steps counted by the calling thread's engine
+/// ([`Counter::Steps`](crate::engine::Counter::Steps)).
 pub fn steps_total() -> u64 {
-    steps_counter().load(Ordering::Relaxed)
+    engine::totals().steps
 }
 
-/// Number of lower runs answered from a [`PrefixMemo`] since the last
-/// [`steps_reset`].
+/// Lower runs the calling thread's engine answered from a [`PrefixMemo`]
+/// ([`Counter::Shared`](crate::engine::Counter::Shared)).
 pub fn shared_total() -> u64 {
-    shared_counter().load(Ordering::Relaxed)
+    engine::totals().shared
 }
 
-/// Records `n` executed lower-machine atom-steps. Checkers call this once
-/// per *executed* (non-cached) lower run with a work proxy — machine fuel
-/// consumed plus events appended — so the sharing ratio in the benchmarks
-/// counts real machine work, not memo hits.
-pub fn record_steps(n: u64) {
-    steps_counter().fetch_add(n, Ordering::Relaxed);
-}
-
-/// Records one lower run answered from the memo instead of executed.
-pub fn record_shared() {
-    shared_counter().fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one lower run resumed from a [`SnapshotTrie`] snapshot instead
-/// of executed from scratch.
-pub fn record_deep() {
-    deep_counter().fetch_add(1, Ordering::Relaxed);
-}
-
-/// Number of lower runs resumed from a snapshot since [`steps_reset`].
+/// Lower runs the calling thread's engine resumed from a snapshot
+/// ([`Counter::Deep`](crate::engine::Counter::Deep)).
 pub fn deep_total() -> u64 {
-    deep_counter().load(Ordering::Relaxed)
+    engine::totals().deep
 }
 
-/// Records `n` intra-primitive execution steps — interpreter work items
-/// popped or VM instructions retired *inside* a ClightX primitive body.
-/// Distinct from [`record_steps`]: the machine-level counter charges one
-/// unit per query-point resume plus log growth, identical for both
-/// execution tiers, whereas this counter measures the per-statement work
-/// the bytecode tier actually eliminates. The B6 benchmark gates on the
-/// ratio of this counter between tiers.
-pub fn record_prim_steps(n: u64) {
-    prim_steps_counter().fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total intra-primitive execution steps since the last [`steps_reset`].
+/// Intra-primitive steps counted by the calling thread's engine
+/// ([`Counter::PrimSteps`](crate::engine::Counter::PrimSteps)).
 pub fn prim_steps_total() -> u64 {
-    prim_steps_counter().load(Ordering::Relaxed)
+    engine::totals().prim_steps
 }
 
 /// Always 0. The convergence-dedup cache that counted suffix hits here
@@ -622,16 +486,18 @@ mod tests {
 
     #[test]
     fn step_counters_accumulate_and_reset() {
-        // Serialized by the global counters themselves being process-wide:
-        // this test only checks the arithmetic, tolerating interference by
-        // measuring deltas.
-        steps_reset();
-        record_steps(10);
-        record_steps(5);
-        record_shared();
-        assert!(steps_total() >= 15);
-        assert!(shared_total() >= 1);
-        steps_reset();
+        use crate::engine::{record, Counter, Engine};
+        // Each engine starts from zero, and only this thread counts into
+        // the one it entered: exact totals even beside concurrent tests.
+        for _ in 0..2 {
+            let _in = Engine::default().enter();
+            record(Counter::Steps, 10);
+            record(Counter::Steps, 5);
+            record(Counter::Shared, 1);
+            assert_eq!(steps_total(), 15);
+            assert_eq!(shared_total(), 1);
+            assert_eq!((deep_total(), prim_steps_total()), (0, 0));
+        }
     }
 
     #[derive(Debug, Clone, PartialEq)]

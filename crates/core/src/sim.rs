@@ -62,6 +62,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::engine::{self, Counter};
 use crate::env::EnvContext;
 use crate::event::Event;
 use crate::explore::Case;
@@ -74,7 +75,7 @@ use crate::strategy::{FnStrategy, StrategyMove};
 use crate::val::Val;
 
 type EventAbsFn = dyn Fn(&Event) -> Vec<Event> + Send + Sync;
-type LogAbsFn = dyn Fn(&Log) -> Option<Log> + Send + Sync;
+type LogAbsFn = dyn Fn(&mut dyn Iterator<Item = &Event>) -> Option<Log> + Send + Sync;
 
 #[derive(Clone)]
 enum RelStage {
@@ -122,12 +123,12 @@ impl SimRelation {
     /// A relation given by a whole-log abstraction function (for relations
     /// that are not per-event, e.g. ones merging event *sequences*).
     /// Returning `None` means the lower log is outside the relation's
-    /// domain. The function receives the lower log with scheduling events
-    /// already removed and must produce an upper log without scheduling
-    /// events.
+    /// domain. The function receives the lower log's events in order with
+    /// scheduling events skipped (read in place, not copied) and must
+    /// produce an upper log without scheduling events.
     pub fn whole_log<F>(name: &str, f: F) -> Self
     where
-        F: Fn(&Log) -> Option<Log> + Send + Sync + 'static,
+        F: Fn(&mut dyn Iterator<Item = &Event>) -> Option<Log> + Send + Sync + 'static,
     {
         Self {
             name: name.to_owned(),
@@ -142,9 +143,10 @@ impl SimRelation {
 
     /// Applies the abstraction to a lower log, producing the related upper
     /// log (without scheduling events), or `None` if outside the domain.
-    /// A per-event first stage reads the lower log directly, skipping its
+    /// The first stage reads the lower log in place, skipping its
     /// scheduling events, instead of first materializing the sched-free
-    /// copy.
+    /// copy; only the identity relation copies, because that copy is its
+    /// result.
     pub fn abstracted(&self, lower: &Log) -> Option<Log> {
         fn per_event<'a>(f: &EventAbsFn, events: impl Iterator<Item = &'a Event>) -> Log {
             let mut out = Log::new();
@@ -159,12 +161,12 @@ impl SimRelation {
             Some(RelStage::PerEvent(f)) => {
                 per_event(f.as_ref(), lower.iter().filter(|e| !e.is_sched()))
             }
-            Some(RelStage::Whole(f)) => f(&lower.without_sched())?,
+            Some(RelStage::Whole(f)) => f(&mut lower.iter().filter(|e| !e.is_sched()))?,
         };
         for stage in stages {
             cur = match stage {
                 RelStage::PerEvent(f) => per_event(f.as_ref(), cur.iter()),
-                RelStage::Whole(f) => f(&cur)?,
+                RelStage::Whole(f) => f(&mut cur.iter())?,
             };
         }
         Some(cur)
@@ -530,14 +532,15 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 /// equal families imply equal lower-machine explorations. The
 /// certification service keys warm handles by
 /// [`crate::fingerprint::ShareKey`] — the content identity of the lower
-/// machine, the participant, the context-grid structure and the
-/// exploration-relevant options — under which checks of *different* units
-/// may legitimately share one handle: the content-derived inner indices
+/// machine, the participant, the context-grid structure and the options
+/// a run's outcome depends on (fuel, return comparison) — under which
+/// checks of *different* units may legitimately share one handle: the
+/// content-derived inner indices
 /// (setup history + called primitive + arguments) keep their computations
 /// apart, and the upper-run cache keys carry a per-check signature for
-/// the same reason. Under a [`crate::prefix::ShareSemanticOverride`]
-/// forcing semantic keys off, the service falls back to pinning one handle
-/// per unit fingerprint.
+/// the same reason. Under an engine built without semantic sharing
+/// ([`crate::engine::Settings::share_semantic`]), the service falls back
+/// to pinning one handle per unit fingerprint.
 #[derive(Clone)]
 pub struct SimWarm {
     memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
@@ -967,7 +970,7 @@ pub fn check_prim_refinement(
                 if let Some(k) = key {
                     match kernel.lookup_snapshot(k, phase_inner) {
                         Some((depth, SimSnap::Abort { outcome })) => {
-                            crate::prefix::record_shared();
+                            engine::record(Counter::Shared, 1);
                             return (outcome, depth);
                         }
                         Some((_, SimSnap::PostSetup { machine })) => {
@@ -976,7 +979,7 @@ pub fn check_prim_refinement(
                             // script agreeing with `env`'s on every slot it
                             // consumed, so resuming under `env` is
                             // identical to having run setup under it.
-                            crate::prefix::record_shared();
+                            engine::record(Counter::Shared, 1);
                             break 'setup machine.with_env(env.clone());
                         }
                         _ => {}
@@ -988,11 +991,12 @@ pub fn check_prim_refinement(
                             // Finish the remaining calls from the completed
                             // call's pre-flush state, counting only the
                             // suffix work.
-                            crate::prefix::record_shared();
+                            engine::record(Counter::Shared, 1);
                             let mut m = machine.with_env(env.clone());
                             let pre = m.steps_taken() + m.log().len() as u64;
                             let early = run_setup(&mut m, call + 1, None, key);
-                            crate::prefix::record_steps(
+                            engine::record(
+                                Counter::Steps,
                                 m.steps_taken() + m.log().len() as u64 - pre,
                             );
                             match seal_setup(m, early, key) {
@@ -1005,11 +1009,12 @@ pub fn check_prim_refinement(
                         {
                             // Resume the in-flight setup call from its
                             // query point and finish the remaining calls.
-                            crate::prefix::record_deep();
+                            engine::record(Counter::Deep, 1);
                             let mut m = machine.with_env(env.clone());
                             let pre = m.steps_taken() + m.log().len() as u64;
                             let early = run_setup(&mut m, call, Some(run), key);
-                            crate::prefix::record_steps(
+                            engine::record(
+                                Counter::Steps,
                                 m.steps_taken() + m.log().len() as u64 - pre,
                             );
                             match seal_setup(m, early, key) {
@@ -1021,7 +1026,7 @@ pub fn check_prim_refinement(
                 }
                 let mut m = fresh();
                 let early = run_setup(&mut m, 0, None, key);
-                crate::prefix::record_steps(m.steps_taken() + m.log().len() as u64);
+                engine::record(Counter::Steps, m.steps_taken() + m.log().len() as u64);
                 match seal_setup(m, early, key) {
                     Ok(m) => m,
                     Err(out) => return out,
@@ -1041,7 +1046,10 @@ pub fn check_prim_refinement(
             None => lower.call_prim(lower_prim, args),
         };
         let outcome = finish_call(&mut lower, res, key, ai);
-        crate::prefix::record_steps(lower.steps_taken() + lower.log().len() as u64 - pre);
+        engine::record(
+            Counter::Steps,
+            lower.steps_taken() + lower.log().len() as u64 - pre,
+        );
         (outcome, sched_consumed(&lower))
     };
     // 1. Run the lower machine — once per distinct consumed schedule
@@ -1066,7 +1074,7 @@ pub fn check_prim_refinement(
                 if let Some((_, SimSnap::Done { machine, ret })) =
                     kernel.lookup_snapshot(k, inner)
                 {
-                    crate::prefix::record_shared();
+                    engine::record(Counter::Shared, 1);
                     let mut lower = machine.with_env(env.clone());
                     let pre = lower.steps_taken() + lower.log().len() as u64;
                     if deep {
@@ -1082,7 +1090,8 @@ pub fn check_prim_refinement(
                     } else {
                         let _ = lower.deliver_env();
                     }
-                    crate::prefix::record_steps(
+                    engine::record(
+                        Counter::Steps,
                         lower.steps_taken() + lower.log().len() as u64 - pre,
                     );
                     break 'hit Some((
@@ -1097,7 +1106,7 @@ pub fn check_prim_refinement(
             if let Some((_, SimSnap::Inflight { machine, run })) =
                 kernel.lookup_snapshot(k, chk_inflight[ai])
             {
-                crate::prefix::record_deep();
+                engine::record(Counter::Deep, 1);
                 let mut lower = machine.with_env(env.clone());
                 let pre = lower.steps_taken() + lower.log().len() as u64;
                 let res = {
@@ -1107,7 +1116,10 @@ pub fn check_prim_refinement(
                     lower.resume_query(run, &mut hook)
                 };
                 let outcome = finish_call(&mut lower, res, Some(k), ai);
-                crate::prefix::record_steps(lower.steps_taken() + lower.log().len() as u64 - pre);
+                engine::record(
+                    Counter::Steps,
+                    lower.steps_taken() + lower.log().len() as u64 - pre,
+                );
                 break 'hit Some((outcome, sched_consumed(&lower)));
             }
             None

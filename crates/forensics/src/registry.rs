@@ -316,6 +316,7 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             fx.checker, fx.object
         )
     })?;
+    let settings = ccal_core::engine::settings();
     let mut artifact = TraceArtifact {
         version: FORMAT_VERSION,
         checker: fx.checker.to_owned(),
@@ -329,8 +330,8 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             deep_share: false,
             // Record the tier the investigation actually ran under, so
             // the artifact is self-describing about its provenance.
-            bytecode: ccal_core::prefix::bytecode_effective(),
-            share_semantic: ccal_core::prefix::share_semantic_effective(),
+            bytecode: settings.bytecode,
+            share_semantic: settings.share_semantic,
         },
         context: outcome.context,
         expected: ExpectedFailure {

@@ -8,29 +8,24 @@
 //! guard that flipping the execution tier perturbs nothing outside
 //! ClightX dispatch.
 
-use std::sync::Mutex;
-
+use ccal_core::engine::{self, Engine, Settings};
 use ccal_core::forensics::CaptureScope;
-use ccal_core::prefix::BytecodeOverride;
 use ccal_forensics::{all_fixtures, investigate, RunConfig};
-
-/// The tier override is process-global; serialize every flip.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 fn both_tiers<T, F>(f: F) -> T
 where
     T: PartialEq + std::fmt::Debug,
     F: Fn() -> T,
 {
-    let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let on = {
-        let _tier = BytecodeOverride::force(true);
+    let under = |bytecode| {
+        let _tier = Engine::new(Settings {
+            bytecode,
+            ..Settings::default()
+        })
+        .enter();
         f()
     };
-    let off = {
-        let _tier = BytecodeOverride::force(false);
-        f()
-    };
+    let (on, off) = (under(true), under(false));
     assert_eq!(on, off, "compiled and interpreted tiers diverged");
     on
 }
@@ -104,7 +99,7 @@ fn investigation_artifacts_are_tier_invariant() {
             // ran under — the one field that is *supposed* to differ.
             // Everything else (context, evidence, shrink trajectory, file
             // name) must be bit-identical, so compare modulo that field.
-            assert_eq!(a.options.bytecode, ccal_core::prefix::bytecode_effective());
+            assert_eq!(a.options.bytecode, engine::settings().bytecode);
             a.options.bytecode = false;
             (a.file_name(), a.encode().pretty())
         });

@@ -435,10 +435,10 @@ pub fn l0_mcs_interface() -> LayerInterface {
 /// with the ticket lock, so higher layers cannot tell which lock they run
 /// on.
 pub fn r_mcs_relation() -> SimRelation {
-    SimRelation::whole_log("Rmcs", |log: &Log| {
+    SimRelation::whole_log("Rmcs", |events| {
         let mut out = Log::new();
         let mut queues = McsQueues::default();
-        for e in log {
+        for e in events {
             queues.step(e);
             match e.kind {
                 EventKind::Hold(b) => out.append(Event::new(e.pid, EventKind::Acq(b))),

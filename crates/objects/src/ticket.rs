@@ -388,11 +388,11 @@ impl PrimRun for PhiFooAtomic {
 /// whole-log abstraction: per participant, an open `acq` buffers `f`/`g`
 /// until the matching `rel`, which emits `foo`.
 pub fn r2_relation() -> SimRelation {
-    SimRelation::whole_log("R2", |log: &Log| {
+    SimRelation::whole_log("R2", |events| {
         use std::collections::BTreeMap;
         let mut open: BTreeMap<Pid, (Loc, Vec<String>)> = BTreeMap::new();
         let mut out = Log::new();
-        for e in log.iter() {
+        for e in events {
             match &e.kind {
                 EventKind::Acq(b) => {
                     if open.insert(e.pid, (*b, Vec::new())).is_some() {

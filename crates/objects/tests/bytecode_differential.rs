@@ -8,14 +8,14 @@
 //! worker counts, POR, and prefix/deep sharing.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ccal_core::conc::ThreadScript;
 use ccal_core::contexts::ContextGen;
+use ccal_core::engine::{Engine, Settings};
 use ccal_core::env::EnvContext;
 use ccal_core::id::{Loc, Pid, PidSet};
 use ccal_core::layer::LayerInterface;
-use ccal_core::prefix::BytecodeOverride;
 use ccal_core::val::Val;
 use ccal_objects::ticket::{
     certify_ticket_stack_tuned, l0_interface, lock_interface, m1_module, r1_relation,
@@ -28,26 +28,22 @@ use ccal_verifier::{
 
 const B: Loc = Loc(0);
 
-/// The tier override is process-global; serialize every test that flips
-/// it so parallel test threads cannot observe each other's tier.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per tier and asserts the outcomes are identical;
-/// returns the (shared) outcome for further assertions.
+/// Runs `f` once under an engine of each tier and asserts the outcomes
+/// are identical; returns the (shared) outcome for further assertions.
 fn both_tiers<T, F>(f: F) -> T
 where
     T: PartialEq + std::fmt::Debug,
     F: Fn() -> T,
 {
-    let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let on = {
-        let _tier = BytecodeOverride::force(true);
+    let under = |bytecode| {
+        let _tier = Engine::new(Settings {
+            bytecode,
+            ..Settings::default()
+        })
+        .enter();
         f()
     };
-    let off = {
-        let _tier = BytecodeOverride::force(false);
-        f()
-    };
+    let (on, off) = (under(true), under(false));
     assert_eq!(on, off, "compiled and interpreted tiers diverged");
     on
 }

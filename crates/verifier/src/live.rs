@@ -11,6 +11,7 @@
 //! paper's notion of "steps" at the game level.
 
 use ccal_core::calculus::{LayerError, Obligation, Rule};
+use ccal_core::engine::{self, Counter};
 use ccal_core::env::EnvContext;
 use ccal_core::explore::{Case, ExploreOptions, Kernel};
 use ccal_core::id::Pid;
@@ -121,7 +122,8 @@ pub fn check_liveness_tuned(
                     snap_point(k, mach, run);
                 };
                 let res = machine.resume_query(run, &mut hook).map(|_| ());
-                ccal_core::prefix::record_steps(
+                engine::record(
+                    Counter::Steps,
                     machine.steps_taken() + machine.log().len() as u64 - pre,
                 );
                 let consumed = sched_consumed(&machine);
@@ -137,7 +139,10 @@ pub fn check_liveness_tuned(
         } else {
             machine.call_prim(prim, args).map(|_| ())
         };
-        ccal_core::prefix::record_steps(machine.steps_taken() + machine.log().len() as u64);
+        engine::record(
+            Counter::Steps,
+            machine.steps_taken() + machine.log().len() as u64,
+        );
         let consumed = sched_consumed(&machine);
         ((res, machine.log().clone()), consumed)
     };

@@ -10,6 +10,7 @@
 //! every return value and the final logs through the simulation relation.
 
 use ccal_core::calculus::{LayerError, Obligation, Rule};
+use ccal_core::engine::{self, Counter};
 use ccal_core::env::EnvContext;
 use ccal_core::explore::{Case, ExploreOptions, Kernel};
 use ccal_core::id::Pid;
@@ -199,7 +200,7 @@ pub fn check_sequence_refinement_tuned(
                     },
                     Err(aborted) => aborted,
                 };
-                ccal_core::prefix::record_steps(m.steps_taken() + m.log().len() as u64 - pre);
+                engine::record(Counter::Steps, m.steps_taken() + m.log().len() as u64 - pre);
                 return (outcome, sched_consumed(&m));
             }
         }
@@ -212,7 +213,8 @@ pub fn check_sequence_refinement_tuned(
             },
             Err(aborted) => aborted,
         };
-        ccal_core::prefix::record_steps(
+        engine::record(
+            Counter::Steps,
             impl_machine.steps_taken() + impl_machine.log().len() as u64,
         );
         (outcome, sched_consumed(&impl_machine))

@@ -1,5 +1,9 @@
 #!/usr/bin/env bash
-# Offline verification: tier-1 (release build + root-package tests), the
+# Offline verification: a source check that engine state (settings,
+# counters, capture sinks) lives only in ccal_core::engine — no static
+# atomic, lock or OnceLock and no thread_local! anywhere else in
+# crates/*/src, bar the process-wide family-id counter — then tier-1
+# (release build + root-package tests), the
 # engine differential (every exploration-engine configuration — workers,
 # upper-run dedup, POR, prefix and deep sharing — against its reference
 # row, all five checkers), the fork-vs-fresh, bytecode-tier and
@@ -19,7 +23,9 @@
 # package's own tests (its traced layer-by-layer pipeline must answer like
 # the checkers' entry points). The engine reads no configuration from the
 # environment, so every stage runs the one shipped engine (serial by
-# default); the differential suites set the other configurations in code.
+# default); the differential suites set the other configurations in code,
+# each test under engines of its own, so no suite needs a serialization
+# lock or a --test-threads setting.
 # Everything here works without network access — proptest/criterion
 # resolve to the in-repo shim crates. Each stage reports its own wall time
 # so perf regressions in the harness itself are visible.
@@ -36,6 +42,29 @@ stage() {
   "$@"
   echo "-- ${desc}: $((SECONDS - t0))s"
 }
+
+# no_engine_globals — fails when process-global engine state appears in
+# crates/*/src outside the engine module (crates/core/src/engine.rs): a
+# static atomic, Mutex, RwLock, OnceLock or LazyLock, or a thread_local!.
+# The one allowed static is the family-id counter behind
+# prefix::next_family, which must stay unique across engines.
+no_engine_globals() {
+  local hits
+  hits=$(grep -rnE --include='*.rs' \
+      -e 'static +[A-Za-z_][A-Za-z0-9_]* *: *[A-Za-z_:]*(Atomic[A-Za-z0-9]*|Mutex|RwLock|OnceLock|LazyLock)\b' \
+      -e 'thread_local!' \
+      crates/*/src \
+    | grep -v '^crates/core/src/engine\.rs:' \
+    | grep -vE '^crates/core/src/prefix\.rs:[0-9]+: +static NEXT: AtomicU64 ' || true)
+  if [ -n "$hits" ]; then
+    echo "process-global engine state outside crates/core/src/engine.rs:"
+    echo "$hits"
+    return 1
+  fi
+}
+
+stage "engine state lives in one place: no static atomics, locks or thread-locals in crates/*/src outside crates/core/src/engine.rs (bar prefix::next_family)" \
+  no_engine_globals
 
 stage "tier-1: release build" \
   cargo build --release

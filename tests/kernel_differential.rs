@@ -6,16 +6,16 @@
 //! ticket-lock stack of §2 and the queuing lock of Fig. 11 the verdict,
 //! the case accounting, and the first-failure evidence must be
 //! byte-identical across every `workers × por × prefix/deep` row, and the
-//! process-global step counters must reproduce exactly on repeated serial
-//! runs.
+//! engine's step counters must reproduce exactly on repeated serial runs.
 
 mod engine;
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ccal::core::conc::ThreadScript;
 use ccal::core::contexts::ContextGen;
+use ccal::core::engine::Engine;
 use ccal::core::env::EnvContext;
 use ccal::core::id::{Loc, Pid, PidSet};
 use ccal::core::layer::LayerInterface;
@@ -27,21 +27,10 @@ use ccal::objects::ticket::{
     l0_interface, lock_interface, lock_low_interface, m1_module, r1_relation, TicketEnvPlayer,
 };
 use ccal::verifier::{lock_history_validator, ticket_bound, OpScript};
-use engine::{assert_sharing_invisible, SHIPPED};
+use engine::{assert_sharing_invisible, Row, SHIPPED};
 
 const B: Loc = Loc(0);
 const FUEL: u64 = 200_000;
-
-/// The step counters asserted by [`serial_step_counters_are_reproducible`]
-/// are process-global; serialize every test in this binary so concurrent
-/// checker runs cannot pollute the bracketed measurement.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// `M1` (real ClightX `acq`/`rel` bodies) installed over the ticket
 /// underlay — the implementation side of the paper's Fig. 5 fun-lift.
@@ -87,7 +76,6 @@ fn acq_rel_programs(acq: &str, rel: &str) -> BTreeMap<Pid, ThreadScript> {
 
 #[test]
 fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
-    let _g = serial();
     let lower = ticket_iface();
     let contexts = ticket_contexts();
     let args = vec![vec![Val::Loc(B)]];
@@ -118,7 +106,6 @@ fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
 
 #[test]
 fn liveness_on_ticket_acq_is_kernel_config_invariant() {
-    let _g = serial();
     let iface = ticket_iface();
     let contexts = ticket_contexts();
     // The paper's bound passes; bound 1 is unmeetable, so both polarities
@@ -143,7 +130,6 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
 
 #[test]
 fn linearizability_on_ticket_is_kernel_config_invariant() {
-    let _g = serial();
     let iface = ticket_iface();
     let focused = PidSet::from_pids([Pid(0), Pid(1)]);
     let programs = acq_rel_programs("acq", "rel");
@@ -171,7 +157,6 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
 
 #[test]
 fn race_freedom_is_kernel_config_invariant() {
-    let _g = serial();
     // Honest: the locked ticket client is race-free. Broken: fully
     // preemptible pull/push on the raw hardware machine gets stuck, and
     // the stuck-context evidence must match across configurations.
@@ -203,7 +188,6 @@ fn race_freedom_is_kernel_config_invariant() {
 
 #[test]
 fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
-    let _g = serial();
     let impl_iface = ticket_iface();
     let scripts: Vec<OpScript> = vec![vec![
         ("acq".to_owned(), vec![Val::Loc(B)]),
@@ -232,7 +216,6 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
 
 #[test]
 fn qlock_overlay_checkers_are_kernel_config_invariant() {
-    let _g = serial();
     // The queuing-lock side of the differential: the atomic overlay's
     // `acq_q`/`rel_q` through linearizability, race freedom, sequence
     // refinement and liveness. (The full ClightX `Mql` stack is covered by
@@ -290,7 +273,6 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
 
 #[test]
 fn qlock_certificate_is_deterministic_through_the_kernel() {
-    let _g = serial();
     // `certify_qlock` drives the real ClightX `Mql` module through
     // `check_fun` (the sim checker, now a kernel client). Two back-to-back
     // runs must render byte-identically.
@@ -316,15 +298,15 @@ fn qlock_certificate_is_deterministic_through_the_kernel() {
 
 #[test]
 fn serial_step_counters_are_reproducible() {
-    let _g = serial();
-    // The atom-step / memo-hit / snapshot-resume counters are process-wide
-    // and only serial-deterministic; two identical serial runs bracketed
-    // by a reset must agree exactly, and the sharing counters must show
-    // the kernel actually shared work on this grid.
+    // The atom-step / memo-hit / snapshot-resume counters are only
+    // serial-deterministic; two identical serial runs, each under a fresh
+    // engine, must agree exactly, and the sharing counters must show the
+    // kernel actually shared work on this grid.
     let iface = ticket_iface();
     let contexts = ticket_contexts();
     let run = || {
-        ccal::core::prefix::steps_reset();
+        let engine = Engine::default();
+        let _entered = engine.enter();
         let ob = SHIPPED
             .liveness(
                 &iface,
@@ -336,20 +318,56 @@ fn serial_step_counters_are_reproducible() {
                 FUEL,
             )
             .expect("acq is starvation-free under the rely");
-        (
-            format!("{ob:?}"),
-            ccal::core::prefix::steps_total(),
-            ccal::core::prefix::shared_total(),
-            ccal::core::prefix::deep_total(),
-            ccal::core::prefix::prim_steps_total(),
-        )
+        (format!("{ob:?}"), engine.totals())
     };
     let first = run();
     let second = run();
     assert_eq!(first, second, "serial step counters drifted between runs");
-    assert!(first.1 > 0, "executed runs must record atom-steps");
+    assert!(first.1.steps > 0, "executed runs must record atom-steps");
     assert!(
-        first.2 + first.3 > 0,
+        first.1.shared + first.1.deep > 0,
         "the kernel must share at least one lower run on this grid"
+    );
+}
+
+#[test]
+fn a_check_counts_into_its_callers_engine_only() {
+    let iface = ticket_iface();
+    let contexts = ticket_contexts();
+    let live = |row: Row| {
+        row.liveness(
+            &iface,
+            "acq",
+            &[Val::Loc(B)],
+            Pid(0),
+            &contexts,
+            ticket_bound(4, 8, 2),
+            FUEL,
+        )
+        .expect("acq is starvation-free under the rely");
+    };
+    // Memo-free, so every case's work is fixed whichever worker runs it.
+    let reference = Row::reference(true);
+    let before = ccal::core::engine::totals();
+    std::thread::scope(|s| {
+        s.spawn(|| live(reference));
+    });
+    assert_eq!(
+        ccal::core::engine::totals(),
+        before,
+        "work on another thread leaves this thread's counters alone"
+    );
+    let under = |row: Row| {
+        let engine = Engine::default();
+        let _entered = engine.enter();
+        live(row);
+        engine.totals()
+    };
+    let serial = under(reference);
+    assert!(serial.steps > 0, "the check counted its work");
+    assert_eq!(
+        under(reference.with_workers(4)),
+        serial,
+        "four workers add exactly the serial totals to their caller"
     );
 }

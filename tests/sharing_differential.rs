@@ -9,9 +9,10 @@
 //! Three layers of coverage:
 //!
 //! 1. **Registry differential**: every known stack is certified twice —
-//!    pinned per-unit keys cold (`ShareSemanticOverride::force(false)`,
-//!    the old behavior) vs. semantic keys with one warm map shared across units
-//!    exactly as `ccal-certd` runs it — across workers × POR ×
+//!    pinned per-unit keys cold (an engine built with
+//!    `share_semantic: false`, the old behavior) vs. semantic keys with
+//!    one warm map shared across units exactly as `ccal-certd` runs it —
+//!    across workers × POR ×
 //!    prefix/deep sharing × both ClightX execution tiers.
 //! 2. **Checker differential**: all five bounded checkers run on a
 //!    "twin" grid — two content-equal context generators concatenated —
@@ -22,21 +23,19 @@
 //!    primitive body must produce distinct `ShareKey`s, and a warm state
 //!    populated by one must never serve the other — its verdict,
 //!    evidence *and work counters* must equal a cold run's.
-//!
-//! The semantic-sharing override and the engine's sharing counters are
-//! process-global, so every test in this binary serializes on one mutex.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use ccal::core::calculus::{LayerError, Obligation};
 use ccal::core::contexts::ContextGen;
+use ccal::core::engine::{Engine, Settings};
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
 use ccal::core::fingerprint::{share_key, ShareKey};
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimSpec};
-use ccal::core::prefix::{self, BytecodeOverride, ShareSemanticOverride};
+use ccal::core::prefix;
 use ccal::core::sim::{
     check_prim_refinement, SimEvidence, SimFailure, SimOptions, SimRelation, SimWarm,
 };
@@ -50,24 +49,27 @@ use ccal::verifier::{
 use ccal_certd::registry::{self, UnitOutcome, WarmMap};
 use ccal_certd::CertParams;
 
-/// Serializes the tests in this binary: the semantic-sharing override and
-/// the prefix counters are process-global.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 // ---------------------------------------------------------------------------
 // 1. Registry differential: semantic + warm vs. pinned + cold.
 // ---------------------------------------------------------------------------
 
-/// Certifies every unit of `stack` in pipeline order. With `semantic`
-/// off, this is the pre-sharing engine: per-unit pinned keys, no warm
-/// state. With `semantic` on, units draw warm state from one [`WarmMap`]
-/// keyed by their semantic sharing key — the daemon's exact flow — so
+/// Certifies every unit of `stack` in pipeline order, under an engine of
+/// the ClightX tier `bytecode`. With `semantic` off, this is the
+/// pre-sharing engine: per-unit pinned keys, no warm state. With
+/// `semantic` on, units draw warm state from one [`WarmMap`] keyed by
+/// their semantic sharing key — the daemon's exact flow — so
 /// content-equal units feed each other.
-fn certify_stack(stack: &str, params: &CertParams, semantic: bool) -> Vec<UnitOutcome> {
-    let _mode = ShareSemanticOverride::force(semantic);
+fn certify_stack(
+    stack: &str,
+    params: &CertParams,
+    bytecode: bool,
+    semantic: bool,
+) -> Vec<UnitOutcome> {
+    let _entered = Engine::new(Settings {
+        bytecode,
+        share_semantic: semantic,
+    })
+    .enter();
     let warm = WarmMap::new();
     registry::stack_units(stack, params)
         .expect("stack resolves")
@@ -82,10 +84,8 @@ fn certify_stack(stack: &str, params: &CertParams, semantic: bool) -> Vec<UnitOu
 
 #[test]
 fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
-    let _guard = serial();
     for stack in ["ticket", "qlock", "scratch"] {
-        // (ClightX tier, params): the tier is process-wide, chosen by a
-        // `BytecodeOverride` around each pair of runs.
+        // (ClightX tier, params): each run enters an engine of its tier.
         let mut grid: Vec<(bool, CertParams)> = Vec::new();
         for bytecode in [true, false] {
             for workers in [1, 4] {
@@ -105,9 +105,8 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
             grid.push((true, p));
         }
         for (bytecode, params) in &grid {
-            let _tier = BytecodeOverride::force(*bytecode);
-            let pinned = certify_stack(stack, params, false);
-            let shared = certify_stack(stack, params, true);
+            let pinned = certify_stack(stack, params, *bytecode, false);
+            let shared = certify_stack(stack, params, *bytecode, true);
             assert_eq!(
                 pinned, shared,
                 "stack `{stack}` drifted under semantic sharing \
@@ -225,7 +224,6 @@ const DEEP: [bool; 2] = [false, true];
 
 #[test]
 fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
-    let _guard = serial();
     let lower = LayerInterface::builder("LD")
         .prim(PrimSpec::atomic("op", |ctx, args| {
             ctx.emit(EventKind::Prim("op".into(), vec![args[0].clone()]));
@@ -304,7 +302,6 @@ fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
 
 #[test]
 fn liveness_matches_between_shared_and_pinned_twin_grids() {
-    let _guard = serial();
     use ccal::core::layer::{PrimCtx, PrimRun, PrimStep};
     use ccal::core::machine::MachineError;
     struct WaitFor(usize);
@@ -346,7 +343,6 @@ fn liveness_matches_between_shared_and_pinned_twin_grids() {
 
 #[test]
 fn race_freedom_matches_between_shared_and_pinned_twin_grids() {
-    let _guard = serial();
     use ccal::machine::mx86::mx86_hw_interface;
     let iface = mx86_hw_interface();
     let family = twin_family(&iface);
@@ -379,7 +375,6 @@ fn race_freedom_matches_between_shared_and_pinned_twin_grids() {
 
 #[test]
 fn linearizability_matches_between_shared_and_pinned_twin_grids() {
-    let _guard = serial();
     let queue_iface = |broken: bool| {
         let mut b = LayerInterface::builder("Lq").prim(PrimSpec::atomic("enq", |ctx, args| {
             let q = QId(args[0].as_int()? as u32);
@@ -444,7 +439,6 @@ fn linearizability_matches_between_shared_and_pinned_twin_grids() {
 
 #[test]
 fn sequence_refinement_matches_between_shared_and_pinned_twin_grids() {
-    let _guard = serial();
     let scripts = vec![
         vec![("bump".to_owned(), vec![]); 4],
         vec![("bump".to_owned(), vec![]); 2],
@@ -541,11 +535,14 @@ fn aliasing_grid(family: u64) -> Vec<EnvContext> {
 
 #[test]
 fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
-    let _guard = serial();
     let src_a = op_source(1);
     let src_b = op_source(2);
     for bytecode in [true, false] {
-        let _tier = BytecodeOverride::force(bytecode);
+        let _tier = Engine::new(Settings {
+            bytecode,
+            ..Settings::default()
+        })
+        .enter();
         let machine_a = op_machine(&src_a);
         let machine_b = op_machine(&src_b);
         let spec_a = op_spec("U-op-A");
@@ -577,7 +574,7 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
 
         let args: Vec<Vec<Val>> = (0..3).map(|i| vec![Val::Int(i)]).collect();
         // Runs one check and captures the work alongside the verdict: the
-        // engine's global share/step counters plus the warm handle's own
+        // engine's share/step counters plus the warm handle's own
         // hit deltas. Serial + deterministic, so equal work means equal
         // counters, exactly.
         let run = |iface: &LayerInterface, spec: &LayerInterface, family: u64, warm: &SimWarm| {
