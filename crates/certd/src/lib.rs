@@ -17,7 +17,8 @@
 //! * **Warm memo state** ([`coordinator`], [`shard`]): the daemon and its
 //!   shards keep one [`ccal_core::sim::SimWarm`] per unit fingerprint
 //!   alive across requests, so a re-check of a known unit starts with the
-//!   prefix memo, snapshot trie and upper-run cache already populated.
+//!   kernel table (memoized outcomes and snapshots) and the upper-run
+//!   cache already populated.
 //!   Per-request hit/evict deltas are reported in the response.
 //! * **Sharded grid** ([`proto`], [`coordinator`]): the kernel's flat
 //!   `ci·ninner + inner` index space is cut into half-open windows and

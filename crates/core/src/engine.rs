@@ -75,9 +75,14 @@ pub enum Counter {
     /// instructions retired inside a ClightX primitive body — the work
     /// the bytecode tier eliminates (the B6 metric).
     PrimSteps,
-    /// Lower runs answered from a [`crate::prefix::PrefixMemo`].
+    /// Lower runs answered without re-executing the checked computation:
+    /// from a memoized outcome in the kernel table
+    /// ([`crate::explore::Kernel::cached`]), or — in the simulation
+    /// checker — from a sealed setup phase or a completed-call snapshot.
     Shared,
-    /// Lower runs resumed from a [`crate::prefix::SnapshotTrie`] snapshot.
+    /// Lower runs resumed from a mid-run query-point snapshot in the
+    /// kernel table ([`crate::explore::Kernel::resume_deepest`]), executing
+    /// only the schedule suffix.
     Deep,
     /// Whole-stack decompositions by `ccal-certd`'s registry (front-end
     /// runs, interface construction, unit fingerprinting).

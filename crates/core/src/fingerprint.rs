@@ -186,8 +186,8 @@ impl ContentHasher {
 /// exploration *family*. Two checks with equal `ShareKey`s explore the
 /// same lower machine (same sources and interfaces) for the
 /// same participant over the same context-grid structure under the same
-/// exploration-relevant options — so their `PrefixMemo` / `SnapshotTrie`
-/// entries describe the same deterministic computations and may safely
+/// exploration-relevant options — so their kernel-table entries (memoized
+/// outcomes and snapshots) describe the same deterministic computations and may safely
 /// live in one warm store, keyed apart only by the
 /// per-computation inner index (setup history + called primitive +
 /// arguments, see `crate::sim`).

@@ -8,11 +8,11 @@
 //!
 //! **Use it only for keys the program generates itself.** It has no
 //! random seed, so anyone who picks the keys can make them collide and
-//! degrade a map to a linear scan. The kernel stores that use it —
-//! [`crate::prefix::PrefixMemo`], [`crate::prefix::SnapshotTrie`] and
-//! [`crate::explore::BoundedCache`] — are keyed by schedule prefixes
-//! from [`crate::contexts::ContextGen`], content-hash family and inner
-//! ids, and abstract logs the checker produced. Maps keyed by anything
+//! degrade a map to a linear scan. The one store that uses it,
+//! [`crate::table::BoundedTable`] (the kernel's outcomes and snapshots,
+//! the simulation checker's upper-run cache), is keyed by schedule
+//! prefixes from [`crate::contexts::ContextGen`], content-hash family and
+//! inner ids, upper signatures, and abstract logs the checker produced. Maps keyed by anything
 //! from outside the process (certd's registry, store and wire maps) keep
 //! std's `RandomState`. Keys are still compared with `Eq`, so a collision
 //! costs time, never a verdict.

@@ -94,6 +94,7 @@ pub mod rely;
 pub mod replay;
 pub mod sim;
 pub mod strategy;
+pub mod table;
 pub mod val;
 
 /// Convenience re-exports of the types used by nearly every client.
@@ -115,7 +116,7 @@ pub mod prelude {
     pub use crate::machine::{LayerMachine, MachineError};
     pub use crate::module::{Lang, Module, ModuleFn};
     pub use crate::por::PidIndependence;
-    pub use crate::prefix::{PrefixMemo, ScheduleKey};
+    pub use crate::prefix::ScheduleKey;
     pub use crate::refine::{behaviors, check_contextual_refinement, ClientProgram};
     pub use crate::rely::{Conditions, Invariant, ProbeSuite, RelyGuarantee};
     pub use crate::replay::{

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Offline verification: a source check that engine state (settings,
-# counters, capture sinks) lives only in ccal_core::engine — no static
+# Offline verification, 23 stages: a formatting check (the workspace
+# must be rustfmt-clean under the default configuration; e2ebench/ is a
+# workspace of its own and is not covered), a source check that engine
+# state (settings, counters, capture sinks) lives only in
+# ccal_core::engine — no static
 # atomic, lock or OnceLock and no thread_local! anywhere else in
 # crates/*/src, bar the process-wide family-id counter — then tier-1
 # (release build + root-package tests), the
@@ -62,6 +65,9 @@ no_engine_globals() {
     return 1
   fi
 }
+
+stage "formatting: the workspace is rustfmt-clean (cargo fmt --all --check)" \
+  cargo fmt --all --check
 
 stage "engine state lives in one place: no static atomics, locks or thread-locals in crates/*/src outside crates/core/src/engine.rs (bar prefix::next_family)" \
   no_engine_globals

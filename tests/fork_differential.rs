@@ -3,8 +3,8 @@
 //! point and resumed — under the same context, or under any context that
 //! agrees with it on the consumed schedule prefix — must finish exactly
 //! like a fresh run: same result, same final log, same abstract state,
-//! same fuel consumption. This is the soundness core of the query-point
-//! snapshot trie (`ccal_core::prefix::SnapshotTrie`): strategies are pure
+//! same fuel consumption. This is the soundness core of the kernel's
+//! query-point snapshots (`ccal_core::explore::Kernel::snapshot`): strategies are pure
 //! functions of the log, so runs can only diverge through the events
 //! their environments append after the fork point.
 

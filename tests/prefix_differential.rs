@@ -5,8 +5,8 @@
 //! same first-failure case index, and bit-identical captured logs as the
 //! memo-free engine, across serial and parallel workers and with the
 //! partial-order reduction on or off. Every comparison runs with deep
-//! sharing (the query-point snapshot trie,
-//! `ccal_core::prefix::SnapshotTrie`) off and on, so forked-resume suffix
+//! sharing (query-point snapshots,
+//! `ccal_core::explore::Kernel::snapshot`) off and on, so forked-resume suffix
 //! execution is held to the same invisibility contract.
 
 mod engine;
