@@ -4,7 +4,7 @@
 //! [`crate::compile::compile_module`]. Its state is deliberately compact —
 //! a stack of `(pc, regs)` frames over `Arc`-shared code — so
 //! [`PrimRun::fork_run`] (the workhorse of the prefix-sharing and
-//! snapshot-trie machinery in `ccal_core::prefix`) copies a few flat
+//! query-point snapshot machinery in `ccal_core::explore`) copies a few flat
 //! register vectors instead of a tree-walking work stack.
 //!
 //! Semantics are shared with the interpreter ([`crate::interp`]): the
