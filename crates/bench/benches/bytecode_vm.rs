@@ -26,8 +26,8 @@
 use std::fmt::Write as _;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var_os("CCAL_BENCH_QUICK").is_some();
+    let quick =
+        std::env::args().any(|a| a == "--quick") || std::env::var_os("CCAL_BENCH_QUICK").is_some();
     let lens: &[usize] = if quick { &[3, 5] } else { &[3, 4, 5] };
 
     let rows: Vec<_> = lens

@@ -10,8 +10,8 @@
 //! wall-clock timing either way.
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var_os("CCAL_BENCH_QUICK").is_some();
+    let quick =
+        std::env::args().any(|a| a == "--quick") || std::env::var_os("CCAL_BENCH_QUICK").is_some();
     let lens: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4, 5, 6, 7] };
     println!("{}", ccal_bench::scaling::render_scaling(lens));
     let por_lens: &[usize] = if quick { &[3] } else { &[3, 4, 5] };

@@ -33,7 +33,11 @@ fn installed(src: &str, base: LayerInterface) -> LayerInterface {
         .expect("lock module installs")
 }
 
-fn contended_run(iface: &LayerInterface, ncpus: u32, rounds: usize) -> ccal_core::conc::ConcurrentOutcome {
+fn contended_run(
+    iface: &LayerInterface,
+    ncpus: u32,
+    rounds: usize,
+) -> ccal_core::conc::ConcurrentOutcome {
     let b = Loc(0);
     let domain: Vec<Pid> = (0..ncpus).map(Pid).collect();
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::new(domain.clone())));
@@ -54,12 +58,7 @@ fn contended_run(iface: &LayerInterface, ncpus: u32, rounds: usize) -> ccal_core
 fn probe_events(out: &ccal_core::conc::ConcurrentOutcome) -> usize {
     out.log
         .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                EventKind::GetN(_) | EventKind::McsGetLocked(_)
-            )
-        })
+        .filter(|e| matches!(e.kind, EventKind::GetN(_) | EventKind::McsGetLocked(_)))
         .count()
 }
 
@@ -79,7 +78,9 @@ fn bench_contention(c: &mut Criterion) {
     }
     group.finish();
 
-    println!("\nB3 summary — shared probe events per acquisition (lower = less interconnect traffic):");
+    println!(
+        "\nB3 summary — shared probe events per acquisition (lower = less interconnect traffic):"
+    );
     println!("{:>6} {:>14} {:>14}", "cpus", "ticket", "mcs");
     for ncpus in [1_u32, 2, 4] {
         let t = contended_run(&ticket, ncpus, rounds);

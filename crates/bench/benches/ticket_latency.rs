@@ -9,7 +9,10 @@ use ccal_bench::latency::{direct_machine, layered_machine, roundtrip};
 use ccal_core::id::Loc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn warmed(mk: fn() -> ccal_core::machine::LayerMachine, warm: u32) -> ccal_core::machine::LayerMachine {
+fn warmed(
+    mk: fn() -> ccal_core::machine::LayerMachine,
+    warm: u32,
+) -> ccal_core::machine::LayerMachine {
     let mut m = mk();
     for _ in 0..warm {
         roundtrip(&mut m, Loc(0));

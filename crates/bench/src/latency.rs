@@ -87,9 +87,7 @@ pub fn roundtrip(machine: &mut LayerMachine, b: Loc) {
     machine
         .call_prim("acq", &[Val::Loc(b)])
         .expect("uncontended acquire");
-    machine
-        .call_prim("rel", &[Val::Loc(b)])
-        .expect("release");
+    machine.call_prim("rel", &[Val::Loc(b)]).expect("release");
 }
 
 /// The result of the quick latency measurement.

@@ -283,8 +283,7 @@ fn certify_por(
 /// grid in explored-case accounting.
 pub fn por_row_tuned(schedule_len: usize, workers: usize) -> PorRow {
     let (grid, explored, skipped, reduced, serial_por) = certify_por(schedule_len, 1, true);
-    let (grid_f, full_cases, full_skipped, zero, serial_full) =
-        certify_por(schedule_len, 1, false);
+    let (grid_f, full_cases, full_skipped, zero, serial_full) = certify_por(schedule_len, 1, false);
     assert_eq!(grid, grid_f, "grid size must not depend on POR");
     assert_eq!(zero, 0, "POR off must reduce nothing");
     assert_eq!(
@@ -321,7 +320,15 @@ pub fn render_por(lens: &[usize]) -> String {
     let _ = writeln!(
         out,
         "{:>4} {:>8} {:>9} {:>8} {:>7} {:>12} {:>12} {:>12} {:>12}",
-        "len", "grid", "explored", "reduced", "shrink", "ser/full", "ser/por", "par/full", "par/por"
+        "len",
+        "grid",
+        "explored",
+        "reduced",
+        "shrink",
+        "ser/full",
+        "ser/por",
+        "par/full",
+        "par/por"
     );
     for &len in lens {
         let row = por_row_tuned(len, workers);
@@ -441,7 +448,15 @@ pub fn render_por_widened(lens: &[usize]) -> String {
     let _ = writeln!(
         out,
         "{:>4} {:>8} {:>9} {:>8} {:>7} {:>12} {:>12} {:>12} {:>12}",
-        "len", "grid", "explored", "reduced", "shrink", "ser/full", "ser/por", "par/full", "par/por"
+        "len",
+        "grid",
+        "explored",
+        "reduced",
+        "shrink",
+        "ser/full",
+        "ser/por",
+        "par/full",
+        "par/por"
     );
     for &len in lens {
         let row = por_widened_row_tuned(len, workers);
@@ -586,7 +601,10 @@ pub fn prefix_row_tuned(schedule_len: usize, workers: usize) -> PrefixRow {
     let (full_cases, steps_full, full_hits, full_deep, serial_full) =
         certify_prefix(schedule_len, 1, false, false);
     assert_eq!(cases, full_cases, "sharing changed the discharged cases");
-    assert_eq!(cases, deep_cases, "deep sharing changed the discharged cases");
+    assert_eq!(
+        cases, deep_cases,
+        "deep sharing changed the discharged cases"
+    );
     assert_eq!(full_hits, 0, "sharing off must not hit the memo");
     assert_eq!(full_deep, 0, "sharing off must not resume snapshots");
     let (_, _, _, _, parallel_shared) = certify_prefix(schedule_len, workers, true, false);
@@ -779,8 +797,12 @@ pub fn deep_row(schedule_len: usize) -> DeepRow {
     assert_eq!(boundary_deep, 0, "deep off must not resume snapshots");
     let (deep_cases, steps_deep, shared_hits, deep_hits, serial_deep) =
         certify_ticket_prefix(schedule_len, true, true);
-    let (full_cases, steps_full, full_hits, _, _) = certify_ticket_prefix(schedule_len, false, false);
-    assert_eq!(cases, deep_cases, "deep sharing changed the discharged cases");
+    let (full_cases, steps_full, full_hits, _, _) =
+        certify_ticket_prefix(schedule_len, false, false);
+    assert_eq!(
+        cases, deep_cases,
+        "deep sharing changed the discharged cases"
+    );
     assert_eq!(cases, full_cases, "sharing changed the discharged cases");
     assert_eq!(full_hits, 0, "sharing off must not hit the memo");
     DeepRow {
@@ -939,8 +961,7 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
 /// level) is asserted by the bench binary's gate.
 pub fn bytecode_row(schedule_len: usize) -> BytecodeRow {
     let grid = 3_usize.pow(schedule_len as u32);
-    let (cases, prim_steps_vm, atom_steps_vm, serial_vm) =
-        certify_ticket_tier(schedule_len, true);
+    let (cases, prim_steps_vm, atom_steps_vm, serial_vm) = certify_ticket_tier(schedule_len, true);
     let (interp_cases, prim_steps_interp, atom_steps_interp, serial_interp) =
         certify_ticket_tier(schedule_len, false);
     assert_eq!(cases, interp_cases, "the tier changed the discharged cases");

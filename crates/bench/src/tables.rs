@@ -148,7 +148,11 @@ pub fn render_table1() -> String {
         out,
         "Table 1 — toolkit components: paper (lines of Coq) vs. this reproduction (lines of Rust)"
     );
-    let _ = writeln!(out, "{:<24} {:>10} {:>10}   counted", "Component", "Coq LOC", "Rust LOC");
+    let _ = writeln!(
+        out,
+        "{:<24} {:>10} {:>10}   counted",
+        "Component", "Coq LOC", "Rust LOC"
+    );
     for r in &rows {
         let _ = writeln!(
             out,
@@ -158,7 +162,11 @@ pub fn render_table1() -> String {
     }
     let total_paper: u32 = rows.iter().map(|r| r.paper_loc).sum();
     let total_rust: usize = rows.iter().map(|r| r.rust_loc).sum();
-    let _ = writeln!(out, "{:<24} {:>10} {:>10}", "TOTAL", total_paper, total_rust);
+    let _ = writeln!(
+        out,
+        "{:<24} {:>10} {:>10}",
+        "TOTAL", total_paper, total_rust
+    );
     out
 }
 
@@ -224,7 +232,10 @@ pub fn table2() -> Vec<Table2Row> {
     // Shared queue.
     let q = Loc(3);
     let q_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)),
+        )
         .with_schedule_len(3)
         .contexts();
     let q_layer = sharedq::certify_shared_queue(Pid(0), q, q_ctx).expect("sharedq certifies");
@@ -232,7 +243,10 @@ pub fn table2() -> Vec<Table2Row> {
 
     // Scheduler.
     let s_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)),
+        )
         .with_schedule_len(3)
         .contexts();
     let s_layer =
@@ -250,11 +264,13 @@ pub fn table2() -> Vec<Table2Row> {
 
     // Condition variable + IPC (reusing the lock stacks).
     let cv_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)))
+        .with_player(
+            Pid(1),
+            Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)),
+        )
         .with_schedule_len(3)
         .contexts();
-    let cv_layer =
-        condvar::certify_condvar(Pid(0), QId(8), l, cv_ctx).expect("condvar certifies");
+    let cv_layer = condvar::certify_condvar(Pid(0), QId(8), l, cv_ctx).expect("condvar certifies");
     let (cv_ob, cv_cases) = certified_stats(&cv_layer);
 
     let ch = Loc(6);
@@ -360,7 +376,12 @@ pub fn render_table2() -> String {
         let _ = writeln!(
             out,
             "{:<20} {:>8} {:>9} | {:>8} {:>9} {:>6} {:>7}",
-            r.component, r.paper_source, r.paper_proof, r.impl_loc, r.spec_loc, r.obligations,
+            r.component,
+            r.paper_source,
+            r.paper_proof,
+            r.impl_loc,
+            r.spec_loc,
+            r.obligations,
             r.cases
         );
     }

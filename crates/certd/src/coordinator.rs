@@ -234,11 +234,7 @@ impl Inner {
 
     /// Runs one unit through the chunk queue and folds the windows back
     /// into a serial-equivalent report.
-    fn run_unit_distributed(
-        &self,
-        req: &CertRequest,
-        def: &UnitDef,
-    ) -> Result<UnitReport, String> {
+    fn run_unit_distributed(&self, req: &CertRequest, def: &UnitDef) -> Result<UnitReport, String> {
         let ncases = def.ncases.max(1);
         let chunk = if req.chunk_cases == 0 {
             ncases

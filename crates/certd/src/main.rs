@@ -157,7 +157,11 @@ fn render_plain(resp: &CertResponse) {
     println!("stack: {}", resp.stack);
     println!(
         "verdict: {}",
-        if resp.certified { "CERTIFIED" } else { "FAILED" }
+        if resp.certified {
+            "CERTIFIED"
+        } else {
+            "FAILED"
+        }
     );
     for u in &resp.units {
         println!(

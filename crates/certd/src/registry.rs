@@ -96,7 +96,11 @@ impl CtxSpec {
         let gen = match self {
             CtxSpec::TicketLow => ContextGen::new(vec![Pid(0), Pid(1)]).with_player(
                 Pid(1),
-                Arc::new(ticket::TicketEnvPlayer::new(Pid(1), TICKET_B, params.rounds)),
+                Arc::new(ticket::TicketEnvPlayer::new(
+                    Pid(1),
+                    TICKET_B,
+                    params.rounds,
+                )),
             ),
             CtxSpec::TicketAtomic => ContextGen::new(vec![Pid(0), Pid(1)]).with_player(
                 Pid(1),
@@ -107,8 +111,14 @@ impl CtxSpec {
                 Arc::new(qlock::QlockEnvPlayer::new(Pid(1), QLOCK_L, params.rounds)),
             ),
             CtxSpec::Scratch => ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
-                .with_player(Pid(1), Arc::new(ScratchPlayer::new(Pid(1), buggy::SCRATCH_A)))
-                .with_player(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), buggy::SCRATCH_B))),
+                .with_player(
+                    Pid(1),
+                    Arc::new(ScratchPlayer::new(Pid(1), buggy::SCRATCH_A)),
+                )
+                .with_player(
+                    Pid(2),
+                    Arc::new(ScratchPlayer::new(Pid(2), buggy::SCRATCH_B)),
+                ),
         };
         // The structural setters re-key the family to keep accidental
         // cross-family memo aliasing impossible, so `with_family` must
@@ -159,8 +169,7 @@ struct Unit {
 }
 
 fn front_end(name: &str, src: &str) -> Result<ccal_core::module::Module, String> {
-    ccal_clightx::clightx_module(name, src)
-        .map_err(|e| format!("{name} front-end: {e:?}"))
+    ccal_clightx::clightx_module(name, src).map_err(|e| format!("{name} front-end: {e:?}"))
 }
 
 /// The ClightX module sources of each stack, `(module name, source)`, in
@@ -189,7 +198,9 @@ fn units(stack: &str) -> Result<Vec<Unit>, String> {
             let lock = ticket::lock_interface();
             let l2 = ticket::l2_interface();
             let ext1 = m1.install(&l0).map_err(|e| format!("M1 install: {e:?}"))?;
-            let ext2 = m2.install(&lock).map_err(|e| format!("M2 install: {e:?}"))?;
+            let ext2 = m2
+                .install(&lock)
+                .map_err(|e| format!("M2 install: {e:?}"))?;
             let lock_args = vec![vec![Val::Loc(TICKET_B)]];
             let workload = |prim: &str| {
                 if matches!(prim, "acq" | "rel" | "foo") {
@@ -246,7 +257,9 @@ fn units(stack: &str) -> Result<Vec<Unit>, String> {
             let m = module(0)?;
             let under = qlock::qlock_underlay();
             let over = qlock::qlock_overlay();
-            let ext = m.install(&under).map_err(|e| format!("Mql install: {e:?}"))?;
+            let ext = m
+                .install(&under)
+                .map_err(|e| format!("Mql install: {e:?}"))?;
             let args = vec![vec![Val::Loc(QLOCK_L)]];
             for prim in over.prim_names() {
                 let setup = if prim == "rel_q" {
@@ -284,7 +297,12 @@ fn units(stack: &str) -> Result<Vec<Unit>, String> {
                 sources: Vec::new(),
             });
         }
-        other => return Err(format!("unknown stack `{other}` (known: {:?})", known_stacks())),
+        other => {
+            return Err(format!(
+                "unknown stack `{other}` (known: {:?})",
+                known_stacks()
+            ))
+        }
     }
     Ok(out)
 }
@@ -413,11 +431,7 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
     manifest_key_over(stack, stack_sources(stack), params)
 }
 
-fn manifest_key_over(
-    stack: &str,
-    sources: &[(&str, &str)],
-    params: &CertParams,
-) -> ContentHash {
+fn manifest_key_over(stack: &str, sources: &[(&str, &str)], params: &CertParams) -> ContentHash {
     let mut h = ContentHasher::new();
     h.section("ccal.cert.manifest.v5");
     h.str("stack", stack);
@@ -646,7 +660,11 @@ mod tests {
             ("scratch", "382b600570e8c250a0fb066852b2f133"),
         ];
         for (stack, key) in manifests {
-            assert_eq!(manifest_key(stack, &params).to_string(), key, "{stack} manifest");
+            assert_eq!(
+                manifest_key(stack, &params).to_string(),
+                key,
+                "{stack} manifest"
+            );
         }
         // One sharing family per lower machine: ticket has 3, qlock 1.
         let funlift = "410c95b29b95a82f3c7790bdc2a8387a";
@@ -656,15 +674,60 @@ mod tests {
         let scratch = "b2b3c8e30ab939f0eeddd5c64b41c965";
         // (stack, unit, fingerprint, share)
         let pinned = [
-            ("ticket", "funlift/acq", "7f3aeaa548993137141e098d22973b72", funlift),
-            ("ticket", "funlift/f", "de915c1e19baf074e9a6b4a5a76568f7", funlift),
-            ("ticket", "funlift/g", "6789b0dc59d613ec5d398ea5f7881f1b", funlift),
-            ("ticket", "funlift/rel", "19c0749f230cdf9543da7551d6b83546", funlift),
-            ("ticket", "loglift/acq", "2392efdf45592f731869d9eb2a88a3b1", loglift),
-            ("ticket", "loglift/f", "9ec75db0ef45b062d7606ddd381c5760", loglift),
-            ("ticket", "loglift/g", "677c267f4cb2d6449ff46d3051cacfde", loglift),
-            ("ticket", "loglift/rel", "5e4e415ee23bcf7193498fb75a5743fd", loglift),
-            ("ticket", "client/foo", "36066a9174a1ba27a0f69d31b60e871c", client),
+            (
+                "ticket",
+                "funlift/acq",
+                "7f3aeaa548993137141e098d22973b72",
+                funlift,
+            ),
+            (
+                "ticket",
+                "funlift/f",
+                "de915c1e19baf074e9a6b4a5a76568f7",
+                funlift,
+            ),
+            (
+                "ticket",
+                "funlift/g",
+                "6789b0dc59d613ec5d398ea5f7881f1b",
+                funlift,
+            ),
+            (
+                "ticket",
+                "funlift/rel",
+                "19c0749f230cdf9543da7551d6b83546",
+                funlift,
+            ),
+            (
+                "ticket",
+                "loglift/acq",
+                "2392efdf45592f731869d9eb2a88a3b1",
+                loglift,
+            ),
+            (
+                "ticket",
+                "loglift/f",
+                "9ec75db0ef45b062d7606ddd381c5760",
+                loglift,
+            ),
+            (
+                "ticket",
+                "loglift/g",
+                "677c267f4cb2d6449ff46d3051cacfde",
+                loglift,
+            ),
+            (
+                "ticket",
+                "loglift/rel",
+                "5e4e415ee23bcf7193498fb75a5743fd",
+                loglift,
+            ),
+            (
+                "ticket",
+                "client/foo",
+                "36066a9174a1ba27a0f69d31b60e871c",
+                client,
+            ),
             ("qlock", "acq_q", "ed64bdc066c87c5e6e15a4d0a7e2642f", qlock),
             ("qlock", "rel_q", "e6ddade8bbe60454278cf26431c3a6cb", qlock),
             ("scratch", "op", "dad1bbe58f816109ffb18839a629f88e", scratch),
@@ -705,10 +768,34 @@ mod tests {
     fn dispatch_knobs_leave_every_key_unchanged() {
         let base = CertParams::default();
         for (knob, params) in [
-            ("workers", CertParams { workers: 4, ..base.clone() }),
-            ("dedup", CertParams { dedup: false, ..base.clone() }),
-            ("prefix_share", CertParams { prefix_share: false, ..base.clone() }),
-            ("deep_share", CertParams { deep_share: false, ..base.clone() }),
+            (
+                "workers",
+                CertParams {
+                    workers: 4,
+                    ..base.clone()
+                },
+            ),
+            (
+                "dedup",
+                CertParams {
+                    dedup: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "prefix_share",
+                CertParams {
+                    prefix_share: false,
+                    ..base.clone()
+                },
+            ),
+            (
+                "deep_share",
+                CertParams {
+                    deep_share: false,
+                    ..base.clone()
+                },
+            ),
         ] {
             for stack in known_stacks() {
                 assert_eq!(
@@ -770,12 +857,10 @@ mod tests {
         for u in ["loglift/f", "loglift/g", "loglift/rel"] {
             assert_eq!(share(u), share("loglift/acq"), "{u}");
         }
-        let fams: std::collections::BTreeSet<_> =
-            ticket.iter().map(|u| u.share.clone()).collect();
+        let fams: std::collections::BTreeSet<_> = ticket.iter().map(|u| u.share.clone()).collect();
         assert_eq!(fams.len(), 3, "funlift / loglift / client families");
         // Fingerprints still key certificates strictly per-unit.
-        let fps: std::collections::BTreeSet<_> =
-            ticket.iter().map(|u| u.fingerprint).collect();
+        let fps: std::collections::BTreeSet<_> = ticket.iter().map(|u| u.fingerprint).collect();
         assert_eq!(fps.len(), ticket.len());
 
         // qlock: acq_q and rel_q differ only in checked primitive and
@@ -809,14 +894,19 @@ mod tests {
             assert!(out.failure.is_none());
         };
         let before = (prefix::steps_total(), decompositions_total());
-        std::thread::spawn(work.clone()).join().expect("worker thread");
+        std::thread::spawn(work.clone())
+            .join()
+            .expect("worker thread");
         assert_eq!(
             (prefix::steps_total(), decompositions_total()),
             before,
             "another thread's certification is not this thread's"
         );
         work();
-        assert!(prefix::steps_total() > before.0, "this thread's own run counts");
+        assert!(
+            prefix::steps_total() > before.0,
+            "this thread's own run counts"
+        );
         assert_eq!(decompositions_total(), before.1 + 1);
     }
 
@@ -827,17 +917,26 @@ mod tests {
         let whole = run_unit("ticket", "funlift/acq", &params, None, None).expect("runs");
         assert_eq!(whole.failure, None);
         let mid = def.ncases / 2;
-        let left =
-            run_unit("ticket", "funlift/acq", &params, Some((0, mid)), None).expect("runs");
-        let right = run_unit("ticket", "funlift/acq", &params, Some((mid, def.ncases)), None)
-            .expect("runs");
+        let left = run_unit("ticket", "funlift/acq", &params, Some((0, mid)), None).expect("runs");
+        let right = run_unit(
+            "ticket",
+            "funlift/acq",
+            &params,
+            Some((mid, def.ncases)),
+            None,
+        )
+        .expect("runs");
         assert_eq!(
             (
                 left.cases_checked + right.cases_checked,
                 left.cases_skipped + right.cases_skipped,
                 left.cases_reduced + right.cases_reduced,
             ),
-            (whole.cases_checked, whole.cases_skipped, whole.cases_reduced),
+            (
+                whole.cases_checked,
+                whole.cases_skipped,
+                whole.cases_reduced
+            ),
             "disjoint windows partition the whole-grid accounting"
         );
     }

@@ -202,7 +202,11 @@ impl CertStore {
 
     /// The stored verdict for `fp`.
     pub fn get(&self, fp: ContentHash) -> Option<StoredUnit> {
-        self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(&fp).cloned()
+        self.mem
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&fp)
+            .cloned()
     }
 
     /// Mirrors one record to `<dir>/<name>.json` when the store is
@@ -329,7 +333,10 @@ mod tests {
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .filter(|n| n.ends_with(".tmp"))
             .collect();
-        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -352,7 +359,13 @@ mod tests {
         {
             let store = CertStore::at_dir(dir.clone()).expect("creates");
             store.put_manifest(fp(99), manifest());
-            store.put(fp(11), StoredUnit { failure: None, ..sample("acq_q") });
+            store.put(
+                fp(11),
+                StoredUnit {
+                    failure: None,
+                    ..sample("acq_q")
+                },
+            );
         }
         let reopened = CertStore::at_dir(dir.clone()).expect("reopens");
         assert_eq!(

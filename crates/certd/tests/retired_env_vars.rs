@@ -52,7 +52,11 @@ fn retired_variables_switch_nothing_off() {
     for value in ["4", "garbage"] {
         std::env::set_var("CCAL_WORKERS", value);
         assert_eq!(ExploreOptions::default().workers, 1, "CCAL_WORKERS={value}");
-        assert_eq!(SimOptions::default().explore.workers, 1, "CCAL_WORKERS={value}");
+        assert_eq!(
+            SimOptions::default().explore.workers,
+            1,
+            "CCAL_WORKERS={value}"
+        );
     }
 
     // Generated grids still carry the partial-order reduction's marks.

@@ -55,10 +55,16 @@ impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::TooManyParams { func, count } => {
-                write!(f, "`{func}` has {count} parameters; the convention allows 3")
+                write!(
+                    f,
+                    "`{func}` has {count} parameters; the convention allows 3"
+                )
             }
             CompileError::TooManyArgs { callee, count } => {
-                write!(f, "call to `{callee}` passes {count} arguments; the convention allows 3")
+                write!(
+                    f,
+                    "call to `{callee}` passes {count} arguments; the convention allows 3"
+                )
             }
             CompileError::NotLowered { func } => {
                 write!(f, "`{func}` is not in lowered form")
@@ -345,14 +351,23 @@ mod tests {
     #[test]
     fn compiles_arithmetic() {
         let asm = compile_src("int f(int x, int y) { return (x + y) * 2 - x / y; }");
-        assert_eq!(run_asm(&asm, "f", &[Val::Int(7), Val::Int(3)]), Val::Int(18));
+        assert_eq!(
+            run_asm(&asm, "f", &[Val::Int(7), Val::Int(3)]),
+            Val::Int(18)
+        );
     }
 
     #[test]
     fn compiles_conditionals() {
         let asm = compile_src("int max(int a, int b) { if (a > b) { return a; } return b; }");
-        assert_eq!(run_asm(&asm, "max", &[Val::Int(4), Val::Int(9)]), Val::Int(9));
-        assert_eq!(run_asm(&asm, "max", &[Val::Int(9), Val::Int(4)]), Val::Int(9));
+        assert_eq!(
+            run_asm(&asm, "max", &[Val::Int(4), Val::Int(9)]),
+            Val::Int(9)
+        );
+        assert_eq!(
+            run_asm(&asm, "max", &[Val::Int(9), Val::Int(4)]),
+            Val::Int(9)
+        );
     }
 
     #[test]
@@ -369,7 +384,10 @@ mod tests {
             }
             "#,
         );
-        assert_eq!(run_asm(&asm, "first_square_above", &[Val::Int(20)]), Val::Int(5));
+        assert_eq!(
+            run_asm(&asm, "first_square_above", &[Val::Int(20)]),
+            Val::Int(5)
+        );
     }
 
     #[test]
@@ -393,9 +411,8 @@ mod tests {
 
     #[test]
     fn rejects_too_many_params() {
-        let lowered = lower_module(
-            &parse_module("int f(int a, int b, int c, int d) { return a; }").unwrap(),
-        );
+        let lowered =
+            lower_module(&parse_module("int f(int a, int b, int c, int d) { return a; }").unwrap());
         assert!(matches!(
             compile_module(&lowered),
             Err(CompileError::TooManyParams { .. })

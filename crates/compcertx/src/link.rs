@@ -52,9 +52,7 @@ pub struct LinkOutcome {
 ///
 /// [`LayerError::Mismatch`] if the composed thread memories do not equal
 /// the CPU memory, or some load disagrees.
-pub fn simulate_threaded_linking(
-    schedule: &[(u32, usize)],
-) -> Result<LinkOutcome, LayerError> {
+pub fn simulate_threaded_linking(schedule: &[(u32, usize)]) -> Result<LinkOutcome, LayerError> {
     let mut cpu = Memory::new();
     let mut threads: BTreeMap<u32, Memory> = BTreeMap::new();
     for (tid, _) in schedule {
@@ -131,10 +129,7 @@ pub fn simulate_threaded_linking(
         thread_memories: threads,
         obligation: Obligation {
             rule: Rule::MultithreadLink,
-            description: format!(
-                "m1 ⊛ ... ⊛ mN ≃ m over a {}-slice schedule",
-                schedule.len()
-            ),
+            description: format!("m1 ⊛ ... ⊛ mN ≃ m over a {}-slice schedule", schedule.len()),
             cases_checked: loads_checked,
             cases_skipped: 0,
             cases_reduced: 0,

@@ -193,7 +193,10 @@ pub fn compile_and_validate(
         }
         certificate.push(Obligation {
             rule: Rule::TranslationValidation,
-            description: format!("CompCertX(`{}`) ≤_id ⟦{0}⟧_C over {}", func.name, underlay.name),
+            description: format!(
+                "CompCertX(`{}`) ≤_id ⟦{0}⟧_C over {}",
+                func.name, underlay.name
+            ),
             cases_checked,
             cases_skipped,
             cases_reduced: 0,

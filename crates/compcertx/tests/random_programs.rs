@@ -21,10 +21,19 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(3, 12, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), prop_oneof![
-                Just(BinOp::Add), Just(BinOp::Sub), Just(BinOp::Mul),
-                Just(BinOp::Lt), Just(BinOp::Le), Just(BinOp::Eq), Just(BinOp::Ne),
-            ])
+            (
+                inner.clone(),
+                inner.clone(),
+                prop_oneof![
+                    Just(BinOp::Add),
+                    Just(BinOp::Sub),
+                    Just(BinOp::Mul),
+                    Just(BinOp::Lt),
+                    Just(BinOp::Le),
+                    Just(BinOp::Eq),
+                    Just(BinOp::Ne),
+                ]
+            )
                 .prop_map(|(a, b, op)| Expr::Binop(op, Box::new(a), Box::new(b))),
             inner
                 .clone()
@@ -37,8 +46,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 fn arb_stmt() -> impl Strategy<Value = Stmt> {
     let leaf = prop_oneof![
         Just(Stmt::Skip),
-        (0_usize..VARS.len(), arb_expr())
-            .prop_map(|(i, e)| Stmt::Assign(VARS[i].into(), e)),
+        (0_usize..VARS.len(), arb_expr()).prop_map(|(i, e)| Stmt::Assign(VARS[i].into(), e)),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
@@ -53,11 +61,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
             // start (it may assign, so re-bound with a guard).
             inner.prop_map(|body| {
                 Stmt::While(
-                    Expr::Binop(
-                        BinOp::Gt,
-                        Box::new(Expr::var("a")),
-                        Box::new(Expr::Int(0)),
-                    ),
+                    Expr::Binop(BinOp::Gt, Box::new(Expr::var("a")), Box::new(Expr::Int(0))),
                     Box::new(Stmt::Block(vec![
                         Stmt::Assign(
                             "a".into(),

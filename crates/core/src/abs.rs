@@ -210,8 +210,10 @@ mod tests {
     fn update_applies_function() {
         let mut a = AbsState::new();
         a.set("n", Val::Int(5));
-        a.update("n", |v| Ok(Val::Int(v.as_int().map_err(AbsError::from)? + 1)))
-            .unwrap();
+        a.update("n", |v| {
+            Ok(Val::Int(v.as_int().map_err(AbsError::from)? + 1))
+        })
+        .unwrap();
         assert_eq!(a.get_int("n").unwrap(), 6);
     }
 

@@ -350,19 +350,17 @@ mod tests {
         assert_eq!(27 - marked, expected_canonical);
 
         // POR off, or a sampled grid, never marks.
-        assert!(
-            !gen.clone()
-                .with_por(false)
-                .contexts()
-                .iter()
-                .any(|c| c.is_por_equivalent())
-        );
-        assert!(
-            !gen.with_max_contexts(10)
-                .contexts()
-                .iter()
-                .any(|c| c.is_por_equivalent())
-        );
+        assert!(!gen
+            .clone()
+            .with_por(false)
+            .contexts()
+            .iter()
+            .any(|c| c.is_por_equivalent()));
+        assert!(!gen
+            .with_max_contexts(10)
+            .contexts()
+            .iter()
+            .any(|c| c.is_por_equivalent()));
     }
 
     #[test]
@@ -384,7 +382,9 @@ mod tests {
             .with_por(false)
             .with_max_contexts(16)
             .contexts();
-        assert!(ctxs.iter().all(|c| c.schedule_key().unwrap().family() == 99));
+        assert!(ctxs
+            .iter()
+            .all(|c| c.schedule_key().unwrap().family() == 99));
     }
 
     #[test]

@@ -135,11 +135,29 @@ impl EventKind {
     pub fn footprints(&self) -> Vec<Footprint> {
         use EventKind::*;
         match self {
-            Pull(b) | Push(b, _) | FaiT(b) | GetN(b) | IncN(b) | Hold(b) | Acq(b) | Rel(b)
-            | McsSwap(b) | McsCasTail(b) | McsSetNext(b, _) | McsGetLocked(b) | McsGrant(b, _)
-            | AcqQ(b) | RelQ(b) => vec![Footprint::Loc(*b)],
-            EnQ(q, _) | DeQ(q) | Wakeup(q) | CvWait(q) | CvSignal(q) | CvBroadcast(q)
-            | IpcSend(q, _) | IpcRecv(q) => vec![Footprint::Queue(*q)],
+            Pull(b)
+            | Push(b, _)
+            | FaiT(b)
+            | GetN(b)
+            | IncN(b)
+            | Hold(b)
+            | Acq(b)
+            | Rel(b)
+            | McsSwap(b)
+            | McsCasTail(b)
+            | McsSetNext(b, _)
+            | McsGetLocked(b)
+            | McsGrant(b, _)
+            | AcqQ(b)
+            | RelQ(b) => vec![Footprint::Loc(*b)],
+            EnQ(q, _)
+            | DeQ(q)
+            | Wakeup(q)
+            | CvWait(q)
+            | CvSignal(q)
+            | CvBroadcast(q)
+            | IpcSend(q, _)
+            | IpcRecv(q) => vec![Footprint::Queue(*q)],
             Sleep(q, lk) => vec![Footprint::Queue(*q), Footprint::Loc(*lk)],
             HwSched(_) | Yield | Prim(..) => vec![Footprint::Global],
         }
@@ -300,7 +318,10 @@ mod tests {
     #[test]
     fn independence_requires_disjoint_footprints() {
         let pull0 = EventKind::Pull(Loc(0));
-        assert!(commute(&pull0, &EventKind::Pull(Loc(1))), "disjoint locations commute");
+        assert!(
+            commute(&pull0, &EventKind::Pull(Loc(1))),
+            "disjoint locations commute"
+        );
         let push0 = EventKind::Push(Loc(0), Val::Int(1));
         assert!(!commute(&pull0, &push0), "same location conflicts");
     }
@@ -330,14 +351,29 @@ mod tests {
         // lock event, since a `Prim` is never lock-ordered.
         let pure = EventKind::Prim("f".into(), vec![]);
         let acq = EventKind::Acq(Loc(0));
-        assert!(EventKind::independent_kinds(&pure, &[], &acq, &acq.footprints()));
+        assert!(EventKind::independent_kinds(
+            &pure,
+            &[],
+            &acq,
+            &acq.footprints()
+        ));
         let sched = EventKind::HwSched(Pid(2));
         assert!(!EventKind::independent_kinds(&pure, &[], &sched, &[]));
         let take = EventKind::Prim("take".into(), vec![Val::Loc(Loc(0))]);
         let at0 = [Footprint::Loc(Loc(0))];
         let pull = |b| EventKind::Pull(Loc(b));
-        assert!(EventKind::independent_kinds(&take, &at0, &pull(1), &pull(1).footprints()));
-        assert!(!EventKind::independent_kinds(&take, &at0, &pull(0), &pull(0).footprints()));
+        assert!(EventKind::independent_kinds(
+            &take,
+            &at0,
+            &pull(1),
+            &pull(1).footprints()
+        ));
+        assert!(!EventKind::independent_kinds(
+            &take,
+            &at0,
+            &pull(0),
+            &pull(0).footprints()
+        ));
     }
 
     #[test]

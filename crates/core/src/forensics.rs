@@ -68,7 +68,9 @@ pub fn capturing() -> bool {
 pub fn record(case: FailingCase) {
     engine::with_current(|e| {
         if let Some(sink) = &e.capture {
-            sink.lock().unwrap_or_else(PoisonError::into_inner).push(case);
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(case);
         }
     });
 }
@@ -244,7 +246,11 @@ mod tests {
         assert_eq!(inner.take().len(), 1);
         record(case(3));
         assert_eq!(
-            outer.take().iter().map(|c| c.case_index).collect::<Vec<_>>(),
+            outer
+                .take()
+                .iter()
+                .map(|c| c.case_index)
+                .collect::<Vec<_>>(),
             vec![1, 3]
         );
     }

@@ -192,8 +192,10 @@ mod tests {
 
     #[test]
     fn link_merges_and_rejects_duplicates() {
-        let a = Module::new("A").with_fn(Lang::Native, PrimSpec::private("f", |_, _| Ok(Val::Unit)));
-        let b = Module::new("B").with_fn(Lang::Native, PrimSpec::private("g", |_, _| Ok(Val::Unit)));
+        let a =
+            Module::new("A").with_fn(Lang::Native, PrimSpec::private("f", |_, _| Ok(Val::Unit)));
+        let b =
+            Module::new("B").with_fn(Lang::Native, PrimSpec::private("g", |_, _| Ok(Val::Unit)));
         let ab = a.link(&b).unwrap();
         assert_eq!(ab.fn_names(), vec!["f", "g"]);
         assert!(ab.link(&a).is_err());
@@ -234,7 +236,10 @@ mod tests {
 
     #[test]
     fn install_rejects_name_collisions() {
-        let m = Module::new("M").with_fn(Lang::Native, PrimSpec::private("ping", |_, _| Ok(Val::Unit)));
+        let m = Module::new("M").with_fn(
+            Lang::Native,
+            PrimSpec::private("ping", |_, _| Ok(Val::Unit)),
+        );
         assert!(m.install(&base()).is_err());
     }
 

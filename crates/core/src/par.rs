@@ -113,7 +113,10 @@ where
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        })
         .collect()
 }
 

@@ -336,13 +336,7 @@ mod tests {
                 let classes = trace_classes(&domain, len, &ind);
                 let expected: BTreeSet<usize> = classes
                     .iter()
-                    .map(|class| {
-                        class
-                            .iter()
-                            .map(|w| index_of(&domain, w))
-                            .min()
-                            .unwrap()
-                    })
+                    .map(|class| class.iter().map(|w| index_of(&domain, w)).min().unwrap())
                     .collect();
                 let got = canonical_index_set(&domain, len, &ind);
                 assert_eq!(
@@ -422,11 +416,26 @@ mod tests {
         }
         let domain = [Pid(1), Pid(2), Pid(3)];
         let mut players: BTreeMap<Pid, Arc<dyn Strategy>> = BTreeMap::new();
-        players.insert(Pid(1), Arc::new(Op { b: Loc(1), declares: true }));
+        players.insert(
+            Pid(1),
+            Arc::new(Op {
+                b: Loc(1),
+                declares: true,
+            }),
+        );
         players.insert(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), Loc(2))));
-        players.insert(Pid(3), Arc::new(Op { b: Loc(3), declares: false }));
+        players.insert(
+            Pid(3),
+            Arc::new(Op {
+                b: Loc(3),
+                declares: false,
+            }),
+        );
         let ind = PidIndependence::from_players(&domain, &players);
-        assert!(ind.independent(Pid(1), Pid(2)), "declared `op(b1)` is local to b1");
+        assert!(
+            ind.independent(Pid(1), Pid(2)),
+            "declared `op(b1)` is local to b1"
+        );
         assert!(
             !ind.independent(Pid(3), Pid(2)),
             "the same-named `op` of a player declaring nothing stays global"

@@ -44,8 +44,8 @@ pub fn behaviors(
 ) -> Result<Vec<Log>, LayerError> {
     let mut logs = Vec::new();
     for env in contexts {
-        let machine = ConcurrentMachine::new(iface.clone(), focused.clone(), env.clone())
-            .with_fuel(fuel);
+        let machine =
+            ConcurrentMachine::new(iface.clone(), focused.clone(), env.clone()).with_fuel(fuel);
         match machine.run(client) {
             Ok(out) => logs.push(out.log),
             Err(e) if e.is_invalid_context() => continue,
@@ -89,13 +89,15 @@ pub fn check_contextual_refinement(
             Err(e) => return Err(LayerError::Machine(e)),
         };
         // Abstract through R and replay for the overlay run.
-        let expected = layer.relation.abstracted(&lower.log).ok_or_else(|| {
-            LayerError::Mismatch {
-                expected: format!("log in domain of {}", layer.relation.name()),
-                found: lower.log.to_string(),
-                context: format!("soundness, context #{ci}"),
-            }
-        })?;
+        let expected =
+            layer
+                .relation
+                .abstracted(&lower.log)
+                .ok_or_else(|| LayerError::Mismatch {
+                    expected: format!("log in domain of {}", layer.relation.name()),
+                    found: lower.log.to_string(),
+                    context: format!("soundness, context #{ci}"),
+                })?;
         let upper_env = replay_env_set(&expected, &layer.focused);
         let upper_machine =
             ConcurrentMachine::new(layer.overlay.clone(), layer.focused.clone(), upper_env)
@@ -217,8 +219,7 @@ mod tests {
         .unwrap();
         let mut client = ClientProgram::new();
         client.insert(Pid(0), vec![("nice".to_owned(), vec![]); 2]);
-        let ob =
-            check_contextual_refinement(&layer, &client, &gen.contexts(), 100_000).unwrap();
+        let ob = check_contextual_refinement(&layer, &client, &gen.contexts(), 100_000).unwrap();
         assert!(ob.cases_checked > 0);
         assert_eq!(ob.rule, Rule::Soundness);
     }
@@ -251,8 +252,7 @@ mod tests {
         let mut client = ClientProgram::new();
         client.insert(Pid(0), vec![("nice".to_owned(), vec![])]);
         client.insert(Pid(1), vec![("nice".to_owned(), vec![])]);
-        let ob =
-            check_contextual_refinement(&both, &client, &gen.contexts(), 100_000).unwrap();
+        let ob = check_contextual_refinement(&both, &client, &gen.contexts(), 100_000).unwrap();
         assert!(ob.cases_checked > 0);
     }
 

@@ -251,9 +251,9 @@ impl Conditions {
                 continue;
             }
             // Empirical check on the probe suite.
-            let empirically_ok = probes.iter().all(|(pid, log)| {
-                !self.holds(*pid, log) || needed.holds(*pid, log)
-            });
+            let empirically_ok = probes
+                .iter()
+                .all(|(pid, log)| !self.holds(*pid, log) || needed.holds(*pid, log));
             let nontrivial = !probes.is_empty();
             if !(empirically_ok && nontrivial) {
                 return Some(needed.name().to_owned());
@@ -386,7 +386,9 @@ impl Eq for ProbeSuite {}
 impl fmt::Debug for ProbeSuite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let probes: Vec<_> = self.iter().collect();
-        f.debug_struct("ProbeSuite").field("probes", &probes).finish()
+        f.debug_struct("ProbeSuite")
+            .field("probes", &probes)
+            .finish()
     }
 }
 
@@ -610,7 +612,10 @@ mod tests {
         }
         // le1 breaks at the second event and stays broken; once le3 (listed
         // first) breaks at the fourth, it is the first violation.
-        assert_eq!(seen, [None, Some("le1"), Some("le1"), Some("le3"), Some("le3")]);
+        assert_eq!(
+            seen,
+            [None, Some("le1"), Some("le1"), Some("le3"), Some("le3")]
+        );
         // Events the folds do not read leave the monitor untouched.
         let other = Event::prim(Pid(1), "x", vec![]);
         let fresh = c.monitor(Pid(0));

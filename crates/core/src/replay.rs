@@ -230,18 +230,14 @@ pub fn replay_atomic_queue(log: &Log, q: crate::id::QId) -> Vec<Val> {
 /// Event-stream worker for [`replay_atomic_queue`], so prefix replays (e.g.
 /// [`deq_result`]) can fold over a truncated iterator without materializing
 /// a prefix `Log`.
-fn replay_queue_events<'a>(
-    events: impl Iterator<Item = &'a Event>,
-    q: crate::id::QId,
-) -> Vec<Val> {
+fn replay_queue_events<'a>(events: impl Iterator<Item = &'a Event>, q: crate::id::QId) -> Vec<Val> {
     let mut items: Vec<Val> = Vec::new();
     for e in events {
         match &e.kind {
             EventKind::EnQ(qid, v) if *qid == q => items.push(v.clone()),
-            EventKind::DeQ(qid) if *qid == q
-                && !items.is_empty() => {
-                    items.remove(0);
-                }
+            EventKind::DeQ(qid) if *qid == q && !items.is_empty() => {
+                items.remove(0);
+            }
             _ => {}
         }
     }
@@ -331,17 +327,20 @@ mod tests {
             ev(1, EventKind::IncN(b)),
         ]);
         let st = replay_ticket(&log, b);
-        assert_eq!(st, TicketState { next: 2, serving: 1 });
+        assert_eq!(
+            st,
+            TicketState {
+                next: 2,
+                serving: 1
+            }
+        );
         assert!(!st.is_free());
     }
 
     #[test]
     fn my_ticket_is_fai_position() {
         let b = Loc(0);
-        let log = Log::from_events([
-            ev(1, EventKind::FaiT(b)),
-            ev(2, EventKind::FaiT(b)),
-        ]);
+        let log = Log::from_events([ev(1, EventKind::FaiT(b)), ev(2, EventKind::FaiT(b))]);
         assert_eq!(my_ticket(&log, b, Pid(1)), Some(0));
         assert_eq!(my_ticket(&log, b, Pid(2)), Some(1));
         assert_eq!(my_ticket(&log, b, Pid(3)), None);

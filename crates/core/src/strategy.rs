@@ -157,7 +157,9 @@ impl Strategy for FnStrategy {
 
 impl fmt::Debug for FnStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnStrategy").field("name", &self.name).finish()
+        f.debug_struct("FnStrategy")
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -411,7 +413,10 @@ mod tests {
     fn script_player_follows_turn_count() {
         let p = ScriptPlayer::new(
             Pid(2),
-            vec![vec![Event::prim(Pid(2), "a", vec![])], vec![Event::prim(Pid(2), "b", vec![])]],
+            vec![
+                vec![Event::prim(Pid(2), "a", vec![])],
+                vec![Event::prim(Pid(2), "b", vec![])],
+            ],
         );
         let mut log = Log::new();
         log.append(Event::sched(Pid(2)));

@@ -218,7 +218,10 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        assert_eq!(Val::List(vec![Val::Int(1), Val::Unit]).to_string(), "[1, ()]");
+        assert_eq!(
+            Val::List(vec![Val::Int(1), Val::Unit]).to_string(),
+            "[1, ()]"
+        );
         assert_eq!(Val::Undef.to_string(), "undef");
     }
 

@@ -32,9 +32,8 @@ fn weaken_below_strengthens_the_underlay() {
     let l0_prime = step_iface("L0'");
     let l0 = step_iface("L0");
     let l1 = step_iface("L1");
-    let below =
-        check_iface_refinement(&l0_prime, &l0, &SimRelation::identity(), Pid(0), &opts())
-            .expect("L0' ≤ L0");
+    let below = check_iface_refinement(&l0_prime, &l0, &SimRelation::identity(), Pid(0), &opts())
+        .expect("L0' ≤ L0");
     let layer = check_fun(
         &l0,
         &Module::new("M"),
@@ -55,9 +54,14 @@ fn weaken_rejects_misaligned_refinements() {
     let l0 = step_iface("L0");
     let l1 = step_iface("L1");
     let unrelated = step_iface("Lx");
-    let bad_below =
-        check_iface_refinement(&unrelated, &unrelated, &SimRelation::identity(), Pid(0), &opts())
-            .expect("Lx ≤ Lx");
+    let bad_below = check_iface_refinement(
+        &unrelated,
+        &unrelated,
+        &SimRelation::identity(),
+        Pid(0),
+        &opts(),
+    )
+    .expect("Lx ≤ Lx");
     let layer = check_fun(
         &l0,
         &Module::new("M"),
@@ -85,10 +89,8 @@ fn pcomp_rejects_incompatible_conditions() {
         |_| (),
         |_, _| true,
     ));
-    let iface_a = step_iface("L").with_conditions(RelyGuarantee::new(
-        demanding,
-        Conditions::none(),
-    ));
+    let iface_a =
+        step_iface("L").with_conditions(RelyGuarantee::new(demanding, Conditions::none()));
     let iface_b = step_iface("L");
     let a = empty(&iface_a, PidSet::singleton(Pid(0)));
     let b = empty(&iface_b, PidSet::singleton(Pid(1)));
@@ -113,7 +115,10 @@ fn pcomp_accepts_structurally_shared_conditions() {
     let ab = pcomp(&a, &b).expect("same-named conditions are compatible");
     assert_eq!(ab.focused.len(), 2);
     // The composed interface keeps the shared guarantee and rely.
-    assert_eq!(ab.underlay.conditions.guarantee.names(), vec!["shared-protocol"]);
+    assert_eq!(
+        ab.underlay.conditions.guarantee.names(),
+        vec!["shared-protocol"]
+    );
     assert_eq!(ab.underlay.conditions.rely.names(), vec!["shared-protocol"]);
 }
 
@@ -154,10 +159,24 @@ fn certificates_compose_through_the_whole_derivation() {
     let l0 = step_iface("L0");
     let l1 = step_iface("L1");
     let l2 = step_iface("L2");
-    let a = check_fun(&l0, &Module::new("M"), &l1, &SimRelation::identity(), Pid(0), &opts())
-        .expect("a");
-    let b = check_fun(&l1, &Module::new("N"), &l2, &SimRelation::identity(), Pid(0), &opts())
-        .expect("b");
+    let a = check_fun(
+        &l0,
+        &Module::new("M"),
+        &l1,
+        &SimRelation::identity(),
+        Pid(0),
+        &opts(),
+    )
+    .expect("a");
+    let b = check_fun(
+        &l1,
+        &Module::new("N"),
+        &l2,
+        &SimRelation::identity(),
+        Pid(0),
+        &opts(),
+    )
+    .expect("b");
     let ab = vcomp(&a, &b).expect("vcomp");
     // The composed certificate contains both layers' cases plus the
     // Vcomp record.

@@ -235,13 +235,19 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Benchmarks `routine` on `input` under `group-name/id`.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut routine: F) -> &mut Self
+    pub fn bench_with_input<I, F>(
+        &mut self,
+        id: BenchmarkId,
+        input: &I,
+        mut routine: F,
+    ) -> &mut Self
     where
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),
     {
         let full = format!("{}/{}", self.name, id);
-        self.criterion.run_one(&full, &mut |b: &mut Bencher| routine(b, input));
+        self.criterion
+            .run_one(&full, &mut |b: &mut Bencher| routine(b, input));
         self
     }
 

@@ -79,7 +79,10 @@ fn replay_files(files: &[PathBuf]) -> ExitCode {
         }
     }
     if drifted == 0 {
-        println!("replayed {} artifact(s), all verdicts reproduced", files.len());
+        println!(
+            "replayed {} artifact(s), all verdicts reproduced",
+            files.len()
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("{drifted} of {} artifact(s) drifted", files.len());

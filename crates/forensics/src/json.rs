@@ -31,12 +31,7 @@ pub enum Json {
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(pairs: I) -> Self {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
     /// The value at object key `k`, if this is an object that has it.
@@ -298,9 +293,8 @@ impl Parser<'_> {
                             if self.pos + 4 >= self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                    .map_err(|_| self.err("invalid \\u escape"))?;
+                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                                .map_err(|_| self.err("invalid \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             // Surrogates never occur: the writer only

@@ -35,6 +35,8 @@ pub mod shrink;
 pub mod wire;
 
 pub use artifact::{ExpectedFailure, ReplayOptions, TraceArtifact, FORMAT_VERSION};
-pub use registry::{all_fixtures, find, investigate, probe, replay_artifact, CaseFailure, Fixture, RunConfig};
+pub use registry::{
+    all_fixtures, find, investigate, probe, replay_artifact, CaseFailure, Fixture, RunConfig,
+};
 pub use scripted::ScriptedContext;
 pub use shrink::{one_minimal, one_removals, shrink as shrink_context, ShrinkOutcome};

@@ -251,12 +251,8 @@ mod tests {
             Event::sched(Pid(1)),
             Event::sched(Pid(0)),
         ]);
-        let sc = ScriptedContext::from_log(
-            vec![Pid(0), Pid(1)],
-            100,
-            &PidSet::singleton(Pid(0)),
-            &log,
-        );
+        let sc =
+            ScriptedContext::from_log(vec![Pid(0), Pid(1)], 100, &PidSet::singleton(Pid(0)), &log);
         assert_eq!(sc.schedule, vec![Pid(1), Pid(0), Pid(1), Pid(0)]);
         assert_eq!(
             sc.players[&Pid(1)],
@@ -274,12 +270,8 @@ mod tests {
     #[test]
     fn silent_players_are_dropped() {
         let log = Log::from_events([Event::sched(Pid(1)), Event::sched(Pid(0))]);
-        let sc = ScriptedContext::from_log(
-            vec![Pid(0), Pid(1)],
-            100,
-            &PidSet::singleton(Pid(0)),
-            &log,
-        );
+        let sc =
+            ScriptedContext::from_log(vec![Pid(0), Pid(1)], 100, &PidSet::singleton(Pid(0)), &log);
         assert!(sc.players.is_empty());
     }
 
@@ -323,7 +315,10 @@ mod tests {
             .unwrap();
         assert_eq!(got, Pid(0));
         assert_eq!(
-            log.iter().filter(|e| !e.is_sched()).cloned().collect::<Vec<_>>(),
+            log.iter()
+                .filter(|e| !e.is_sched())
+                .cloned()
+                .collect::<Vec<_>>(),
             vec![ev(1, EventKind::Push(Loc(5), Val::Int(3)))]
         );
     }

@@ -200,14 +200,12 @@ mod tests {
     /// the schedule contains at least one slot targeting p1 (monotone in
     /// both dimensions).
     fn oracle(sc: &ScriptedContext) -> bool {
-        let has_push = sc
-            .players
-            .get(&Pid(1))
-            .is_some_and(|batches| {
-                batches.iter().flatten().any(
-                    |e| matches!(e.kind, EventKind::Push(l, _) if l == Loc(50)),
-                )
-            });
+        let has_push = sc.players.get(&Pid(1)).is_some_and(|batches| {
+            batches
+                .iter()
+                .flatten()
+                .any(|e| matches!(e.kind, EventKind::Push(l, _) if l == Loc(50)))
+        });
         has_push && sc.schedule.contains(&Pid(1))
     }
 

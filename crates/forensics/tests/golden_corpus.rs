@@ -69,7 +69,12 @@ fn golden_artifacts_record_the_replay_fingerprint() {
             f.display()
         );
         let a = TraceArtifact::load(&f).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(a.options.workers, 1, "{}: replay must be serial", f.display());
+        assert_eq!(
+            a.options.workers,
+            1,
+            "{}: replay must be serial",
+            f.display()
+        );
         assert!(!a.options.dedup, "{}: replay must not dedup", f.display());
         assert!(!a.options.por, "{}: replay must not reduce", f.display());
         assert!(

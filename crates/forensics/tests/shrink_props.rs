@@ -21,8 +21,8 @@ use ccal_core::event::{Event, EventKind};
 use ccal_core::id::{Loc, Pid};
 use ccal_core::val::Val;
 use ccal_forensics::{
-    all_fixtures, find, investigate, one_minimal, probe, replay_artifact, shrink_context,
-    Fixture, RunConfig, ScriptedContext,
+    all_fixtures, find, investigate, one_minimal, probe, replay_artifact, shrink_context, Fixture,
+    RunConfig, ScriptedContext,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;

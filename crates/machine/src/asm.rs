@@ -276,7 +276,11 @@ impl AsmFunction {
 
 impl fmt::Display for AsmFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}/{} (frame {}):", self.name, self.arity, self.frame_slots)?;
+        writeln!(
+            f,
+            "{}/{} (frame {}):",
+            self.name, self.arity, self.frame_slots
+        )?;
         for (i, ins) in self.code.iter().enumerate() {
             writeln!(f, "  {i:3}: {ins}")?;
         }

@@ -349,7 +349,10 @@ mod tests {
             ],
         );
         let m = AsmModule::new().with_fn(f);
-        assert_eq!(run_fn(empty_iface(), &m, "sum", &[Val::Int(10)]), Val::Int(55));
+        assert_eq!(
+            run_fn(empty_iface(), &m, "sum", &[Val::Int(10)]),
+            Val::Int(55)
+        );
     }
 
     #[test]

@@ -130,8 +130,7 @@ pub fn check_multicore_linking_between(
         };
         // Derive the layer scheduler from the hardware interleaving.
         let layer_env = replay_env_set(&hw_out.log, &focused);
-        let layer_machine =
-            ConcurrentMachine::new(layer_iface.clone(), focused.clone(), layer_env);
+        let layer_machine = ConcurrentMachine::new(layer_iface.clone(), focused.clone(), layer_env);
         let ly_out = match layer_machine.run(program) {
             Ok(out) => out,
             Err(e) => {
@@ -159,9 +158,7 @@ pub fn check_multicore_linking_between(
             return Err(LayerError::Mismatch {
                 expected: format!("{:?}", ly_out.rets),
                 found: format!("{:?}", hw_out.rets),
-                context: format!(
-                    "multicore linking return values, schedule #{si} ({schedule:?})"
-                ),
+                context: format!("multicore linking return values, schedule #{si} ({schedule:?})"),
             });
         }
         cases_checked += 1;

@@ -180,8 +180,8 @@ pub fn fai_t_prim() -> PrimSpec {
     PrimSpec::atomic("fai_t", |ctx, args| {
         let b = arg_loc(args, 0, "fai_t")?;
         ctx.emit(EventKind::FaiT(b));
-        let ticket = my_ticket(ctx.log, b, ctx.pid)
-            .expect("fai_t just emitted an event for this pid");
+        let ticket =
+            my_ticket(ctx.log, b, ctx.pid).expect("fai_t just emitted an event for this pid");
         Ok(Val::Int(ticket as i64))
     })
 }

@@ -165,12 +165,14 @@ impl Memory {
                 nb: self.nb(),
             }),
             Some(Block::Empty) => Err(MemError::NoPermission { addr }),
-            Some(Block::Live(data)) => data.get(addr.off as usize).cloned().ok_or(
-                MemError::BadOffset {
-                    addr,
-                    size: data.len(),
-                },
-            ),
+            Some(Block::Live(data)) => {
+                data.get(addr.off as usize)
+                    .cloned()
+                    .ok_or(MemError::BadOffset {
+                        addr,
+                        size: data.len(),
+                    })
+            }
         }
     }
 

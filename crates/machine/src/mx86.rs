@@ -228,12 +228,9 @@ impl Mx86Machine {
             schedule.to_vec(),
             self.domain(),
         )));
-        let machine = ConcurrentMachine::new(
-            self.iface.clone(),
-            PidSet::from_pids(self.domain()),
-            env,
-        )
-        .with_fuel(self.fuel);
+        let machine =
+            ConcurrentMachine::new(self.iface.clone(), PidSet::from_pids(self.domain()), env)
+                .with_fuel(self.fuel);
         machine.run(program)
     }
 
@@ -242,14 +239,14 @@ impl Mx86Machine {
     /// # Errors
     ///
     /// See [`Mx86Machine::run_with_schedule`].
-    pub fn run_round_robin(&self, program: &Mx86Program) -> Result<ConcurrentOutcome, MachineError> {
+    pub fn run_round_robin(
+        &self,
+        program: &Mx86Program,
+    ) -> Result<ConcurrentOutcome, MachineError> {
         let env = EnvContext::new(std::sync::Arc::new(RoundRobinScheduler::new(self.domain())));
-        let machine = ConcurrentMachine::new(
-            self.iface.clone(),
-            PidSet::from_pids(self.domain()),
-            env,
-        )
-        .with_fuel(self.fuel);
+        let machine =
+            ConcurrentMachine::new(self.iface.clone(), PidSet::from_pids(self.domain()), env)
+                .with_fuel(self.fuel);
         machine.run(program)
     }
 }

@@ -71,5 +71,8 @@ fn different_schedules_can_produce_different_outcomes() {
         let out = m.run_with_schedule(&program, &schedule).expect("runs");
         distinct.insert(format!("{:?}", out.rets));
     }
-    assert!(distinct.len() > 1, "schedules must be able to change who wins");
+    assert!(
+        distinct.len() > 1,
+        "schedules must be able to change who wins"
+    );
 }

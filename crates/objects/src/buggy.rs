@@ -96,8 +96,14 @@ pub fn scratch_sensitive_upper() -> LayerInterface {
 /// over every schedule prefix of length 3.
 pub fn scratch_sensitive_contexts() -> Vec<EnvContext> {
     ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
-        .with_player(Pid(1), std::sync::Arc::new(ScratchPlayer::new(Pid(1), SCRATCH_A)))
-        .with_player(Pid(2), std::sync::Arc::new(ScratchPlayer::new(Pid(2), SCRATCH_B)))
+        .with_player(
+            Pid(1),
+            std::sync::Arc::new(ScratchPlayer::new(Pid(1), SCRATCH_A)),
+        )
+        .with_player(
+            Pid(2),
+            std::sync::Arc::new(ScratchPlayer::new(Pid(2), SCRATCH_B)),
+        )
         .with_schedule_len(3)
         .with_por(true)
         .contexts()
@@ -136,7 +142,9 @@ impl PrimRun for WaitForPushes {
 /// [`IMPATIENT_BOUND`] scheduling steps can never hold.
 pub fn impatient_waiter_iface() -> LayerInterface {
     LayerInterface::builder("L-impatient")
-        .prim(PrimSpec::strategy("wait", true, |_, _| Box::new(WaitForPushes)))
+        .prim(PrimSpec::strategy("wait", true, |_, _| {
+            Box::new(WaitForPushes)
+        }))
         .build()
 }
 
@@ -150,7 +158,10 @@ pub const IMPATIENT_FUEL: u64 = 500;
 /// The context family: one scratch player feeding [`WAIT_LOC`].
 pub fn impatient_waiter_contexts() -> Vec<EnvContext> {
     ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), std::sync::Arc::new(ScratchPlayer::new(Pid(1), WAIT_LOC)))
+        .with_player(
+            Pid(1),
+            std::sync::Arc::new(ScratchPlayer::new(Pid(1), WAIT_LOC)),
+        )
         .with_schedule_len(3)
         .with_por(true)
         .contexts()
@@ -249,7 +260,10 @@ pub fn lifo_queue_programs() -> BTreeMap<Pid, ccal_core::conc::ThreadScript> {
 /// so shrinking has genuine noise to strip.
 pub fn lifo_queue_contexts() -> Vec<EnvContext> {
     ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
-        .with_player(Pid(2), std::sync::Arc::new(ScratchPlayer::new(Pid(2), NOISE_LOC)))
+        .with_player(
+            Pid(2),
+            std::sync::Arc::new(ScratchPlayer::new(Pid(2), NOISE_LOC)),
+        )
         .with_schedule_len(3)
         .with_por(true)
         .contexts()
@@ -304,7 +318,10 @@ pub fn env_leaky_counter_scripts() -> Vec<Vec<(String, Vec<Val>)>> {
 /// that never reach `p1` pass; the rest leak.
 pub fn env_leaky_counter_contexts() -> Vec<EnvContext> {
     ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), std::sync::Arc::new(ScratchPlayer::new(Pid(1), LEAK_LOC)))
+        .with_player(
+            Pid(1),
+            std::sync::Arc::new(ScratchPlayer::new(Pid(1), LEAK_LOC)),
+        )
         .with_schedule_len(3)
         .with_por(true)
         .contexts()
@@ -334,7 +351,11 @@ mod tests {
             &SimOptions::default().with_workers(1).with_por(false),
         )
         .unwrap_err();
-        assert!(err.reason.contains("return values differ"), "{}", err.reason);
+        assert!(
+            err.reason.contains("return values differ"),
+            "{}",
+            err.reason
+        );
     }
 
     #[test]
@@ -353,7 +374,10 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
+        assert!(matches!(
+            err,
+            ccal_core::calculus::LayerError::Mismatch { .. }
+        ));
     }
 
     #[test]
@@ -370,7 +394,10 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
+        assert!(matches!(
+            err,
+            ccal_core::calculus::LayerError::Mismatch { .. }
+        ));
     }
 
     #[test]
@@ -389,7 +416,10 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
+        assert!(matches!(
+            err,
+            ccal_core::calculus::LayerError::Mismatch { .. }
+        ));
     }
 
     #[test]
@@ -408,7 +438,10 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
+        assert!(matches!(
+            err,
+            ccal_core::calculus::LayerError::Mismatch { .. }
+        ));
     }
 
     #[test]

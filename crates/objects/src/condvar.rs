@@ -174,22 +174,21 @@ pub fn condvar_overlay() -> LayerInterface {
     for name in ["acq_q", "rel_q"] {
         b = b.prim(qlock.prim(name).expect("qlock prim").clone());
     }
-    b
-        .prim(PrimSpec::strategy("cv_wait", true, |_pid, args| {
-            Box::new(PhiCvWait { args, phase: 0 })
-        }))
-        .prim(PrimSpec::atomic("cv_signal", |ctx, args| {
-            let cv = arg_loc(args, 0)?;
-            ctx.emit(EventKind::CvSignal(QId(cv.0)));
-            Ok(Val::Unit)
-        }))
-        .prim(PrimSpec::atomic("cv_broadcast", |ctx, args| {
-            let cv = arg_loc(args, 0)?;
-            ctx.emit(EventKind::CvBroadcast(QId(cv.0)));
-            Ok(Val::Unit)
-        }))
-        .critical(holds_atomic_lock())
-        .build()
+    b.prim(PrimSpec::strategy("cv_wait", true, |_pid, args| {
+        Box::new(PhiCvWait { args, phase: 0 })
+    }))
+    .prim(PrimSpec::atomic("cv_signal", |ctx, args| {
+        let cv = arg_loc(args, 0)?;
+        ctx.emit(EventKind::CvSignal(QId(cv.0)));
+        Ok(Val::Unit)
+    }))
+    .prim(PrimSpec::atomic("cv_broadcast", |ctx, args| {
+        let cv = arg_loc(args, 0)?;
+        ctx.emit(EventKind::CvBroadcast(QId(cv.0)));
+        Ok(Val::Unit)
+    }))
+    .critical(holds_atomic_lock())
+    .build()
 }
 
 /// An environment thread that signals waiters; between signals it takes
@@ -216,19 +215,13 @@ impl Strategy for CvEnvPlayer {
             return StrategyMove::Emit(vec![Event::new(self.pid, EventKind::RelQ(self.l))]);
         }
         if !replay_cv_waiters(log, self.cv).is_empty() {
-            return StrategyMove::Emit(vec![Event::new(
-                self.pid,
-                EventKind::CvSignal(self.cv),
-            )]);
+            return StrategyMove::Emit(vec![Event::new(self.pid, EventKind::CvSignal(self.cv))]);
         }
         StrategyMove::idle()
     }
 
     fn may_emit(&self) -> Option<Vec<EventKind>> {
-        Some(vec![
-            EventKind::RelQ(self.l),
-            EventKind::CvSignal(self.cv),
-        ])
+        Some(vec![EventKind::RelQ(self.l), EventKind::CvSignal(self.cv)])
     }
 
     fn name(&self) -> &str {
@@ -250,9 +243,8 @@ pub fn certify_condvar(
     l: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    let m = ccal_clightx::clightx_module("Mcv", CONDVAR_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Mcv front-end: {e}")))
-    })?;
+    let m = ccal_clightx::clightx_module("Mcv", CONDVAR_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Mcv front-end: {e}"))))?;
     let opts = CheckOptions::new(contexts)
         .with_workload("cv_wait", vec![vec![Val::Loc(Loc(cv.0)), Val::Loc(l)]])
         .with_setup("cv_wait", vec![("acq_q".to_owned(), vec![Val::Loc(l)])])

@@ -97,9 +97,8 @@ pub fn ipc_underlay() -> LayerInterface {
         let ch = arg_loc(args)?;
         require_qlock(ctx, ch)?;
         let front = replay_channel(ctx.log, QId(ch.0)).into_iter().next();
-        let front = front.ok_or_else(|| {
-            MachineError::Stuck(format!("ipc_get on empty channel {ch}"))
-        })?;
+        let front =
+            front.ok_or_else(|| MachineError::Stuck(format!("ipc_get on empty channel {ch}")))?;
         ctx.emit(EventKind::IpcRecv(QId(ch.0)));
         Ok(front)
     }))
@@ -238,13 +237,19 @@ pub fn certify_ipc(
     ch: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    let m = ccal_clightx::clightx_module("Mipc", IPC_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Mipc front-end: {e}")))
-    })?;
+    let m = ccal_clightx::clightx_module("Mipc", IPC_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Mipc front-end: {e}"))))?;
     let opts = CheckOptions::new(contexts)
         .with_workload("send", vec![vec![Val::Loc(ch), Val::Int(7)]])
         .with_workload("recv", vec![vec![Val::Loc(ch)]]);
-    check_fun(&ipc_underlay(), &m, &ipc_overlay(), &r_ipc_relation(), pid, &opts)
+    check_fun(
+        &ipc_underlay(),
+        &m,
+        &ipc_overlay(),
+        &r_ipc_relation(),
+        pid,
+        &opts,
+    )
 }
 
 #[cfg(test)]

@@ -151,11 +151,11 @@ mod tests {
         let e = |q: i64, v: i64| ("enq_t".to_owned(), vec![Val::Int(q), Val::Int(v)]);
         let d = |q: i64| ("deq_t".to_owned(), vec![Val::Int(q)]);
         vec![
-            vec![d(0)],                                      // deq from empty
-            vec![e(0, 1), d(0), d(0)],                       // drain past empty
+            vec![d(0)],                                        // deq from empty
+            vec![e(0, 1), d(0), d(0)],                         // drain past empty
             vec![e(0, 1), e(0, 2), e(0, 3), d(0), d(0), d(0)], // FIFO order
             vec![e(0, 1), d(0), e(0, 2), e(0, 3), d(0), d(0)], // interleaved
-            vec![e(0, 1), e(1, 9), d(1), d(0)],              // two queues
+            vec![e(0, 1), e(1, 9), d(1), d(0)],                // two queues
             vec![e(0, 1), e(0, 2), d(0), e(0, 3), d(0), d(0), d(0)],
         ]
     }

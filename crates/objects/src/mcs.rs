@@ -394,7 +394,11 @@ pub fn l0_mcs_interface() -> LayerInterface {
             let b = arg_loc(args)?;
             let st = replay_mcs(ctx.log, b);
             let success = st.tail == Some(ctx.pid)
-                && st.nodes.get(&ctx.pid).map(|n| n.next.is_none()).unwrap_or(false);
+                && st
+                    .nodes
+                    .get(&ctx.pid)
+                    .map(|n| n.next.is_none())
+                    .unwrap_or(false);
             ctx.emit(EventKind::McsCasTail(b));
             Ok(Val::Int(i64::from(success)))
         }))
@@ -518,10 +522,7 @@ impl Strategy for McsEnvPlayer {
                 // (swap + set_next are adjacent in the implementation).
                 let mut evs = vec![Event::new(self.pid, EventKind::McsSwap(self.b))];
                 if let Some(pred) = st.tail {
-                    evs.push(Event::new(
-                        self.pid,
-                        EventKind::McsSetNext(self.b, pred),
-                    ));
+                    evs.push(Event::new(self.pid, EventKind::McsSetNext(self.b, pred)));
                 }
                 StrategyMove::Emit(evs)
             }
@@ -554,9 +555,8 @@ pub fn certify_mcs_lock(
     b: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    let m = ccal_clightx::clightx_module("Mmcs", MCS_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Mmcs front-end: {e}")))
-    })?;
+    let m = ccal_clightx::clightx_module("Mmcs", MCS_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Mmcs front-end: {e}"))))?;
     let lock_args = vec![vec![Val::Loc(b)]];
     let opts = CheckOptions::new(contexts)
         .with_workload("acq", lock_args.clone())
@@ -569,7 +569,14 @@ pub fn certify_mcs_lock(
     // The overlay is the *ticket lock's* atomic interface — but with the
     // MCS rely/guarantee at the bottom. The atomic side keeps its own
     // conditions.
-    check_fun(&l0_mcs_interface(), &m, &lock_interface(), &r_mcs_relation(), pid, &opts)
+    check_fun(
+        &l0_mcs_interface(),
+        &m,
+        &lock_interface(),
+        &r_mcs_relation(),
+        pid,
+        &opts,
+    )
 }
 
 /// Re-export of the ticket-lock source for side-by-side comparisons in
@@ -630,7 +637,10 @@ mod tests {
     fn mcs_lock_certifies_against_the_shared_atomic_interface() {
         let b = Loc(0);
         let layer = certify_mcs_lock(Pid(0), b, contexts(b)).unwrap();
-        assert_eq!(layer.overlay.name, "L1", "same interface as the ticket lock");
+        assert_eq!(
+            layer.overlay.name, "L1",
+            "same interface as the ticket lock"
+        );
         assert!(layer.certificate.total_cases() > 0);
     }
 

@@ -183,11 +183,17 @@ pub fn qlock_overlay() -> LayerInterface {
 pub fn r_ql_relation() -> SimRelation {
     SimRelation::per_event("Rql", |e| match &e.kind {
         EventKind::Prim(n, args) if n == "ql_take" => {
-            let l = args.first().and_then(|v| v.as_loc().ok()).expect("ql_take loc");
+            let l = args
+                .first()
+                .and_then(|v| v.as_loc().ok())
+                .expect("ql_take loc");
             vec![Event::new(e.pid, EventKind::AcqQ(l))]
         }
         EventKind::Prim(n, args) if n == "ql_pass" => {
-            let l = args.first().and_then(|v| v.as_loc().ok()).expect("ql_pass loc");
+            let l = args
+                .first()
+                .and_then(|v| v.as_loc().ok())
+                .expect("ql_pass loc");
             let t = args.get(1).and_then(|v| v.as_int().ok()).unwrap_or(-1);
             let mut out = vec![Event::new(e.pid, EventKind::RelQ(l))];
             if t >= 0 {
@@ -335,15 +341,21 @@ pub fn certify_qlock(
     l: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    let m = ccal_clightx::clightx_module("Mql", QLOCK_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Mql front-end: {e}")))
-    })?;
+    let m = ccal_clightx::clightx_module("Mql", QLOCK_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Mql front-end: {e}"))))?;
     let args = vec![vec![Val::Loc(l)]];
     let opts = CheckOptions::new(contexts)
         .with_workload("acq_q", args.clone())
         .with_workload("rel_q", args)
         .with_setup("rel_q", vec![("acq_q".to_owned(), vec![Val::Loc(l)])]);
-    check_fun(&qlock_underlay(), &m, &qlock_overlay(), &r_ql_relation(), pid, &opts)
+    check_fun(
+        &qlock_underlay(),
+        &m,
+        &qlock_overlay(),
+        &r_ql_relation(),
+        pid,
+        &opts,
+    )
 }
 
 #[cfg(test)]

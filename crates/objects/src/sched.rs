@@ -165,7 +165,8 @@ pub fn sched_underlay() -> LayerInterface {
         Ok(Val::Unit)
     }))
     .prim(PrimSpec::private("rdq_enq", |ctx, args| {
-        let t = args.first()
+        let t = args
+            .first()
             .cloned()
             .ok_or_else(|| MachineError::Stuck("rdq_enq needs a thread".into()))?;
         let key = format!("rdq[{}]", ctx.pid);
@@ -194,7 +195,8 @@ pub fn sched_underlay() -> LayerInterface {
         Ok(ctx.abs.get_or_undef("curid"))
     }))
     .prim(PrimSpec::private("set_curid", |ctx, args| {
-        let t = args.first()
+        let t = args
+            .first()
             .cloned()
             .ok_or_else(|| MachineError::Stuck("set_curid needs a thread".into()))?;
         ctx.abs.set("curid", t);
@@ -335,9 +337,8 @@ pub fn r_sched_relation() -> SimRelation {
 ///
 /// Front-end or linking failures.
 pub fn sched_module() -> Result<Module, LayerError> {
-    let c = ccal_clightx::clightx_module("Msched.c", SCHED_C_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Msched front-end: {e}")))
-    })?;
+    let c = ccal_clightx::clightx_module("Msched.c", SCHED_C_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Msched front-end: {e}"))))?;
     let asm = cswitch_asm().as_core_module("Msched.s");
     Ok(c.link(&asm)?)
 }
@@ -412,17 +413,21 @@ pub fn certify_scheduler(
     let m = sched_module()?;
     let opts = CheckOptions::new(contexts)
         .with_workload("yield", vec![vec![]])
-        .with_workload(
-            "sleep",
-            vec![vec![Val::Loc(Loc(sleep_q.0)), Val::Loc(lk)]],
-        )
+        .with_workload("sleep", vec![vec![Val::Loc(Loc(sleep_q.0)), Val::Loc(lk)]])
         // sleep(q, lk) releases lk, so acquire it first.
         .with_setup("sleep", vec![("acq".to_owned(), vec![Val::Loc(lk)])])
         .with_workload("wakeup", vec![vec![Val::Loc(Loc(sleep_q.0))]])
         .with_workload("acq", vec![vec![Val::Loc(lk)]])
         .with_workload("rel", vec![vec![Val::Loc(lk)]])
         .with_setup("rel", vec![("acq".to_owned(), vec![Val::Loc(lk)])]);
-    check_fun(&sched_underlay(), &m, &sched_overlay(), &r_sched_relation(), pid, &opts)
+    check_fun(
+        &sched_underlay(),
+        &m,
+        &sched_overlay(),
+        &r_sched_relation(),
+        pid,
+        &opts,
+    )
 }
 
 /// Executable Theorem 5.1 (multithreaded linking): with the whole thread
@@ -448,8 +453,7 @@ pub fn check_multithreaded_linking(
         focused: threads.iter().copied().collect(),
         certificate: ccal_core::calculus::Certificate::new(),
     };
-    let mut ob =
-        ccal_core::refine::check_contextual_refinement(&layer, client, contexts, 200_000)?;
+    let mut ob = ccal_core::refine::check_contextual_refinement(&layer, client, contexts, 200_000)?;
     ob.rule = Rule::MultithreadLink;
     ob.description = format!("Lbtd[c] ≤ Lhtd[c][Tc] on {} threads", threads.len());
     Ok(ob)
@@ -524,8 +528,7 @@ mod tests {
         let env = ccal_core::env::EnvContext::new(Arc::new(
             ccal_core::strategy::RoundRobinScheduler::over_domain(2),
         ));
-        let machine =
-            ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env);
+        let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env);
         let mut programs = BTreeMap::new();
         programs.insert(
             Pid(0),

@@ -209,20 +209,29 @@ pub fn certify_shared_queue_tuned(
     workers: usize,
     dedup: bool,
 ) -> Result<CertifiedLayer, LayerError> {
-    let m = ccal_clightx::clightx_module("Mq", SHAREDQ_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("Mq front-end: {e}")))
-    })?;
+    let m = ccal_clightx::clightx_module("Mq", SHAREDQ_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("Mq front-end: {e}"))))?;
     let opts = CheckOptions::new(contexts)
         .with_workload("enQ", vec![vec![Val::Loc(q), Val::Int(7)]])
         .with_workload("deQ", vec![vec![Val::Loc(q)]])
         // Exercise deQ both on an empty queue and after an enqueue.
-        .with_setup("deQ", vec![("enQ".to_owned(), vec![Val::Loc(q), Val::Int(42)])])
+        .with_setup(
+            "deQ",
+            vec![("enQ".to_owned(), vec![Val::Loc(q), Val::Int(42)])],
+        )
         .with_workers(workers)
         .with_dedup(dedup);
     // The overlay has only enQ/deQ; underlay prims acq/rel are not
     // re-exported (they are hidden by the abstraction, as in Fig. 1 where
     // shared queues sit above spinlocks).
-    check_fun(&sharedq_underlay(), &m, &sharedq_overlay(), &rq_relation(), pid, &opts)
+    check_fun(
+        &sharedq_underlay(),
+        &m,
+        &sharedq_overlay(),
+        &rq_relation(),
+        pid,
+        &opts,
+    )
 }
 
 #[cfg(test)]

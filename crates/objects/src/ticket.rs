@@ -636,14 +636,7 @@ pub fn certify_ticket_stack(
     contexts_low: Vec<ccal_core::env::EnvContext>,
     contexts_atomic: Vec<ccal_core::env::EnvContext>,
 ) -> Result<TicketStack, LayerError> {
-    certify_ticket_stack_tuned(
-        pid,
-        b,
-        contexts_low,
-        contexts_atomic,
-        1,
-        true,
-    )
+    certify_ticket_stack_tuned(pid, b, contexts_low, contexts_atomic, 1, true)
 }
 
 /// [`certify_ticket_stack`] with explicit exploration settings — worker
@@ -661,12 +654,10 @@ pub fn certify_ticket_stack_tuned(
     workers: usize,
     dedup: bool,
 ) -> Result<TicketStack, LayerError> {
-    let m1 = ccal_clightx::clightx_module("M1", M1_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("M1 front-end: {e}")))
-    })?;
-    let m2 = ccal_clightx::clightx_module("M2", M2_SOURCE).map_err(|e| {
-        LayerError::Machine(MachineError::Stuck(format!("M2 front-end: {e}")))
-    })?;
+    let m1 = ccal_clightx::clightx_module("M1", M1_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("M1 front-end: {e}"))))?;
+    let m2 = ccal_clightx::clightx_module("M2", M2_SOURCE)
+        .map_err(|e| LayerError::Machine(MachineError::Stuck(format!("M2 front-end: {e}"))))?;
     let lock_args = vec![vec![Val::Loc(b)]];
     let opts_low = CheckOptions::new(contexts_low)
         .with_workload("acq", lock_args.clone())
@@ -733,9 +724,9 @@ pub fn m1_module() -> Result<Module, ccal_clightx::CError> {
 #[allow(clippy::cloned_ref_to_slice_refs)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use ccal_core::contexts::ContextGen;
     use ccal_core::env::EnvContext;
+    use std::sync::Arc;
 
     #[test]
     fn declared_footprints_make_the_foo_contender_independent_of_scratch() {
@@ -753,7 +744,9 @@ mod tests {
         // A prim the contender does not declare stays global and dependent.
         let alien = EventKind::Prim("test_fp_undeclared_ticket".into(), vec![]);
         let fp_alien = foo.footprints_of_prim("test_fp_undeclared_ticket", &[]);
-        assert!(!EventKind::independent_kinds(&alien, &fp_alien, &push, &fp_push));
+        assert!(!EventKind::independent_kinds(
+            &alien, &fp_alien, &push, &fp_push
+        ));
         // At the player level: the foo contender now commutes with the
         // scratch threads, so the sleep-set reduction may prune their
         // interleavings.
@@ -812,8 +805,7 @@ mod tests {
     #[test]
     fn full_stack_certifies() {
         let b = Loc(0);
-        let stack =
-            certify_ticket_stack(Pid(0), b, low_contexts(b), atomic_contexts(b)).unwrap();
+        let stack = certify_ticket_stack(Pid(0), b, low_contexts(b), atomic_contexts(b)).unwrap();
         assert!(stack.full_stack.certificate.total_cases() > 0);
         assert!(stack.full_stack.judgment().contains("L0"));
         assert!(stack.full_stack.judgment().contains("L2"));

@@ -105,8 +105,8 @@ fn contend(ncpus: u32, modulus: i64, rounds: usize) -> Log {
         .expect("installs");
     let domain: Vec<Pid> = (0..ncpus).map(Pid).collect();
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::new(domain.clone())));
-    let machine = ConcurrentMachine::new(iface, PidSet::from_pids(domain.clone()), env)
-        .with_fuel(2_000_000);
+    let machine =
+        ConcurrentMachine::new(iface, PidSet::from_pids(domain.clone()), env).with_fuel(2_000_000);
     let mut programs: BTreeMap<Pid, ThreadScript> = BTreeMap::new();
     for pid in domain {
         let mut script = ThreadScript::new();

@@ -56,12 +56,8 @@ fn busy_value_always_names_the_holder() {
     use std::collections::BTreeMap;
 
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-    let machine = ConcurrentMachine::new(
-        installed(),
-        PidSet::from_pids([Pid(0), Pid(1)]),
-        env,
-    )
-    .with_fuel(500_000);
+    let machine = ConcurrentMachine::new(installed(), PidSet::from_pids([Pid(0), Pid(1)]), env)
+        .with_fuel(500_000);
     let mut programs = BTreeMap::new();
     for t in 0..2 {
         programs.insert(
@@ -110,12 +106,8 @@ fn fifo_handoff_order_is_respected() {
         vec![Pid(0), Pid(0), Pid(1), Pid(1), Pid(2), Pid(2)],
         domain.clone(),
     )));
-    let machine = ConcurrentMachine::new(
-        installed(),
-        PidSet::from_pids(domain),
-        env,
-    )
-    .with_fuel(500_000);
+    let machine =
+        ConcurrentMachine::new(installed(), PidSet::from_pids(domain), env).with_fuel(500_000);
     let mut programs = BTreeMap::new();
     for t in 0..3 {
         programs.insert(
@@ -132,9 +124,10 @@ fn fifo_handoff_order_is_respected() {
         .log
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::Prim(n, args) if n == "ql_pass" => {
-                args.get(1).and_then(|v| v.as_int().ok()).filter(|t| *t >= 0)
-            }
+            EventKind::Prim(n, args) if n == "ql_pass" => args
+                .get(1)
+                .and_then(|v| v.as_int().ok())
+                .filter(|t| *t >= 0),
             _ => None,
         })
         .collect();
@@ -146,8 +139,7 @@ fn fifo_handoff_order_is_respected() {
         .map(|e| i64::from(e.pid.0))
         .collect();
     assert_eq!(
-        handoffs,
-        sleep_order,
+        handoffs, sleep_order,
         "hand-offs follow FIFO sleep order; log: {}",
         out.log
     );

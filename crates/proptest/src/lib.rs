@@ -425,9 +425,11 @@ mod tests {
                 Tree::Node(a, b) => 1 + depth(a).max(depth(b)),
             }
         }
-        let strat = (0_i64..10).prop_map(Tree::Leaf).prop_recursive(3, 8, 2, |inner| {
-            (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
-        });
+        let strat = (0_i64..10)
+            .prop_map(Tree::Leaf)
+            .prop_recursive(3, 8, 2, |inner| {
+                (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
+            });
         let mut rng = crate::test_runner::TestRng::for_test("rec");
         for _ in 0..100 {
             assert!(depth(&strat.generate(&mut rng)) <= 3);

@@ -31,21 +31,16 @@ fn main() {
     for name in compiled.asm.fn_names() {
         println!("{}", compiled.asm.get(name).expect("listed function"));
     }
-    println!("Translation validation certificate:\n{}", compiled.certificate);
+    println!(
+        "Translation validation certificate:\n{}",
+        compiled.certificate
+    );
 
     println!("== Thread-safe linking (§5.5, Fig. 12) ==");
     // Four threads allocate stack frames under an interleaved schedule;
     // the extended yield semantics inserts placeholder blocks so that the
     // private memories compose back into the CPU-local memory.
-    let schedule: Vec<(u32, usize)> = vec![
-        (0, 2),
-        (1, 1),
-        (2, 3),
-        (0, 1),
-        (3, 2),
-        (1, 2),
-        (2, 1),
-    ];
+    let schedule: Vec<(u32, usize)> = vec![(0, 2), (1, 1), (2, 3), (0, 1), (3, 2), (1, 2), (2, 1)];
     let out = simulate_threaded_linking(&schedule).expect("m1 ⊛ ... ⊛ mN ≃ m holds");
     println!(
         "  schedule slices: {}, CPU memory blocks: {}",

@@ -20,11 +20,13 @@ fn main() {
     println!("Producer/consumer over the certified IPC stack (channel {ch}):\n{IPC_SOURCE}");
 
     let module = ccal::clightx::clightx_module("Mipc", IPC_SOURCE).expect("IPC module parses");
-    let iface = module.install(&ipc_underlay()).expect("IPC module installs");
+    let iface = module
+        .install(&ipc_underlay())
+        .expect("IPC module installs");
 
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-    let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env)
-        .with_fuel(500_000);
+    let machine =
+        ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env).with_fuel(500_000);
 
     let mut programs = BTreeMap::new();
     // Producer: send three messages.
@@ -37,7 +39,9 @@ fn main() {
     // Consumer: receive three messages (blocking on an empty mailbox).
     programs.insert(
         Pid(1),
-        (0..3).map(|_| ("recv".to_owned(), vec![Val::Loc(ch)])).collect(),
+        (0..3)
+            .map(|_| ("recv".to_owned(), vec![Val::Loc(ch)]))
+            .collect(),
     );
 
     let out = machine.run(&programs).expect("pipeline completes");

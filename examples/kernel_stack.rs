@@ -42,7 +42,10 @@ fn main() {
     // 2. Shared queues over the atomic lock.
     let q = Loc(3);
     let q_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)),
+        )
         .with_schedule_len(3)
         .contexts();
     let q_layer = sharedq::certify_shared_queue(Pid(0), q, q_ctx).expect("shared queue certifies");
@@ -50,11 +53,14 @@ fn main() {
 
     // 3. Scheduler (yield / sleep / wakeup, C + assembly cswitch).
     let s_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)),
+        )
         .with_schedule_len(3)
         .contexts();
-    let s_layer = sched::certify_scheduler(Pid(0), QId(5), Loc(9), s_ctx)
-        .expect("scheduler certifies");
+    let s_layer =
+        sched::certify_scheduler(Pid(0), QId(5), Loc(9), s_ctx).expect("scheduler certifies");
     println!("  [scheduler]       {}", s_layer.judgment());
 
     // 4. Queuing lock (Fig. 11) over the thread-local interface.
@@ -68,7 +74,10 @@ fn main() {
 
     // 5. Condition variables.
     let cv_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)))
+        .with_player(
+            Pid(1),
+            Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)),
+        )
         .with_schedule_len(3)
         .contexts();
     let cv_layer =
@@ -95,10 +104,9 @@ fn main() {
         .with_player(Pid(0), Arc::new(ticket::FooEnvPlayer::new(Pid(0), b, 2)))
         .with_schedule_len(3)
         .contexts();
-    let stack1 =
-        ticket::certify_ticket_stack(Pid(1), b, low1, atomic1).expect("pid 1 certifies");
-    let both = pcomp(&ticket_stack.full_stack, &stack1.full_stack)
-        .expect("compatible layers compose");
+    let stack1 = ticket::certify_ticket_stack(Pid(1), b, low1, atomic1).expect("pid 1 certifies");
+    let both =
+        pcomp(&ticket_stack.full_stack, &stack1.full_stack).expect("compatible layers compose");
     println!("  Pcomp:      {}", both.judgment());
 
     let mut client = ClientProgram::new();

@@ -38,8 +38,7 @@ fn main() {
         atomic.len()
     );
 
-    let stack = certify_ticket_stack(Pid(0), b, low, atomic)
-        .expect("the ticket stack certifies");
+    let stack = certify_ticket_stack(Pid(0), b, low, atomic).expect("the ticket stack certifies");
 
     println!("Derivation (the pipeline of Fig. 5):");
     println!("  1. fun-lift:  {}", stack.fun_lift.judgment());

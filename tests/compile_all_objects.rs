@@ -107,7 +107,10 @@ fn condvar_compiles_and_validates() {
         &opts,
     )
     .expect("validates");
-    assert_eq!(compiled.asm.fn_names(), vec!["cv_broadcast", "cv_signal", "cv_wait"]);
+    assert_eq!(
+        compiled.asm.fn_names(),
+        vec!["cv_broadcast", "cv_signal", "cv_wait"]
+    );
 }
 
 #[test]

@@ -59,10 +59,7 @@ fn the_walkthrough_schedule_produces_a_contended_log() {
     // point, so the equivalent decision sequence doubles the leading 1
     // (the first turn only reaches acq's query point). Participant 1 wins
     // the lock and participant 2 spins, exactly as in §2.
-    let schedule: Vec<Pid> = [1, 1, 2, 2, 2, 1, 2, 2]
-        .into_iter()
-        .map(Pid)
-        .collect();
+    let schedule: Vec<Pid> = [1, 1, 2, 2, 2, 1, 2, 2].into_iter().map(Pid).collect();
     let out = run_with_schedule(schedule);
     let stripped = out.log.without_sched();
     let kinds: Vec<&EventKind> = stripped.iter().map(|e| &e.kind).collect();
@@ -80,7 +77,10 @@ fn the_walkthrough_schedule_produces_a_contended_log() {
         .iter()
         .filter(|e| e.pid == Pid(2) && matches!(e.kind, EventKind::GetN(_)))
         .count();
-    assert!(p2_probes > 1, "p2 spun while p1 held the lock, got {kinds:?}");
+    assert!(
+        p2_probes > 1,
+        "p2 spun while p1 held the lock, got {kinds:?}"
+    );
     // Final shared state: both critical sections completed.
     let st = replay_ticket(&out.log, B);
     assert_eq!(st.next, 2);
@@ -89,10 +89,7 @@ fn the_walkthrough_schedule_produces_a_contended_log() {
 
 #[test]
 fn r1_abstracts_the_walkthrough_to_the_atomic_log() {
-    let schedule: Vec<Pid> = [1, 1, 2, 2, 2, 1, 2, 2]
-        .into_iter()
-        .map(Pid)
-        .collect();
+    let schedule: Vec<Pid> = [1, 1, 2, 2, 2, 1, 2, 2].into_iter().map(Pid).collect();
     let out = run_with_schedule(schedule);
     let lg = r1_relation().abstracted(&out.log).expect("in R1's domain");
     // The abstracted log begins exactly as the paper's lg:
@@ -104,7 +101,10 @@ fn r1_abstracts_the_walkthrough_to_the_atomic_log() {
         .map(|e| (e.pid, format!("{:?}", std::mem::discriminant(&e.kind))))
         .collect();
     assert_eq!(lg[0].pid, Pid(1));
-    assert!(matches!(lg[0].kind, EventKind::Acq(b) if b == B), "{prefix:?}");
+    assert!(
+        matches!(lg[0].kind, EventKind::Acq(b) if b == B),
+        "{prefix:?}"
+    );
     assert!(matches!(&lg[1].kind, EventKind::Prim(n, _) if n == "f"));
     assert!(matches!(&lg[2].kind, EventKind::Prim(n, _) if n == "g"));
     assert!(matches!(lg[3].kind, EventKind::Rel(b) if b == B));

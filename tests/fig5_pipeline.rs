@@ -127,8 +127,8 @@ fn parallel_composition_and_soundness() {
     let contexts = ContextGen::new(vec![Pid(0), Pid(1)])
         .with_schedule_len(4)
         .contexts();
-    let ob = check_contextual_refinement(&both, &client, &contexts, 200_000)
-        .expect("soundness holds");
+    let ob =
+        check_contextual_refinement(&both, &client, &contexts, 200_000).expect("soundness holds");
     assert_eq!(ob.rule, Rule::Soundness);
     assert!(ob.cases_checked > 0);
 }
@@ -163,8 +163,9 @@ fn multithreaded_linking_theorem() {
     let contexts = ContextGen::new(vec![Pid(0), Pid(1)])
         .with_schedule_len(3)
         .contexts();
-    let ob = ccal::objects::sched::check_multithreaded_linking(&[Pid(0), Pid(1)], &client, &contexts)
-        .expect("Thm 5.1 holds");
+    let ob =
+        ccal::objects::sched::check_multithreaded_linking(&[Pid(0), Pid(1)], &client, &contexts)
+            .expect("Thm 5.1 holds");
     assert_eq!(ob.rule, Rule::MultithreadLink);
     assert!(ob.cases_checked > 0);
 }

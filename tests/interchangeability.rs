@@ -99,21 +99,26 @@ fn contended_histories_abstract_identically() {
             ],
         );
     }
-    let run = |src: &str, base: ccal::core::layer::LayerInterface, rel: ccal::core::sim::SimRelation| {
-        let m = ccal::clightx::clightx_module("M", src).expect("parses");
-        let iface = m.install(&base).expect("installs");
-        let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-        let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env)
-            .with_fuel(500_000);
-        let out = machine.run(&programs).expect("runs");
-        rel.abstracted(&out.log).expect("abstractable")
-    };
+    let run =
+        |src: &str, base: ccal::core::layer::LayerInterface, rel: ccal::core::sim::SimRelation| {
+            let m = ccal::clightx::clightx_module("M", src).expect("parses");
+            let iface = m.install(&base).expect("installs");
+            let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
+            let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env)
+                .with_fuel(500_000);
+            let out = machine.run(&programs).expect("runs");
+            rel.abstracted(&out.log).expect("abstractable")
+        };
     let ticket_hist = run(
         ticket::M1_SOURCE,
         ticket::l0_interface(),
         ticket::r1_relation(),
     );
-    let mcs_hist = run(mcs::MCS_SOURCE, mcs::l0_mcs_interface(), mcs::r_mcs_relation());
+    let mcs_hist = run(
+        mcs::MCS_SOURCE,
+        mcs::l0_mcs_interface(),
+        mcs::r_mcs_relation(),
+    );
     // Identical atomic footprints: same multiset of events per pid.
     for hist in [&ticket_hist, &mcs_hist] {
         replay_atomic_lock(hist, B).expect("legal history");

@@ -28,13 +28,19 @@ fn every_layer_of_the_tower_certifies() {
 
     let q = Loc(3);
     let q_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sharedq::SharedQEnvPlayer::new(Pid(1), q, 2)),
+        )
         .with_schedule_len(2)
         .contexts();
     let q_layer = sharedq::certify_shared_queue(Pid(0), q, q_ctx).expect("shared queue");
 
     let s_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)))
+        .with_player(
+            Pid(1),
+            Arc::new(sched::WakerEnvPlayer::new(Pid(1), QId(5), 2)),
+        )
         .with_schedule_len(2)
         .contexts();
     let s_layer = sched::certify_scheduler(Pid(0), QId(5), Loc(9), s_ctx).expect("scheduler");
@@ -47,7 +53,10 @@ fn every_layer_of_the_tower_certifies() {
     let ql_layer = qlock::certify_qlock(Pid(0), l, ql_ctx).expect("queuing lock");
 
     let cv_ctx = ContextGen::new(vec![Pid(0), Pid(1)])
-        .with_player(Pid(1), Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)))
+        .with_player(
+            Pid(1),
+            Arc::new(condvar::CvEnvPlayer::new(Pid(1), QId(8), l)),
+        )
         .with_schedule_len(2)
         .contexts();
     let cv_layer = condvar::certify_condvar(Pid(0), QId(8), l, cv_ctx).expect("condvar");
@@ -83,8 +92,8 @@ fn the_whole_stack_runs_a_producer_consumer_workload() {
     let module = ccal::clightx::clightx_module("Mipc", ipc::IPC_SOURCE).expect("parses");
     let iface = module.install(&ipc::ipc_underlay()).expect("installs");
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-    let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env)
-        .with_fuel(500_000);
+    let machine =
+        ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env).with_fuel(500_000);
     let mut programs = BTreeMap::new();
     programs.insert(
         Pid(0),
@@ -115,10 +124,12 @@ fn shared_queue_runs_over_both_certified_locks() {
     // its atomic underlay and verify FIFO behavior under contention.
     let q = Loc(3);
     let module = ccal::clightx::clightx_module("Mq", sharedq::SHAREDQ_SOURCE).expect("parses");
-    let iface = module.install(&sharedq::sharedq_underlay()).expect("installs");
+    let iface = module
+        .install(&sharedq::sharedq_underlay())
+        .expect("installs");
     let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-    let machine = ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env)
-        .with_fuel(500_000);
+    let machine =
+        ConcurrentMachine::new(iface, PidSet::from_pids([Pid(0), Pid(1)]), env).with_fuel(500_000);
     let mut programs = BTreeMap::new();
     programs.insert(
         Pid(0),

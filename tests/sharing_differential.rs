@@ -76,8 +76,7 @@ fn certify_stack(
         .iter()
         .map(|u| {
             let w = semantic.then(|| warm.get(&u.share));
-            registry::run_unit(stack, &u.name, params, None, w.as_ref())
-                .expect("unit runs")
+            registry::run_unit(stack, &u.name, params, None, w.as_ref()).expect("unit runs")
         })
         .collect()
 }
@@ -111,8 +110,7 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
                 pinned, shared,
                 "stack `{stack}` drifted under semantic sharing \
                  (workers={} por={} prefix={} deep={} bytecode={})",
-                params.workers, params.por, params.prefix_share, params.deep_share,
-                bytecode
+                params.workers, params.por, params.prefix_share, params.deep_share, bytecode
             );
             // The differential only has teeth if both polarities appear:
             // scratch must fail (with rendered index-least evidence held
@@ -324,7 +322,17 @@ fn liveness_matches_between_shared_and_pinned_twin_grids() {
     for bound in [64, 0] {
         let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
             check_liveness_tuned(
-                &iface, "wait", &[], Pid(0), contexts, bound, 100_000, workers, por, true, deep,
+                &iface,
+                "wait",
+                &[],
+                Pid(0),
+                contexts,
+                bound,
+                100_000,
+                workers,
+                por,
+                true,
+                deep,
             )
         };
         for por in POR {
@@ -578,8 +586,11 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         // hit deltas. Serial + deterministic, so equal work means equal
         // counters, exactly.
         let run = |iface: &LayerInterface, spec: &LayerInterface, family: u64, warm: &SimWarm| {
-            let (steps0, shared0, deep0) =
-                (prefix::steps_total(), prefix::shared_total(), prefix::deep_total());
+            let (steps0, shared0, deep0) = (
+                prefix::steps_total(),
+                prefix::shared_total(),
+                prefix::deep_total(),
+            );
             let w0 = warm.stats();
             let res = check_prim_refinement(
                 iface,
@@ -606,12 +617,18 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         // Machine A populates a warm state...
         let warm = SimWarm::default();
         let (a_cold, a_cold_work) = run(&machine_a, &spec_a, key_a.family(), &warm);
-        assert!(a_cold.starts_with("Ok"), "machine A refines its spec: {a_cold}");
+        assert!(
+            a_cold.starts_with("Ok"),
+            "machine A refines its spec: {a_cold}"
+        );
         // ...which serves a re-run of A byte-identically (positive
         // control: under the *same* key, the warm state demonstrably
         // shares — so the zero-sharing assertion for B below has teeth).
         let (a_warm, a_warm_work) = run(&machine_a, &spec_a, key_a.family(), &warm);
-        assert_eq!(a_cold, a_warm, "warm reuse must be invisible (tier bytecode={bytecode})");
+        assert_eq!(
+            a_cold, a_warm,
+            "warm reuse must be invisible (tier bytecode={bytecode})"
+        );
         assert!(
             a_warm_work.1 > a_cold_work.1,
             "same-key warm reuse must share ({a_warm_work:?} vs cold {a_cold_work:?})"
@@ -619,7 +636,10 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
 
         // Machine B cold: the reference failure and reference work.
         let (b_cold, b_cold_work) = run(&machine_b, &spec_b, key_b.family(), &SimWarm::default());
-        assert!(b_cold.starts_with("Err"), "machine B must fail its spec: {b_cold}");
+        assert!(
+            b_cold.starts_with("Err"),
+            "machine B must fail its spec: {b_cold}"
+        );
         // Machine B against A's warm state: same failure bytes, same
         // work — not one entry of A's crossed the key boundary.
         let (b_hostile, b_hostile_work) = run(&machine_b, &spec_b, key_b.family(), &warm);
